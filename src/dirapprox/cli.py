@@ -521,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("fit-constrained", _cmd_fit_constrained,
         "minimax fit subject to a seminorm budget around a base polynomial",
         degree=True, sigma=(True, "seminorm weight exponent", None), eps=True,
-        tol=(None, "stop once the sup error reaches this"), density=True)
+        tol=(None, "exit 0 only if the sup error reaches this"), density=True)
     add("laurent", _cmd_laurent, "additive splitting over the boundary curves of a holed set",
         tol=(1e-8, "reconstruction residual target"), density=True)
     add("rational-fit", _cmd_rational_fit, "rational Dirichlet approximation on a holed set",

@@ -152,7 +152,9 @@ class FitOptions:
     max_iterations: int = 200
     ridge: float = 1e-12
     sup_tol: float = 1e-10
-    target_error: float | None = None  # constrained_fit: converged needs err <= this
+    # minimax_fit: Lawson stops once the sup error is <= this, and converged
+    # means it got there; constrained_fit: converged needs err <= this
+    target_error: float | None = None
     allow_right_of_zero: bool = False  # geometry waiver for constrained_fit
 
 
@@ -187,18 +189,42 @@ def _design_matrix(points: np.ndarray, degree: int) -> np.ndarray:
         return np.exp(-points[:, None] * logs[None, :])
 
 
+def _normal_equations(
+    B: np.ndarray, w: np.ndarray, y: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """B^H W B + ridge*I and B^H W y over the live rows, w_i > 1e-24.
+
+    w sums to 1 and |B_ij| <= 1, so the rows left out move each entry of
+    B^H W B by less than m * 1e-24 (and of B^H W y by that times max|y|):
+    for m <= 1e6, six orders below the 1e-12 ridge.  IRLS drives hundreds
+    of weights to zero or into the subnormal range, where arithmetic is
+    slow.  At most two B-sized temporaries live here, as many as the
+    plain B^H (W B) product makes, and they are freed on return.
+    """
+    live = w > 1e-24
+    if not live.all():
+        B, w, y = B[live], w[live], y[live]
+    WBh = B.conj()  # conj(W B), whose transpose is (W B)^H
+    WBh *= w[:, None]
+    G = WBh.T @ B
+    G.flat[:: G.shape[0] + 1] += ridge
+    return G, WBh.T @ y
+
+
 def _lawson(
     A: np.ndarray,
     y: np.ndarray,
     opts: FitOptions,
     start: np.ndarray | None = None,
+    stop_at: float | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """IRLS for min_c sup_i |A c - y|: weights grow with residual size.
 
     Columns are sup-normalized internally (near-collinear n^{-s} columns
     make the raw normal equations hopeless beyond N ~ 30).  Returns the
     best iterate by sup error, its error, iterations used, and whether
-    the sup error stabilized below opts.sup_tol between iterations.
+    the sup error stabilized below opts.sup_tol between iterations or
+    the best sup error reached `stop_at`, which ends the iteration.
     """
     m, n = A.shape
     if not np.all(np.isfinite(A)):
@@ -223,15 +249,14 @@ def _lawson(
                 best_c, best_err = c0, e0
     except np.linalg.LinAlgError:
         pass  # the ridge path below raises with a diagnostic if it also fails
+    if stop_at is not None and best_err <= stop_at:
+        return best_c / scale, best_err, 0, True
     prev_err = math.inf
     converged = False
     iterations = 0
     for it in range(1, opts.max_iterations + 1):
         iterations = it
-        Bw = B * w[:, None]
-        G = B.conj().T @ Bw
-        G[np.diag_indices_from(G)] += opts.ridge
-        rhs = Bw.conj().T @ y
+        G, rhs = _normal_equations(B, w, y, opts.ridge)
         try:
             c = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError as exc:
@@ -248,7 +273,7 @@ def _lawson(
         err = float(r.max()) if m else 0.0
         if err < best_err:
             best_err, best_c = err, c
-        if abs(prev_err - err) < opts.sup_tol:
+        if (stop_at is not None and best_err <= stop_at) or abs(prev_err - err) < opts.sup_tol:
             converged = True
             break
         prev_err = err
@@ -298,7 +323,7 @@ def minimax_fit_samples(
             raise InvalidInputError("support mask excludes every coefficient")
         A = A[:, support]
 
-    c, err, iters, conv = _lawson(A, gvals, opts)
+    c, err, iters, conv = _lawson(A, gvals, opts, stop_at=opts.target_error)
     coeffs = np.zeros(degree, dtype=complex)
     if support is not None:
         coeffs[support] = c
@@ -306,6 +331,8 @@ def minimax_fit_samples(
         coeffs = c
     p = DirichletPolynomial(coeffs)
     exact = _sup_error(points, p.coefficients, gvals)
+    if opts.target_error is not None:
+        conv = exact <= opts.target_error
     return FitResult(
         polynomial=p,
         minimax_error=exact,
@@ -349,29 +376,33 @@ def project_weighted_l1(v: np.ndarray, weights: np.ndarray, radius: float) -> np
     """Euclidean projection of v onto {d : sum_n weights_n |d_n| <= radius}.
 
     Phase-preserving soft threshold d_n = e^{i arg v_n} max(|v_n| -
-    lam*w_n, 0) with lam found by bisection on the constraint value.
+    lam*w_n, 0), with lam exact in O(N log N) (Duchi, Shalev-Shwartz,
+    Singer & Chandra 2008; Condat 2016): sort the breakpoints
+    t_n = |v_n|/w_n in descending order and take
+    lam_k = (sum_{j<=k} w_j |v_j| - radius) / sum_{j<=k} w_j^2
+    for the largest k with lam_k < t_k.  Entries of zero weight are not
+    shrunk; radius 0 zeroes every entry of positive weight.
     """
     if radius < 0:
         raise InvalidInputError("projection radius must be >= 0")
+    v = np.asarray(v, dtype=complex)
     w = np.asarray(weights, dtype=float)
     mags = np.abs(v)
     if float(np.sum(w * mags)) <= radius:
-        return np.asarray(v, dtype=complex).copy()
+        return v.copy()
+    pos = w > 0
+    if radius == 0:
+        return np.where(pos, 0, v)
     phases = np.where(mags > 0, v / np.where(mags > 0, mags, 1.0), 0)
-
-    def constraint(lam: float) -> float:
-        return float(np.sum(w * np.maximum(mags - lam * w, 0.0)))
-
-    lo, hi = 0.0, float((mags / np.maximum(w, 1e-300)).max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return phases * np.maximum(mags - hi * w, 0.0)
+    wp, mp = w[pos], mags[pos]
+    t = mp / wp
+    order = np.argsort(-t, kind="stable")
+    ws = wp[order]
+    lams = (np.cumsum(ws * mp[order]) - radius) / np.cumsum(ws * ws)
+    # k = 1 qualifies whenever radius/w_1 is not lost to rounding in t_1
+    ks = np.flatnonzero(lams < t[order])
+    lam = lams[ks[-1] if ks.size else 0]
+    return phases * np.maximum(mags - lam * w, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +445,13 @@ def _fista_ball(
     sw = np.sqrt(w)
     B = (A / s[None, :]) * sw[:, None]
     yb = y * sw
+    BH = B.conj().T
     L = 2.0 * _spectral_norm_sq(B) * 1.02
     g = project_weighted_l1(d0 * s, us, eps)
     z = g.copy()
     t = 1.0
     for _ in range(iters):
-        grad = 2.0 * (B.conj().T @ (B @ z - yb))
+        grad = 2.0 * (BH @ (B @ z - yb))
         g_new = project_weighted_l1(z - grad / L, us, eps)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = g_new + ((t - 1.0) / t_new) * (g_new - g)

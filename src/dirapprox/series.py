@@ -132,9 +132,10 @@ def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
     step = max(1, 2_000_000 // max(1, p.degree))
     for lo in range(0, flat.size, step):
         block = flat[lo : lo + step, None]
-        # row-wise pairwise sum rather than a matvec so each point gets
-        # bit-identical arithmetic to the scalar evaluate()
-        out[lo : lo + step] = (np.exp(-block * logs[None, :]) * p.coefficients[None, :]).sum(axis=1)
+        # row-wise pairwise sum rather than a matvec, and a_n * e_n in the
+        # scalar evaluate()'s operand order (FMA rounds a*e and e*a
+        # differently), so each point gets bit-identical arithmetic
+        out[lo : lo + step] = (p.coefficients[None, :] * np.exp(-block * logs[None, :])).sum(axis=1)
     return out.reshape(pts.shape)
 
 

@@ -190,6 +190,44 @@ class TestFitCommands:
         assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
 
 
+    def test_fit_tol_reached_stops_early_and_exits_zero(self, tmp_path):
+        src = write(tmp_path / "in.json", DISC_EXP)
+        reps = {}
+        for tol in (None, "1e-2"):
+            out = tmp_path / f"f{tol}.json"
+            argv = ["fit", "--input", src, "--degree", "5", "--density", "0.03",
+                    "--output", str(out)]
+            assert main(argv + (["--tol", tol] if tol else [])) == 0
+            reps[tol] = json.loads(out.read_text())
+        assert reps["1e-2"]["converged"] is True
+        assert reps["1e-2"]["minimax_error"] <= 1e-2
+        assert reps["1e-2"]["iterations"] < reps[None]["iterations"]
+
+    def test_fit_tol_not_reached_exits_three(self, tmp_path):
+        src = write(tmp_path / "in.json", DISC_EXP)
+        out = tmp_path / "f.json"
+        code = main(["fit", "--input", src, "--degree", "5", "--density", "0.03",
+                     "--tol", "1e-12", "--output", str(out)])
+        assert code == 3
+        rep = json.loads(out.read_text())
+        assert rep["converged"] is False
+        assert rep["minimax_error"] > 1e-12
+
+    def test_convergence_study_tol_stops_each_fit(self, tmp_path):
+        src = write(tmp_path / "in.json", {**DISC_EXP, "degrees": [5, 10]})
+        errs = {}
+        for tol in (None, "1e-2"):
+            out = tmp_path / f"s{tol}.csv"
+            argv = ["convergence-study", "--input", src, "--density", "0.03",
+                    "--output", str(out)]
+            assert main(argv + (["--tol", tol] if tol else [])) == 0
+            lines = out.read_text().strip().split("\n")[1:]
+            errs[tol] = [float(line.split(",")[1]) for line in lines]
+        assert all(e <= 1e-2 for e in errs["1e-2"])
+        # N=5 stops short of the Lawson optimum it reaches without --tol
+        assert errs["1e-2"][0] > errs[None][0]
+
+
 class TestLaurentCommands:
     def test_identity_on_annulus_splits_cleanly(self, tmp_path):
         spec = {"set": ANNULUS, "function": {"kind": "named", "name": "identity"},

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from dirapprox.errors import IllConditionedError, InvalidInputError
 from dirapprox.fit import (
     FitOptions,
     TargetFunction,
+    _design_matrix,
+    _lawson,
     constrained_fit,
     convergence_study,
     minimax_fit,
@@ -107,6 +111,65 @@ def test_overflowing_design_raises_ill_conditioned():
     assert "degree" in exc_info.value.diagnostic
 
 
+def test_target_error_stops_lawson_and_sets_converged():
+    plain = minimax_fit(DISC, TargetFunction.exp(), 5)
+    loose = minimax_fit(DISC, TargetFunction.exp(), 5, FitOptions(target_error=1e-2))
+    assert loose.converged and loose.minimax_error <= 1e-2
+    assert loose.iterations < plain.iterations
+    tight = minimax_fit(DISC, TargetFunction.exp(), 5, FitOptions(target_error=1e-12))
+    assert not tight.converged
+    assert tight.minimax_error == plain.minimax_error
+
+
+def _full_row_lawson(A, y, opts):
+    """IRLS with every row in the normal equations: _lawson's arithmetic
+    without the live-row cut.
+
+    Returns the best coefficients, their sup error, and how many weights
+    were <= 1e-24 in the solve that produced the best iterate.
+    """
+    scale = np.abs(A).max(axis=0)
+    B = A / scale[None, :]
+    w = np.full(A.shape[0], 1.0 / A.shape[0])
+    best_c = np.zeros(A.shape[1], dtype=complex)
+    best_err = float(np.abs(y).max())
+    c0 = np.linalg.lstsq(B, y, rcond=None)[0]
+    e0 = float(np.abs(B @ c0 - y).max())
+    if e0 < best_err:
+        best_c, best_err = c0, e0
+    dead_at_best, prev_err = 0, math.inf
+    for _ in range(opts.max_iterations):
+        WBh = B.conj() * w[:, None]
+        G = WBh.T @ B
+        G[np.diag_indices_from(G)] += opts.ridge
+        c = np.linalg.solve(G, WBh.T @ y)
+        r = np.abs(B @ c - y)
+        err = float(r.max())
+        if err < best_err:
+            best_c, best_err, dead_at_best = c, err, int(np.sum(w <= 1e-24))
+        if abs(prev_err - err) < opts.sup_tol:
+            break
+        prev_err = err
+        w = w * np.maximum(r, 1e-300)
+        w /= w.sum()
+    return best_c / scale, best_err, dead_at_best
+
+
+def test_lawson_live_rows_match_full_rows():
+    # IRLS amplifies rounding over many iterations (reordering the rows
+    # moves a long run's result by 1e-12..1e-4), so the comparison uses a
+    # short, well-conditioned run whose best iterate comes after weights
+    # have already fallen below the live-row cut
+    pts = discretize(disc(-1, 0.5), SampleDensity(0.05, 0.1)).all_samples()
+    A, y = _design_matrix(pts, 3), 1 / (pts - 0.3)
+    opts = FitOptions(max_iterations=15)
+    want_c, want_err, dead = _full_row_lawson(A, y, opts)
+    assert dead > 0
+    c, err, _, _ = _lawson(A, y, opts)
+    assert err == pytest.approx(want_err, rel=1e-12)
+    np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=0)
+
+
 def test_support_mask_restricts_basis():
     mask = np.zeros(6, dtype=bool)
     mask[3] = True  # only n=4 allowed
@@ -171,6 +234,87 @@ def test_projection_is_euclidean_optimal_against_random_feasible():
         semi = float(np.sum(w * np.abs(cand)))
         cand *= 0.7 / max(semi, 0.7)  # force into the ball
         assert np.linalg.norm(cand - v) >= d_opt - 1e-9
+
+
+def _bisection_threshold(v, w, radius):
+    """The projection's threshold lambda by bisection on the constraint
+    value, as it was once computed (valid for positive weights)."""
+    mags = np.abs(v)
+
+    def constraint(lam):
+        return float(np.sum(w * np.maximum(mags - lam * w, 0.0)))
+
+    lo, hi = 0.0, float((mags / np.maximum(w, 1e-300)).max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if constraint(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return hi
+
+
+def test_projection_radius_zero_gives_zeros():
+    v = np.array([1 + 1j, -2.0, 0.5j])
+    np.testing.assert_array_equal(project_weighted_l1(v, np.array([1.0, 0.5, 2.0]), 0.0), 0)
+
+
+def test_projection_leaves_zero_weight_entries_alone():
+    v = np.array([3.0, 1j, -2.0, 0.5])
+    w = np.array([1.0, 0.0, 1.0, 0.0])
+    with np.errstate(all="raise"):
+        out = project_weighted_l1(v, w, 1.0)
+        at_zero = project_weighted_l1(v, w, 0.0)
+    np.testing.assert_array_equal(out[w == 0], v[w == 0])
+    np.testing.assert_allclose(out[w > 0], [1.0, 0.0], atol=1e-15)  # lam = 2
+    np.testing.assert_array_equal(at_zero, [0, 1j, 0, 0.5])
+
+
+def test_projection_tied_breakpoints():
+    with np.errstate(all="raise"):
+        # three-way tie above the threshold: lam = (9 - 3) / 3 = 2
+        out = project_weighted_l1(np.array([3.0, 3.0, 3.0, 1.0]), np.ones(4), 3.0)
+        np.testing.assert_allclose(out, [1, 1, 1, 0], rtol=1e-15)
+        # the tied entries sit exactly at the threshold lam = 1
+        out = project_weighted_l1(np.array([2.0, 2.0, 1.0, 1.0]), np.ones(4), 2.0)
+        np.testing.assert_allclose(out, [1, 1, 0, 0], rtol=1e-15, atol=1e-15)
+        # equal ratios |v|/w from different weights
+        out = project_weighted_l1(np.array([2.0, 4.0j]), np.array([1.0, 2.0]), 5.0)
+        np.testing.assert_allclose(out, [1.0, 2.0j], rtol=1e-15)
+
+
+def test_projection_zero_entries_and_empty_input():
+    with np.errstate(all="raise"):
+        out = project_weighted_l1(np.array([0.0, 1.0, 0.0, 2.0j]), np.ones(4), 1.0)
+        np.testing.assert_allclose(out, [0, 0, 0, 1j], atol=1e-15)
+        assert project_weighted_l1(np.zeros(0, dtype=complex), np.zeros(0), 1.0).size == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_projection_matches_bisection_and_kkt(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v[rng.random(n) < 0.1] = 0
+    w = np.exp(rng.uniform(-3, 1, n))
+    total = float(np.sum(w * np.abs(v)))
+    if total == 0:
+        v[0], total = 1.0, float(w[0])
+    radius = float(rng.uniform(0.05, 0.95)) * total
+    out = project_weighted_l1(v, w, radius)
+    lam_ref = _bisection_threshold(v, w, radius)
+    mags, dmags = np.abs(v), np.abs(out)
+    supp = dmags > 0
+    assert float(np.sum(w * dmags)) <= radius * (1 + 1e-12)
+    # the threshold read off the result agrees with bisection
+    lam = float(np.sum(w[supp] * (mags[supp] - dmags[supp])) / np.sum(w[supp] ** 2))
+    assert lam == pytest.approx(lam_ref, rel=1e-12)
+    # KKT: shrink by lam * w on the support, below the threshold off it
+    scale = float(mags.max())
+    np.testing.assert_allclose(mags[supp] - dmags[supp], lam_ref * w[supp], rtol=0, atol=1e-13 * scale)
+    assert np.all(mags[~supp] <= lam_ref * w[~supp] * (1 + 1e-12))
 
 
 # --- constrained_fit -------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_evaluate_many_matches_scalar_loop():
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
+def test_evaluate_many_is_bit_identical_to_scalar():
+    rng = np.random.default_rng(11)
+    for degree in range(1, 201):
+        p = DirichletPolynomial(rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+        pts = rng.uniform(-3, 3, 10) + 1j * rng.uniform(-40, 40, 10)
+        got = evaluate_many(p, pts)
+        want = np.array([evaluate(p, z) for z in pts])
+        np.testing.assert_array_equal(got, want, err_msg=f"degree {degree}")
+
+
 @given(coeff_lists, coeff_lists, finite_complex, finite_complex, finite_complex)
 def test_linearity(ca, cb, alpha, beta, s):
     n = max(len(ca), len(cb))
