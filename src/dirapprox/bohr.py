@@ -383,14 +383,7 @@ def _gap_halfplane_plan(k: int) -> SupNormPlan:
     """
     height = {0: 200.0, 1: 200.0, 2: 2e4, 3: 1e5, 4: 2e5, 5: 2e6, 6: 6.5e6, 7: 1.2e7}.get(k, 3.2e7)
     dt = 0.5 if height <= 2e6 else 1.0
-    return SupNormPlan(
-        width=2.0,
-        height=height,
-        sigma_steps=20,
-        t_steps=200,
-        max_refinements=0,
-        edge_points=int(height / dt) + 1,
-    )
+    return SupNormPlan(height=height, edge_points=int(height / dt) + 1)
 
 
 def bohr_gap_report(

@@ -246,7 +246,17 @@ def _cmd_supnorm(args) -> int:
 
     d = _read_json(args.input)
     p = _poly_from(d)
-    plan = SupNormPlan(**d["plan"]) if "plan" in d else None
+    plan = None
+    if "plan" in d:
+        raw = dict(d["plan"])
+        known = {}
+        if "height" in raw:
+            known["height"] = float(raw.pop("height"))
+        if "edge_points" in raw:
+            known["edge_points"] = int(raw.pop("edge_points"))
+        if raw:
+            raise InvalidInputError(f"unknown supnorm plan keys: {sorted(raw)}")
+        plan = SupNormPlan(**known)
     report = sup_norm_report(p, float(args.sigma), plan)
     artifact = dataclasses.asdict(report)
     artifact["sigma0"] = float(args.sigma)
@@ -488,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--input", help="input JSON path")
         p.add_argument("--output", help="output artifact path")
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling randomness")
         if degree:
             p.add_argument("--degree", type=int, required=True, help="Dirichlet degree N")
         if sigma is not None:
@@ -510,12 +519,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sigma=(True, "shift amount", None))
     add("seminorm", _cmd_seminorm, "weighted coefficient norm at --sigma",
         sigma=(True, "seminorm weight exponent", None))
-    add("supnorm", _cmd_supnorm, "half-plane sup-norm estimate with spacing bounds",
+    add("supnorm", _cmd_supnorm,
+        "sup estimate on Re s = sigma (lower bound) and Σ|a_n| n^{-σ} (upper bound)",
         sigma=(False, "half-plane edge Re s = sigma", 0.0))
     add("abscissa", _cmd_abscissa, "convergence/absolute abscissa estimates for a coefficient rule")
     add("bohr-lift", _cmd_bohr_lift, "polynomial as a multi-variable polynomial over prime powers")
-    add("bohr-check", _cmd_bohr_check, "compare half-plane and polydisc sup estimates",
-        tol=(0.02, "acceptable relative gap"))
+    bohr_check = add("bohr-check", _cmd_bohr_check, "compare half-plane and polydisc sup estimates",
+                     tol=(0.02, "acceptable relative gap"))
+    bohr_check.add_argument("--seed", type=int, default=0, help="seed for the polydisc sampling")
     add("fit", _cmd_fit, "discrete minimax fit on a compact set",
         degree=True, tol=(None, "stop once the sup error reaches this"), density=True)
     add("fit-constrained", _cmd_fit_constrained,

@@ -28,6 +28,7 @@ from .geometry import (
     SampleDensity,
     _circle_contour,
     _gauss_polyline_contour,
+    _winding_inside,
 )
 from .series import DirichletPolynomial, evaluate, evaluate_many
 
@@ -65,22 +66,6 @@ def _quadrature_contours(spec: CompactSetSpec, nodes: int) -> list[Contour]:
     if spec.kind == "union-of-disjoint":
         return [c for m in spec.members for c in _quadrature_contours(m, nodes)]
     raise InvalidInputError(f"unknown set kind {spec.kind!r}")  # pragma: no cover
-
-
-def _inside_loop(loop_points: np.ndarray, z: complex) -> bool:
-    """Ray-crossing parity of z against the closed polyline of loop nodes."""
-    a = loop_points[:-1]
-    b = loop_points[1:]
-    ya, yb = a.imag - z.imag, b.imag - z.imag
-    straddle = (ya > 0) != (yb > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = a.real + (b.real - a.real) * ya / (ya - yb)
-    hits = straddle & (xcross > z.real)
-    return bool(np.count_nonzero(hits) % 2)
-
-
-def _distance_to_loop(loop_points: np.ndarray, z: complex) -> float:
-    return float(np.abs(loop_points - z).min())
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +213,7 @@ def _build_pieces(
     order: list[int] = []
     for a in anchors:
         inside = [
-            k
-            for k, loop in enumerate(hole_loops)
-            if _inside_loop(loop.points, a) and _distance_to_loop(loop.points, a) > 1e-9
+            k for k, loop in enumerate(hole_loops) if _winding_inside(loop.points[:-1], a, tol=-1e-9)[0]
         ]
         if len(inside) != 1 or inside[0] in order:
             raise InvalidAnchorError(f"anchor {a} is not strictly inside exactly one unclaimed hole")

@@ -89,6 +89,29 @@ class TestPolynomialCommands:
         assert rep["value"] <= rep["upper_bound"]
         assert rep["value"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_supnorm_rerun_is_byte_identical(self, tmp_path):
+        src = write(
+            tmp_path / "p.json",
+            {"coefficients": [[1, 0], [0.5, -0.25], [0, 1]], "plan": {"edge_points": 20000}},
+        )
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(["supnorm", "--input", src, "--sigma", "0.25", "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rep = json.loads(outs[0])
+        assert sorted(rep) == ["sigma0", "upper_bound", "value"]
+        p = DirichletPolynomial.from_pairs([[1, 0], [0.5, -0.25], [0, 1]])
+        assert rep["upper_bound"] == seminorm_sigma(p, 0.25)
+
+    def test_supnorm_rejects_unknown_plan_keys(self, tmp_path, capsys):
+        src = write(tmp_path / "p.json", {**TWO_POW, "plan": {"sigma_steps": 10}})
+        assert main(["supnorm", "--input", src]) == 2
+        captured = capsys.readouterr()
+        assert "sigma_steps" in captured.err
+        assert captured.out == ""
+
 
 class TestAbscissa:
     def test_all_ones_rule_lands_near_one(self, tmp_path):
@@ -143,6 +166,10 @@ class TestBohr:
             {"coefficients": [[1, 0], [0.8, 0.2], [0.5, -0.4]]},
         )
         assert main(["bohr-check", "--input", src, "--tol", "1e-14"]) == 3
+
+    def test_gap_check_takes_a_seed(self, tmp_path):
+        src = write(tmp_path / "p.json", TWO_POW)
+        assert main(["bohr-check", "--input", src, "--seed", "7"]) == 0
 
 
 class TestFitCommands:
@@ -365,6 +392,12 @@ class TestExitCodes:
         src = write(tmp_path / "in.json", DISC_EXP)
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--input", src])
+        assert exc.value.code == 2
+
+    def test_seed_flag_is_only_on_bohr_check(self, tmp_path):
+        src = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", src, "--seed", "1"])
         assert exc.value.code == 2
 
     def test_unwritable_output_is_invalid_input(self, tmp_path):

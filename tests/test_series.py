@@ -165,7 +165,7 @@ def test_seminorm_dominates_on_halfplane(coeffs, sigma, depth, t):
 
 # --- sup norm ---------------------------------------------------------------
 
-FAST_PLAN = SupNormPlan(sigma_steps=60, t_steps=120, max_refinements=1, edge_points=20_000)
+FAST_PLAN = SupNormPlan(edge_points=20_000)
 
 
 def test_sup_norm_constant():
@@ -190,12 +190,50 @@ def test_sup_norm_is_lower_bound_of_seminorm_bound():
     rep = sup_norm_report(p, 0.5, FAST_PLAN)
     assert rep.value <= seminorm_sigma(p, 0.5) + 1e-12
     assert rep.upper_bound >= rep.value
-    assert rep.lipschitz_bound > 0
+    assert rep.upper_bound == seminorm_sigma(p, 0.5)
 
 
 def test_sup_norm_empty_plan_rejected():
-    with pytest.raises(InvalidInputError):
-        sup_norm_halfplane(poly(1), 0.0, SupNormPlan(sigma_steps=0))
+    for plan in (
+        SupNormPlan(edge_points=0),
+        SupNormPlan(edge_points=-5),
+        SupNormPlan(height=0.0),
+        SupNormPlan(height=-1.0),
+        SupNormPlan(height=math.inf),
+        SupNormPlan(height=math.nan),
+    ):
+        with pytest.raises(InvalidInputError):
+            sup_norm_halfplane(poly(1), 0.0, plan)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sup_norm_value_dominates_a_2d_grid(seed):
+    # the half-plane sup is the sup on the line Re s = sigma0
+    # (Phragmen-Lindelof), so a brute-force grid over the box
+    # [sigma0, sigma0 + 2] x [0, height] must not beat the line sweep
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    p = DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    sigma0 = (-0.25, 0.0, 0.5, 1.0)[seed]
+    value = sup_norm_report(p, sigma0, FAST_PLAN).value
+    sigmas = np.linspace(sigma0, sigma0 + 2.0, 41)
+    ts = np.linspace(0.0, FAST_PLAN.height, 4001)
+    grid = np.abs(evaluate_many(p, sigmas[:, None] + 1j * ts[None, :]))
+    assert value >= grid.max() * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sup_norm_upper_bound_holds_off_the_swept_window(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(2, 25))
+    p = DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    sigma0 = (-0.25, 0.0, 0.5, 1.0)[seed]
+    rep = sup_norm_report(p, sigma0, FAST_PLAN)
+    assert rep.upper_bound == seminorm_sigma(p, sigma0)
+    depth = rng.exponential(1.0, 500)
+    t = rng.uniform(FAST_PLAN.height, 1e6, 500) * rng.choice([-1.0, 1.0], 500)
+    moduli = np.abs(evaluate_many(p, sigma0 + depth + 1j * t))
+    assert np.all(moduli <= rep.upper_bound * (1 + 1e-12))
 
 
 def test_nonconstant_polynomial_blows_up_on_negative_axis():
