@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     InvalidInputError,
@@ -298,6 +297,9 @@ def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarra
 
 def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
     """Local maximization of |q(e^{i theta})| via L-BFGS on -|q|^2."""
+    # imported here: scipy.optimize takes longer to import than the whole
+    # package, and only this polish step needs it
+    from scipy.optimize import minimize
 
     def neg_sq_and_grad(theta):
         ph = np.exp(1j * (E @ theta))

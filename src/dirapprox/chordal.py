@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
+from .series import _exp_basis
 
 __all__ = [
     "SpherePoint",
@@ -33,6 +34,9 @@ __all__ = [
 # spherical inversion z -> 1/z is a chi-isometry; route pairs of huge
 # moduli through it so |a-b| cannot overflow before the quotient tames it
 _INVERSION_CUTOFF = 1e150
+
+_MAX_GRID_DOUBLINGS = 4  # sigma-grid doublings in chordal_convergence_check
+_BAND_FACTOR = 2.0  # tolerance widening inside its band
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,7 @@ def zeta_values(sigmas: np.ndarray, *, terms: int = 10_000) -> np.ndarray:
     total = np.zeros(flat.size)
     chunk = max(64, 2_000_000 // flat.size)
     for lo in range(1, terms + 1, chunk):
-        ns = np.arange(lo, min(lo + chunk, terms + 1), dtype=float)
-        total += np.exp(-flat[:, None] * np.log(ns)[None, :]).sum(axis=1)
+        total += _exp_basis(flat, lo, min(lo + chunk - 1, terms)).sum(axis=1)
     m = float(terms)
     lm = math.log(m)
     total += np.exp((1.0 - flat) * lm) / (flat - 1.0)
@@ -244,9 +247,8 @@ class _PartialSums:
         while self.upto < n_target:
             hi = min(self.upto + self._chunk, n_target)
             a = _coefficient_block(self.rule, self.upto + 1, hi)
-            ns = np.arange(self.upto + 1, hi + 1, dtype=float)
             with np.errstate(over="ignore"):  # divergent region saturates gracefully
-                self.values += np.exp(-self.grid[:, None] * np.log(ns)[None, :]) @ a
+                self.values += _exp_basis(self.grid, self.upto + 1, hi) @ a
             self.upto = hi
 
 
@@ -290,22 +292,21 @@ def chordal_convergence_check(
     *,
     grid_per_unit: float = 2000.0,
     grid_tol: float = 1e-3,
-    max_grid_doublings: int = 4,
     search_cap: int = 10_000_000,
     band: tuple[float, float] | None = None,
-    band_factor: float = 2.0,
 ) -> ConvergenceReport:
     """Sup-chordal error of partial sums against the series limit on a real interval.
 
     The limit is `limit(sigma)` right of the divergence abscissa and the
     infinity tag at or left of it.  The sigma grid starts at grid_per_unit
-    points per unit and doubles until the ladder's sup column moves less
-    than grid_tol.  If no ladder entry reaches target_eps, the search
-    continues past the ladder on geometric checkpoints and then scans the
-    bracketing block index by index, so the reported n0 is the smallest
-    qualifying index.  Inside an optional band the qualification tolerance
-    is widened to band_factor * target_eps (the limit is steepest there);
-    the reported error column is always the plain sup.
+    points per unit and doubles, at most _MAX_GRID_DOUBLINGS times, until
+    the ladder's sup column moves less than grid_tol.  If no ladder entry
+    reaches target_eps, the search continues past the ladder on geometric
+    checkpoints and then scans the bracketing block index by index, so
+    the reported n0 is the smallest qualifying index.  Inside an optional
+    band the qualification tolerance is widened to _BAND_FACTOR *
+    target_eps (the limit is steepest there); the reported error column is
+    always the plain sup.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -324,12 +325,12 @@ def chordal_convergence_check(
     def qualifies(sups: _RegionSups) -> bool:
         if band is None:
             return sups.plain <= target_eps
-        return sups.core <= target_eps and sups.band <= band_factor * target_eps
+        return sups.core <= target_eps and sups.band <= _BAND_FACTOR * target_eps
 
     density = float(grid_per_unit)
     prev_column: list[_RegionSups] | None = None
     grid_converged = False
-    for _ in range(max_grid_doublings + 1):
+    for _ in range(_MAX_GRID_DOUBLINGS + 1):
         used_density = density
         npts = int(round((hi - lo) * density)) + 1
         grid = np.linspace(lo, hi, npts)
@@ -388,7 +389,7 @@ def chordal_convergence_check(
     if band is not None:
         band_report = {
             "interval": [band[0], band[1]],
-            "tolerance_factor": band_factor,
+            "tolerance_factor": _BAND_FACTOR,
             "points": int(np.count_nonzero(band_mask)),
             "note": (
                 "the limit is steepest just right of the divergence abscissa; "

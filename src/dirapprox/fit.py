@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IllConditionedError, InvalidInputError
 from .geometry import DiscretizedSet, max_real_part
-from .series import DirichletPolynomial, seminorm_sigma
+from .series import DirichletPolynomial, _exp_basis, seminorm_sigma
 
 __all__ = [
     "TargetFunction",
@@ -147,11 +147,13 @@ def _target_values(g, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_RIDGE = 1e-12  # Tikhonov term of the Lawson normal equations
+_SUP_TOL = 1e-10  # change in sup error between iterations that counts as settled
+
+
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 200
-    ridge: float = 1e-12
-    sup_tol: float = 1e-10
     # minimax_fit: Lawson stops once the sup error is <= this, and converged
     # means it got there; constrained_fit: converged needs err <= this
     target_error: float | None = None
@@ -183,20 +185,12 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _design_matrix(points: np.ndarray, degree: int) -> np.ndarray:
-    logs = np.log(np.arange(1, degree + 1, dtype=float))
-    with np.errstate(over="ignore"):  # overflow checked by the solver
-        return np.exp(-points[:, None] * logs[None, :])
-
-
-def _normal_equations(
-    B: np.ndarray, w: np.ndarray, y: np.ndarray, ridge: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """B^H W B + ridge*I and B^H W y over the live rows, w_i > 1e-24.
+def _normal_equations(B: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^H W B + _RIDGE*I and B^H W y over the live rows, w_i > 1e-24.
 
     w sums to 1 and |B_ij| <= 1, so the rows left out move each entry of
     B^H W B by less than m * 1e-24 (and of B^H W y by that times max|y|):
-    for m <= 1e6, six orders below the 1e-12 ridge.  IRLS drives hundreds
+    for m <= 1e6, six orders below the ridge.  IRLS drives hundreds
     of weights to zero or into the subnormal range, where arithmetic is
     slow.  At most two B-sized temporaries live here, as many as the
     plain B^H (W B) product makes, and they are freed on return.
@@ -207,7 +201,7 @@ def _normal_equations(
     WBh = B.conj()  # conj(W B), whose transpose is (W B)^H
     WBh *= w[:, None]
     G = WBh.T @ B
-    G.flat[:: G.shape[0] + 1] += ridge
+    G.flat[:: G.shape[0] + 1] += _RIDGE
     return G, WBh.T @ y
 
 
@@ -223,7 +217,7 @@ def _lawson(
     Columns are sup-normalized internally (near-collinear n^{-s} columns
     make the raw normal equations hopeless beyond N ~ 30).  Returns the
     best iterate by sup error, its error, iterations used, and whether
-    the sup error stabilized below opts.sup_tol between iterations or
+    the sup error stabilized below _SUP_TOL between iterations or
     the best sup error reached `stop_at`, which ends the iteration.
     """
     m, n = A.shape
@@ -256,7 +250,7 @@ def _lawson(
     iterations = 0
     for it in range(1, opts.max_iterations + 1):
         iterations = it
-        G, rhs = _normal_equations(B, w, y, opts.ridge)
+        G, rhs = _normal_equations(B, w, y)
         try:
             c = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError as exc:
@@ -273,7 +267,7 @@ def _lawson(
         err = float(r.max()) if m else 0.0
         if err < best_err:
             best_err, best_c = err, c
-        if (stop_at is not None and best_err <= stop_at) or abs(prev_err - err) < opts.sup_tol:
+        if (stop_at is not None and best_err <= stop_at) or abs(prev_err - err) < _SUP_TOL:
             converged = True
             break
         prev_err = err
@@ -283,11 +277,6 @@ def _lawson(
             break
         w /= total
     return best_c / scale, best_err, iterations, converged
-
-
-def _sup_error(points: np.ndarray, coeffs: np.ndarray, gvals: np.ndarray) -> float:
-    A = _design_matrix(points, len(coeffs))
-    return float(np.abs(A @ coeffs - gvals).max())
 
 
 def minimax_fit_samples(
@@ -314,14 +303,15 @@ def minimax_fit_samples(
     if not np.all(np.isfinite(gvals)):
         raise InvalidInputError("target is not finite on all samples")
 
-    A = _design_matrix(points, degree)
+    with np.errstate(over="ignore"):  # overflow checked by the solver
+        A_full = _exp_basis(points, 1, degree)
     if support is not None:
         support = np.asarray(support, dtype=bool)
         if support.shape != (degree,):
             raise InvalidInputError("support mask must have one entry per coefficient")
         if not support.any():
             raise InvalidInputError("support mask excludes every coefficient")
-        A = A[:, support]
+    A = A_full if support is None else A_full[:, support]
 
     c, err, iters, conv = _lawson(A, gvals, opts, stop_at=opts.target_error)
     coeffs = np.zeros(degree, dtype=complex)
@@ -330,7 +320,7 @@ def minimax_fit_samples(
     else:
         coeffs = c
     p = DirichletPolynomial(coeffs)
-    exact = _sup_error(points, p.coefficients, gvals)
+    exact = float(np.abs(A_full @ p.coefficients - gvals).max())
     if opts.target_error is not None:
         conv = exact <= opts.target_error
     return FitResult(
@@ -342,7 +332,7 @@ def minimax_fit_samples(
         provenance={
             "method": "lawson-irls",
             "column_normalized": True,
-            "ridge": opts.ridge,
+            "ridge": _RIDGE,
             "samples": int(points.size),
             "support": "all" if support is None else f"{int(support.sum())} of {degree}",
         },
@@ -501,9 +491,10 @@ def constrained_fit(
     gvals = _target_values(g, points)
     fpad = np.zeros(degree, dtype=complex)
     fpad[: f.degree] = f.coefficients
-    A_full = _design_matrix(points, degree)
+    with np.errstate(over="ignore"):  # overflow checked by the solver
+        A_full = _exp_basis(points, 1, degree)
     dvals = gvals - A_full @ fpad  # target for the deviation d = h - f
-    u_full = np.exp(-sigma * np.log(np.arange(1, degree + 1, dtype=float)))
+    u_full = _exp_basis(sigma, 1, degree)
     if support is not None:
         support = np.asarray(support, dtype=bool)
         if support.shape != (degree,):
@@ -544,7 +535,7 @@ def constrained_fit(
             d = _fista_ball(A, dvals, w, u, eps, d, inner)
             r = np.abs(A @ d - dvals)
             e = float(r.max())
-            if e < best_err - opts.sup_tol:
+            if e < best_err - _SUP_TOL:
                 best_err, best_d, stall = e, d.copy(), 0
             else:
                 stall += 1

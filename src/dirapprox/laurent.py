@@ -34,6 +34,7 @@ from .series import DirichletPolynomial, evaluate, evaluate_many
 
 _FAR_DIRECTION = 0.6 + 0.8j  # unit vector for the vanishing-at-infinity probe
 _EVAL_CHUNK = 256
+_MAX_DOUBLINGS = 4  # node doublings per loop in laurent_decompose
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,6 @@ def laurent_decompose(
     *,
     nodes: int = 512,
     residual_tol: float = 1e-8,
-    max_doublings: int = 4,
 ) -> LaurentPieces:
     """Split f over the set's boundary curves by Cauchy quadrature.
 
@@ -271,7 +271,7 @@ def laurent_decompose(
     best: tuple[float, list[CauchyPiece], list[CauchyPiece], int] | None = None
     n = nodes
     prev_residual = math.inf
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         outer_pieces, hole_pieces = _build_pieces(dset.spec, f, anchors, n)
         recon = np.zeros_like(ftrue)
         for p in outer_pieces + hole_pieces:

@@ -110,14 +110,24 @@ class DirichletPolynomial:
         return [[float(c.real), float(c.imag)] for c in self.coefficients]
 
 
-def _log_indices(n: int) -> np.ndarray:
-    return np.log(np.arange(1, n + 1, dtype=float))
+def _log_range(lo: int, hi: int) -> np.ndarray:
+    """log n for n = lo..hi."""
+    return np.log(np.arange(lo, hi + 1, dtype=float))
+
+
+def _exp_basis(x, lo: int, hi: int) -> np.ndarray:
+    """exp(-x log n) for n = lo..hi, shape x.shape + (hi - lo + 1,).
+
+    Real for real x, complex for complex x.  No errstate guard, which
+    would add ~40% to small calls: callers that can overflow set their own.
+    """
+    return np.exp(np.multiply.outer(-np.asarray(x), _log_range(lo, hi)))
 
 
 def evaluate(p: DirichletPolynomial, s: complex) -> complex:
     """P(s) = sum_n a_n exp(-s log n)."""
     s = _require_finite_point(s)
-    return complex(np.sum(p.coefficients * np.exp(-s * _log_indices(p.degree))))
+    return complex(np.sum(p.coefficients * _exp_basis(s, 1, p.degree)))
 
 
 def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
@@ -125,17 +135,15 @@ def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("evaluation points must be finite")
-    logs = _log_indices(p.degree)
     flat = pts.ravel()
     # exp(-s log n) laid out points x indices; chunk to bound memory
     out = np.zeros(flat.shape, dtype=complex)
     step = max(1, 2_000_000 // max(1, p.degree))
     for lo in range(0, flat.size, step):
-        block = flat[lo : lo + step, None]
         # row-wise pairwise sum rather than a matvec, and a_n * e_n in the
         # scalar evaluate()'s operand order (FMA rounds a*e and e*a
         # differently), so each point gets bit-identical arithmetic
-        out[lo : lo + step] = (p.coefficients[None, :] * np.exp(-block * logs[None, :])).sum(axis=1)
+        out[lo : lo + step] = (p.coefficients * _exp_basis(flat[lo : lo + step], 1, p.degree)).sum(axis=1)
     return out.reshape(pts.shape)
 
 
@@ -143,16 +151,14 @@ def shift_by_delta(p: DirichletPolynomial, delta: float) -> DirichletPolynomial:
     """Polynomial of s -> P(s + delta); coefficient map a_n -> a_n n^{-delta}."""
     if not math.isfinite(delta):
         raise InvalidInputError("shift delta must be finite")
-    scale = np.exp(-delta * _log_indices(p.degree))
-    return DirichletPolynomial(p.coefficients * scale)
+    return DirichletPolynomial(p.coefficients * _exp_basis(delta, 1, p.degree))
 
 
 def seminorm_sigma(p: DirichletPolynomial, sigma: float) -> float:
     """Weighted coefficient norm sum |a_n| n^{-sigma}."""
     if not math.isfinite(sigma):
         raise InvalidInputError("sigma must be finite")
-    weights = np.exp(-sigma * _log_indices(p.degree))
-    return float(np.sum(np.abs(p.coefficients) * weights))
+    return float(np.sum(np.abs(p.coefficients) * _exp_basis(sigma, 1, p.degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +206,35 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     """Max of |P| along Re s = sigma0, t in [0, height].
 
     On a uniform t grid each basis term is a geometric sequence, so
-    blocks are filled by cumprod in complex64 (one exact complex128
-    phase per block start keeps drift below ~1e-5), then the best grid
-    candidates are polished by vectorized parabolic refinement at full
-    precision.
+    blocks are filled by cumprod in complex64 from one exact complex128
+    phase per block start.  The single-precision drift along a block can
+    swap peaks that differ by 1e-4 relative, so each block keeps its
+    highest local maxima (not its highest samples, which are neighbours
+    on one peak), and the best candidates are polished by vectorized
+    parabolic refinement at full precision.
     """
-    logs = _log_indices(p.degree)
-    damped = p.coefficients * np.exp(-sigma0 * logs)
+    damped = p.coefficients * _exp_basis(sigma0, 1, p.degree)
     damped32 = damped.astype(np.complex64)
-    n_terms = p.degree
     dt = height / max(1, m - 1)
 
     block_len = 131_072
-    step32 = np.exp(-1j * dt * logs).astype(np.complex64)
-    buf = np.empty((n_terms, block_len), dtype=np.complex64)
+    step32 = _exp_basis(1j * dt, 1, p.degree).astype(np.complex64)
+    buf = np.empty((p.degree, block_len), dtype=np.complex64)
     cand_t: list[np.ndarray] = []
     cand_v: list[np.ndarray] = []
     per_block_keep = 8
     for lo in range(0, m, block_len):
         size = min(block_len, m - lo)
         buf[:, :size] = step32[:, None]
-        buf[:, 0] = np.exp(-1j * (lo * dt) * logs).astype(np.complex64)
+        buf[:, 0] = _exp_basis(1j * (lo * dt), 1, p.degree).astype(np.complex64)
         powers = np.cumprod(buf[:, :size], axis=1, out=buf[:, :size])
         vals = np.abs(damped32 @ powers)
-        keep = min(per_block_keep, size)
-        idx = np.argpartition(vals, -keep)[-keep:]
+        peak = np.ones(size, dtype=bool)  # local maxima; each end has one neighbour
+        peak[1:] = vals[1:] >= vals[:-1]
+        peak[:-1] &= vals[:-1] >= vals[1:]
+        peaks = np.flatnonzero(peak)
+        keep = min(per_block_keep, peaks.size)
+        idx = peaks[np.argpartition(vals[peaks], -keep)[-keep:]]
         cand_t.append((lo + idx) * dt)
         cand_v.append(vals[idx].astype(float))
 
@@ -234,7 +244,7 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     ts = ts[order]
 
     def amp(tvec: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(-1j * tvec[:, None] * logs[None, :]) @ damped)
+        return np.abs(_exp_basis(1j * tvec, 1, p.degree) @ damped)
 
     # vectorized parabolic refinement of all candidates at once
     h = np.full(ts.shape, dt)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .fit import FitOptions, TargetFunction, _target_values, constrained_fit
 from .geometry import CompactSetSpec, SampleDensity, discretize, rectangle
-from .series import DirichletPolynomial, evaluate_many, seminorm_sigma
+from .series import DirichletPolynomial, _log_range, evaluate_many, seminorm_sigma
 
 __all__ = [
     "FamilyEntry",
@@ -210,12 +210,11 @@ class StageRecord:
             raise InvalidInputError(f"malformed stage record: {exc}") from exc
 
 
-def _block_seminorm(block: np.ndarray, start: int, sigma: float) -> float:
-    """sum |a_n| n^{-sigma} over the block occupying indices start+1..start+len."""
-    if block.size == 0:
-        return 0.0
-    ns = np.arange(start + 1, start + 1 + block.size, dtype=float)
-    return float(np.sum(np.abs(block) * ns ** (-sigma)))
+def _placed_block(coeffs: np.ndarray, prev: int) -> DirichletPolynomial:
+    """The coefficients beyond cut `prev` at their own indices (zeros in front)."""
+    out = np.array(coeffs, dtype=complex)
+    out[:prev] = 0
+    return DirichletPolynomial(out)
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def build_universal(
                 break
         if chosen is None:
             err, result, degree = best
-            block = np.asarray(result.polynomial.coefficients[prev:])
+            block = _placed_block(result.polynomial.coefficients, prev)
             records.append(
                 StageRecord(
                     label=entry.label,
@@ -339,7 +338,7 @@ def build_universal(
                     block_length=degree - prev,
                     sup_error=float(err),
                     block_seminorm=float(result.constraint_value),
-                    ladder=tuple((s, _block_seminorm(block, prev, s)) for s in opts.ladder_sigmas),
+                    ladder=tuple((s, seminorm_sigma(block, s)) for s in opts.ladder_sigmas),
                     converged=False,
                     detail=(
                         f"no block of length <= {opts.block_steps[-1]} reached "
@@ -349,9 +348,8 @@ def build_universal(
             )
             break
         result, degree = chosen
-        new = np.asarray(result.polynomial.coefficients)
-        block = new[prev:]
-        coeffs = new.copy()
+        coeffs = np.array(result.polynomial.coefficients)
+        block = _placed_block(coeffs, prev)
         cuts.append(degree)
         records.append(
             StageRecord(
@@ -364,7 +362,7 @@ def build_universal(
                 block_length=degree - prev,
                 sup_error=float(result.minimax_error),
                 block_seminorm=float(result.constraint_value),
-                ladder=tuple((s, _block_seminorm(block, prev, s)) for s in opts.ladder_sigmas),
+                ladder=tuple((s, seminorm_sigma(block, s)) for s in opts.ladder_sigmas),
                 converged=True,
             )
         )
@@ -373,8 +371,7 @@ def build_universal(
 
 def _derivative(p: DirichletPolynomial, order: int) -> DirichletPolynomial:
     """Exact derivative: a_n -> a_n (-log n)^order."""
-    logs = np.log(np.arange(1, p.degree + 1, dtype=float))
-    return DirichletPolynomial(p.coefficients * (-logs) ** order)
+    return DirichletPolynomial(p.coefficients * (-_log_range(1, p.degree)) ** order)
 
 
 def verify_schedule(
@@ -468,8 +465,7 @@ def verify_schedule(
     budget_report = []
     prev = 0
     for rec, cut in zip(completed, sched.cuts):
-        block = np.asarray(sched.coefficients[prev:cut])
-        value = _block_seminorm(block, prev, rec.sigma)
+        value = seminorm_sigma(_placed_block(sched.coefficients[:cut], prev), rec.sigma)
         within = value <= rec.budget * (1.0 + 1e-12) + 1e-15
         overall = overall and within
         budget_report.append(
@@ -486,11 +482,8 @@ def verify_schedule(
     sigmas = tuple(ladder_sigmas) if ladder_sigmas is not None else _LADDER_SIGMAS
     ladder_report = []
     for s in sigmas:
-        total = 0.0
-        prev = 0
-        for cut in sched.cuts:
-            total += _block_seminorm(np.asarray(sched.coefficients[prev:cut]), prev, s)
-            prev = cut
+        # the blocks tile the coefficients, so their seminorms add up to this
+        total = seminorm_sigma(DirichletPolynomial(sched.coefficients), s) if sched.cuts else 0.0
         finite = bool(np.isfinite(total))
         overall = overall and finite
         ladder_report.append({"sigma": s, "total": total, "finite": finite})

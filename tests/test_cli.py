@@ -482,3 +482,12 @@ class TestConsoleScript:
         proc = run_cli(["-m", "dirapprox.cli", "eval", "--input", src], tmp_path)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.5"
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # scipy.optimize is imported only by the torus polish of bohr-check
+        proc = run_cli(
+            ["-c", "import sys, dirapprox, dirapprox.cli; print('scipy' in sys.modules)"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

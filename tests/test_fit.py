@@ -5,9 +5,10 @@ import pytest
 
 from dirapprox.errors import IllConditionedError, InvalidInputError
 from dirapprox.fit import (
+    _RIDGE,
+    _SUP_TOL,
     FitOptions,
     TargetFunction,
-    _design_matrix,
     _lawson,
     constrained_fit,
     convergence_study,
@@ -21,7 +22,7 @@ from dirapprox.geometry import (
     rectangle,
     translate,
 )
-from dirapprox.series import DirichletPolynomial, evaluate_many, seminorm_sigma
+from dirapprox.series import DirichletPolynomial, _exp_basis, evaluate_many, seminorm_sigma
 
 DISC = discretize(disc(-1, 0.5), SampleDensity(0.02, 0.06))
 BOX = discretize(translate(rectangle(-1 - 1j, 0 + 1j), -0.5), SampleDensity(0.05, 0.1))
@@ -141,13 +142,13 @@ def _full_row_lawson(A, y, opts):
     for _ in range(opts.max_iterations):
         WBh = B.conj() * w[:, None]
         G = WBh.T @ B
-        G[np.diag_indices_from(G)] += opts.ridge
+        G[np.diag_indices_from(G)] += _RIDGE
         c = np.linalg.solve(G, WBh.T @ y)
         r = np.abs(B @ c - y)
         err = float(r.max())
         if err < best_err:
             best_c, best_err, dead_at_best = c, err, int(np.sum(w <= 1e-24))
-        if abs(prev_err - err) < opts.sup_tol:
+        if abs(prev_err - err) < _SUP_TOL:
             break
         prev_err = err
         w = w * np.maximum(r, 1e-300)
@@ -161,7 +162,7 @@ def test_lawson_live_rows_match_full_rows():
     # short, well-conditioned run whose best iterate comes after weights
     # have already fallen below the live-row cut
     pts = discretize(disc(-1, 0.5), SampleDensity(0.05, 0.1)).all_samples()
-    A, y = _design_matrix(pts, 3), 1 / (pts - 0.3)
+    A, y = _exp_basis(pts, 1, 3), 1 / (pts - 0.3)
     opts = FitOptions(max_iterations=15)
     want_c, want_err, dead = _full_row_lawson(A, y, opts)
     assert dead > 0

@@ -12,6 +12,7 @@ from dirapprox.series import (
     DirichletPolynomial,
     Sentinel,
     SupNormPlan,
+    _exp_basis,
     estimate_abscissas,
     evaluate,
     evaluate_many,
@@ -78,6 +79,23 @@ def test_evaluate_many_is_bit_identical_to_scalar():
         got = evaluate_many(p, pts)
         want = np.array([evaluate(p, z) for z in pts])
         np.testing.assert_array_equal(got, want, err_msg=f"degree {degree}")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.7, -1.25, 0.3 - 2.0j, np.array([0.5, -0.25, 2.0]), np.array([[0.5 + 1j, -2j], [3.0, 1e-3j]])],
+)
+def test_exp_basis_contract(x):
+    xa = np.asarray(x)
+    out = _exp_basis(x, 2, 40)
+    assert out.shape == xa.shape + (39,)
+    assert out.dtype == (np.complex128 if np.iscomplexobj(xa) else np.float64)
+    ns = np.arange(2, 41, dtype=float)
+    want = ns ** -xa[..., None]
+    # the roundings of log n and of x log n are scaled by |x log n|: the
+    # relative error is about (|x| log n + 2) * 2^-52, 1e-15 until |x| log n ~ 2.5
+    tol = np.maximum(1e-15, (np.abs(xa)[..., None] * np.log(ns) + 2) * 2.0**-52)
+    assert np.all(np.abs(out - want) <= tol * np.abs(want))
 
 
 @given(coeff_lists, coeff_lists, finite_complex, finite_complex, finite_complex)
@@ -234,6 +252,20 @@ def test_sup_norm_upper_bound_holds_off_the_swept_window(seed):
     t = rng.uniform(FAST_PLAN.height, 1e6, 500) * rng.choice([-1.0, 1.0], 500)
     moduli = np.abs(evaluate_many(p, sigma0 + depth + 1j * t))
     assert np.all(moduli <= rep.upper_bound * (1 + 1e-12))
+
+
+def test_sup_norm_finds_the_higher_of_two_close_peaks():
+    # the line's two top peaks, at t ~ 27.83 and t ~ 52.51, differ by
+    # 1.4e-4 relative, which the single-precision sweep can swap; both
+    # must reach the full-precision polish
+    rng = np.random.default_rng(20261018)
+    for _ in range(49):
+        n = int(rng.integers(1, 41))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert n == 30
+    value = sup_norm_halfplane(DirichletPolynomial(c), -0.25)
+    # the line max, 28.582348017330848, from float64 samples at 400k points, polished
+    assert value >= 28.582348017 * (1 - 1e-9)
 
 
 def test_nonconstant_polynomial_blows_up_on_negative_axis():

@@ -160,6 +160,15 @@ def test_verify_chained_family_passes_on_denser_grid():
     assert "finite-family" in report["note"]
 
 
+def test_verify_recomputes_each_block_seminorm_exactly():
+    fam = chained_family()
+    sched = build_universal(fam)
+    report = verify_schedule(sched, fam)
+    done = [r for r in sched.records if r.converged]
+    assert len(done) == 3
+    assert [b["block_seminorm"] for b in report["budget"]] == [r.block_seminorm for r in done]
+
+
 def test_verify_zero_schedule_passes_with_error_zero():
     fam = TargetFamily((FamilyEntry(TargetFunction.const(0.0), 1, 0.1),))
     report = verify_schedule(build_universal(fam), fam)
