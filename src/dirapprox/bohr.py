@@ -271,7 +271,8 @@ class PolydiscPlan:
 
     Tensor-product angle grids for few variables; beyond tensor_max_vars
     the grid is replaced by seeded Monte-Carlo angles with local
-    gradient polish of the best candidates.  Hard cap at max_vars.
+    gradient polish of the polish_starts best candidates (0: no
+    polish).  Hard cap at max_vars.
     """
 
     angles: int = 64
@@ -286,6 +287,10 @@ class PolydiscPlan:
     def validated(self) -> "PolydiscPlan":
         if self.angles < 2 or self.mc_samples < 1:
             raise InvalidInputError("polydisc plan must sample at least 2 angles")
+        if self.polish_starts < 0:
+            raise InvalidInputError(f"polydisc plan needs polish_starts >= 0, got {self.polish_starts!r}")
+        if self.max_refinements < 0:
+            raise InvalidInputError(f"polydisc plan needs max_refinements >= 0, got {self.max_refinements!r}")
         return self
 
 
@@ -293,6 +298,20 @@ def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarra
     """|q| at torus points exp(i theta); thetas is (B x k)."""
     phases = thetas @ E.T
     return np.abs(np.exp(1j * phases) @ c)
+
+
+def _torus_grid_values(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """|q| on the tensor grid theta^k, shape (m,) * k.
+
+    exp(i theta_a . E_t) factors over the axes, so with per-axis tables
+    U_j = exp(i theta (x) E[:, j]) (m x T) and R the row-wise Khatri-Rao
+    product of U_2..U_k, the grid is |(U_1 * c) @ R^T|: one GEMM.
+    """
+    U = [np.exp(1j * np.multiply.outer(theta, E[:, j])) for j in range(E.shape[1])]
+    R = np.ones((1, c.size), dtype=complex)
+    for Uj in U[1:]:
+        R = (R[:, None, :] * Uj[None, :, :]).reshape(-1, c.size)
+    return np.abs((U[0] * c) @ R.T).reshape((theta.size,) * len(U))
 
 
 def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
@@ -337,12 +356,11 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
         m = plan.angles
         prev = -1.0
         for _ in range(plan.max_refinements + 1):
-            axes = [np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)] * k
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-            vals = _torus_values(E, c, grid)
-            i = int(np.argmax(vals))
+            theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+            vals = _torus_grid_values(E, c, theta)
+            i = np.unravel_index(np.argmax(vals), vals.shape)
             best = max(best, float(vals[i]))
-            best = max(best, _polish_on_torus(E, c, grid[i]))
+            best = max(best, _polish_on_torus(E, c, theta[np.array(i)]))
             if prev >= 0 and abs(best - prev) <= plan.refine_tol * max(best, 1e-30):
                 break
             prev = best
@@ -352,9 +370,8 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
     rng = np.random.default_rng(plan.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=(plan.mc_samples, k))
     vals = _torus_values(E, c, thetas)
-    order = np.argsort(vals)[-plan.polish_starts :]
-    best = float(vals[order[-1]])
-    for i in order:
+    best = float(vals.max())
+    for i in np.argsort(vals)[::-1][: plan.polish_starts]:
         best = max(best, _polish_on_torus(E, c, thetas[i]))
     return best
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .series import _exp_basis
+from .series import _exp_basis, _grid_sums
 
 __all__ = [
     "SpherePoint",
@@ -37,6 +37,7 @@ _INVERSION_CUTOFF = 1e150
 
 _MAX_GRID_DOUBLINGS = 4  # sigma-grid doublings in chordal_convergence_check
 _BAND_FACTOR = 2.0  # tolerance widening inside its band
+_INDEX_CHUNK = 1024  # indices per _PartialSums kernel call
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,23 @@ def chi_uniform_error(f_values: Sequence, g_values: Sequence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# zeta on (1, inf): truncated sum with integral/curvature tail corrections
+# zeta on (1, inf): Euler-Maclaurin summation
 # ---------------------------------------------------------------------------
 
+# B_2k / (2k)! for k = 1..7
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30_240, -1 / 1_209_600, 1 / 47_900_160,
+              -691 / 1_307_674_368_000, 1 / 74_724_249_600)
 
-def zeta_values(sigmas: np.ndarray, *, terms: int = 10_000) -> np.ndarray:
-    """zeta(sigma) for real sigma > 1.
 
-    sum_{n<=M} n^{-sigma} + M^{1-sigma}/(sigma-1) - M^{-sigma}/2
-    + sigma M^{-sigma-1}/12; the remainder is below sigma^3 M^{-sigma-3},
-    under 1e-12 for sigma > 1 at the default M.
+def zeta_values(sigmas: np.ndarray, *, terms: int = 20) -> np.ndarray:
+    """zeta(sigma) for real sigma > 1, by Euler-Maclaurin summation at M = terms.
+
+    sum_{n<M} n^{-sigma} + M^{1-sigma}/(sigma-1) + M^{-sigma}/2
+    + sum_{k=1..7} B_2k/(2k)! sigma(sigma+1)...(sigma+2k-2) M^{-sigma-2k+1}.
+    Every even derivative of x^{-sigma} is positive, so the remainder
+    lies between 0 and the first omitted term, B_16/16! sigma(sigma+1)
+    ...(sigma+14) M^{-sigma-15}: below 1e-21 for every sigma > 1 at the
+    default M = 20, so the error is rounding, a few 1e-16 relative.
     """
     s = np.asarray(sigmas, dtype=float)
     if s.size == 0:
@@ -163,13 +171,17 @@ def zeta_values(sigmas: np.ndarray, *, terms: int = 10_000) -> np.ndarray:
     flat = s.ravel()
     total = np.zeros(flat.size)
     chunk = max(64, 2_000_000 // flat.size)
-    for lo in range(1, terms + 1, chunk):
-        total += _exp_basis(flat, lo, min(lo + chunk - 1, terms)).sum(axis=1)
+    for lo in range(1, terms, chunk):
+        total += _exp_basis(flat, lo, min(lo + chunk - 1, terms - 1)).sum(axis=1)
     m = float(terms)
-    lm = math.log(m)
-    total += np.exp((1.0 - flat) * lm) / (flat - 1.0)
-    total -= np.exp(-flat * lm) / 2.0
-    total += flat * np.exp(-(flat + 1.0) * lm) / 12.0
+    power = _exp_basis(flat, terms, terms)[:, 0]  # M^{-sigma}
+    total += power * m / (flat - 1.0) + power / 2.0
+    rising = flat.copy()  # sigma(sigma+1)...(sigma+2k-2)
+    power = power / m
+    for k, coeff in enumerate(_EM_COEFFS):
+        total += coeff * rising * power
+        rising *= (flat + 2 * k + 1) * (flat + 2 * k + 2)
+        power /= m * m
     return total.reshape(s.shape)
 
 
@@ -234,21 +246,20 @@ def _coefficient_block(rule: Callable, lo: int, hi: int) -> np.ndarray:
 
 
 class _PartialSums:
-    """Accumulates S_N(sigma) = sum_{n<=N} a_n n^{-sigma} over a fixed grid."""
+    """Accumulates S_N(sigma) = sum_{n<=N} a_n n^{-sigma} on sigma = x0 + j dx, j < m."""
 
-    def __init__(self, grid: np.ndarray, rule: Callable):
-        self.grid = grid
+    def __init__(self, x0: float, dx: float, m: int, rule: Callable):
+        self.grid = (x0, dx, m)
         self.rule = rule
-        self.values = np.zeros(grid.shape)
+        self.values = np.zeros(m)
         self.upto = 0
-        self._chunk = max(64, 4_000_000 // max(1, grid.size))
 
     def extend(self, n_target: int) -> None:
         while self.upto < n_target:
-            hi = min(self.upto + self._chunk, n_target)
+            hi = min(self.upto + _INDEX_CHUNK, n_target)
             a = _coefficient_block(self.rule, self.upto + 1, hi)
             with np.errstate(over="ignore"):  # divergent region saturates gracefully
-                self.values += _exp_basis(self.grid, self.upto + 1, hi) @ a
+                self.values += _grid_sums(a, *self.grid, lo=self.upto + 1)
             self.upto = hi
 
 
@@ -334,12 +345,13 @@ def chordal_convergence_check(
         used_density = density
         npts = int(round((hi - lo) * density)) + 1
         grid = np.linspace(lo, hi, npts)
+        step = (hi - lo) / max(1, npts - 1)  # linspace's own step
         finite_mask = grid > divergence_abscissa
         limit_vals = limit(grid[finite_mask]) if np.any(finite_mask) else np.zeros(0)
         band_mask = None
         if band is not None:
             band_mask = (grid > band[0]) & (grid <= band[1])
-        sums = _PartialSums(grid, rule)
+        sums = _PartialSums(lo, step, npts, rule)
         column: list[_RegionSups] = []
         for n in ladder:
             sums.extend(n)
@@ -372,7 +384,7 @@ def chordal_convergence_check(
             searched_to = n_next
             sups = _region_sups(sums.values, finite_mask, limit_vals, band_mask)
             if qualifies(sups):
-                scan = _PartialSums(grid, rule)
+                scan = _PartialSums(lo, step, npts, rule)
                 scan.values, scan.upto = checkpoint, n_prev
                 for n in range(n_prev + 1, n_next + 1):
                     scan.extend(n)

@@ -8,6 +8,8 @@ from dirapprox.bohr import (
     MultiIndex,
     PolydiscPlan,
     PrimeTable,
+    _torus_grid_values,
+    _torus_values,
     bohr_gap_report,
     evaluate_lifted,
     factorize_to_multiindex,
@@ -167,6 +169,39 @@ def test_polydisc_sup_matches_dense_grid_for_small_k():
         fast = polydisc_sup_estimate(q, PolydiscPlan(angles=32, max_refinements=1))
         dense = polydisc_sup_estimate(q, PolydiscPlan(angles=256, max_refinements=0))
         assert abs(fast - dense) <= 0.01 * max(fast, dense)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])  # k = 1, 2, 3, 3
+def test_torus_grid_matches_the_explicit_meshgrid(n):
+    rng = np.random.default_rng(n)
+    q = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    E, c = q.exponent_matrix()
+    k = E.shape[1]
+    assert np.all(E[0] == 0)  # a_1: the constant term
+    theta = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    grid = np.stack(np.meshgrid(*[theta] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    want = _torus_values(E, c, grid)
+    got = _torus_grid_values(E, c, theta)
+    assert got.shape == (24,) * k
+    np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-12 * np.abs(c).sum())
+    i = np.unravel_index(np.argmax(got), got.shape)
+    np.testing.assert_array_equal(theta[np.array(i)], grid[np.argmax(want)])
+
+
+def test_polydisc_zero_polish_starts_keeps_the_best_sample():
+    q = lift(DirichletPolynomial(np.arange(1.0, 8.0) + 0.5j))  # k = 4: Monte Carlo
+    plan = PolydiscPlan(mc_samples=3000, polish_starts=0, seed=3)
+    thetas = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(3000, 4))
+    E, c = q.exponent_matrix()
+    assert polydisc_sup_estimate(q, plan) == _torus_values(E, c, thetas).max()
+    with pytest.raises(InvalidInputError):
+        polydisc_sup_estimate(q, PolydiscPlan(polish_starts=-1))
+
+
+def test_polydisc_negative_refinements_rejected():
+    # with no grid pass at all, the tensor branch used to return 0.0 here
+    with pytest.raises(InvalidInputError):
+        polydisc_sup_estimate(lift(poly(1, 1, 1)), PolydiscPlan(max_refinements=-1))
 
 
 def test_polydisc_variable_cap():

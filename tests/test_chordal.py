@@ -189,6 +189,15 @@ class TestZetaValues:
         ref = np.array([float(mpmath.zeta(s)) for s in sig])
         assert np.max(np.abs(got - ref)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "sig", [1.0 + 10.0 ** np.linspace(-6.0, 0.0, 40), np.linspace(2.0, 60.0, 59)]
+    )
+    def test_relative_error_is_rounding_level(self, sig):
+        got = zeta_values(sig)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.zeta(mpmath.mpf(float(s)))) for s in sig])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-15
+
     def test_against_plain_truncated_sum(self):
         # second route: one million explicit terms plus the integral tail
         def plain(s, m=10**6):

@@ -13,6 +13,7 @@ from dirapprox.series import (
     Sentinel,
     SupNormPlan,
     _exp_basis,
+    _grid_sums,
     estimate_abscissas,
     evaluate,
     evaluate_many,
@@ -183,6 +184,22 @@ def test_seminorm_dominates_on_halfplane(coeffs, sigma, depth, t):
 
 # --- sup norm ---------------------------------------------------------------
 
+@pytest.mark.parametrize("width", [1, 12])  # width 1: the n0 index scan's one-column calls
+@pytest.mark.parametrize("x0, dx", [(-0.5, 1e-4), (0.25 - 1j, 1e-5 + 5e-5j)])
+def test_grid_sums_matches_direct_basis_rows(x0, dx, width):
+    rng = np.random.default_rng(width)
+    c = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    for m in (1, 255, 256, 257, 131_072):
+        x = x0 + np.arange(m) * dx
+        for lo in (1, 7, 9001):
+            rows = _exp_basis(x, lo, lo + width - 1)
+            got = _grid_sums(c, x0, dx, m, lo)
+            assert got.shape == (m,)
+            # each factored term rounds like a direct one, up to a few |x log n| ulps
+            err = np.abs(got - rows @ c) / (np.abs(rows) @ np.abs(c))
+            assert err.max() <= 1e-13, (m, lo)
+
+
 FAST_PLAN = SupNormPlan(edge_points=20_000)
 
 
@@ -209,6 +226,17 @@ def test_sup_norm_is_lower_bound_of_seminorm_bound():
     assert rep.value <= seminorm_sigma(p, 0.5) + 1e-12
     assert rep.upper_bound >= rep.value
     assert rep.upper_bound == seminorm_sigma(p, 0.5)
+
+
+@pytest.mark.parametrize("sigma0", [-0.5, 0.0, 0.7])
+def test_sup_norm_value_never_exceeds_the_upper_bound_on_monomials(sigma0):
+    # |c n^{-s}| = |c| n^{-sigma0} at every point of the line: the sweep
+    # ties everywhere and must still report a bracket
+    for n in range(1, 13):
+        c = np.zeros(n, dtype=complex)
+        c[-1] = (0.6 - 1.3j) * n
+        rep = sup_norm_report(DirichletPolynomial(c), sigma0, FAST_PLAN)
+        assert rep.upper_bound * (1 - 1e-12) <= rep.value <= rep.upper_bound, n
 
 
 def test_sup_norm_empty_plan_rejected():
@@ -256,7 +284,7 @@ def test_sup_norm_upper_bound_holds_off_the_swept_window(seed):
 
 def test_sup_norm_finds_the_higher_of_two_close_peaks():
     # the line's two top peaks, at t ~ 27.83 and t ~ 52.51, differ by
-    # 1.4e-4 relative, which the single-precision sweep can swap; both
+    # 1.4e-4 relative, which a single-precision sweep swaps; both
     # must reach the full-precision polish
     rng = np.random.default_rng(20261018)
     for _ in range(49):
