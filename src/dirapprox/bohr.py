@@ -294,24 +294,44 @@ class PolydiscPlan:
         return self
 
 
+_GRID_BLOCK_VALUES = 1 << 20  # grid values per block of the k <= 3 tensor grid
+
+
 def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """|q| at torus points exp(i theta); thetas is (B x k)."""
     phases = thetas @ E.T
     return np.abs(np.exp(1j * phases) @ c)
 
 
-def _torus_grid_values(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """|q| on the tensor grid theta^k, shape (m,) * k.
+def _torus_grid_values(E: np.ndarray, c: np.ndarray, theta1: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """|q| on the tensor grid theta1 x theta^(k-1), shape (len(theta1),) + (m,) * (k-1).
 
     exp(i theta_a . E_t) factors over the axes, so with per-axis tables
-    U_j = exp(i theta (x) E[:, j]) (m x T) and R the row-wise Khatri-Rao
+    U_j = exp(i theta (x) E[:, j]) (rows x T) and R the row-wise Khatri-Rao
     product of U_2..U_k, the grid is |(U_1 * c) @ R^T|: one GEMM.
     """
-    U = [np.exp(1j * np.multiply.outer(theta, E[:, j])) for j in range(E.shape[1])]
     R = np.ones((1, c.size), dtype=complex)
-    for Uj in U[1:]:
+    for j in range(1, E.shape[1]):
+        Uj = np.exp(1j * np.multiply.outer(theta, E[:, j]))
         R = (R[:, None, :] * Uj[None, :, :]).reshape(-1, c.size)
-    return np.abs((U[0] * c) @ R.T).reshape((theta.size,) * len(U))
+    U1 = np.exp(1j * np.multiply.outer(theta1, E[:, 0]))
+    return np.abs((U1 * c) @ R.T).reshape((theta1.size,) + (theta.size,) * (E.shape[1] - 1))
+
+
+def _torus_grid_argmax(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max of |q| on the grid theta^k and its angles, over blocks of axis-1 rows.
+
+    Blocks of 16j rows hold memory to ~_GRID_BLOCK_VALUES values and, in
+    OpenBLAS, reproduce the single GEMM's values bit for bit.
+    """
+    rows = 16 * max(1, _GRID_BLOCK_VALUES // (16 * theta.size ** (E.shape[1] - 1)))
+    best, arg = -1.0, ()
+    for start in range(0, theta.size, rows):
+        vals = _torus_grid_values(E, c, theta[start : start + rows], theta)
+        i = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[i] > best:
+            best, arg = float(vals[i]), (start + i[0],) + i[1:]
+    return best, theta[np.array(arg)]
 
 
 def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
@@ -357,10 +377,8 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
         prev = -1.0
         for _ in range(plan.max_refinements + 1):
             theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-            vals = _torus_grid_values(E, c, theta)
-            i = np.unravel_index(np.argmax(vals), vals.shape)
-            best = max(best, float(vals[i]))
-            best = max(best, _polish_on_torus(E, c, theta[np.array(i)]))
+            value, theta_max = _torus_grid_argmax(E, c, theta)
+            best = max(best, value, _polish_on_torus(E, c, theta_max))
             if prev >= 0 and abs(best - prev) <= plan.refine_tol * max(best, 1e-30):
                 break
             prev = best

@@ -209,7 +209,6 @@ def _lawson(
     A: np.ndarray,
     y: np.ndarray,
     opts: FitOptions,
-    start: np.ndarray | None = None,
     stop_at: float | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """IRLS for min_c sup_i |A c - y|: weights grow with residual size.
@@ -231,7 +230,7 @@ def _lawson(
     B = A / scale[None, :]
 
     w = np.full(m, 1.0 / m)
-    best_c = np.zeros(n, dtype=complex) if start is None else start * scale
+    best_c = np.zeros(n, dtype=complex)
     best_err = float(np.abs(B @ best_c - y).max()) if m else 0.0
     # SVD least squares seeds the race: on exactly representable targets
     # it lands at machine precision where the ridge leaves ~1e-10 behind

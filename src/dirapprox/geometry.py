@@ -1,15 +1,17 @@
-"""Declarative plane geometry: compact sets, sampling, and quadrature contours.
+"""Declarative plane geometry: compact sets as oriented boundary loops.
 
-Sets are value objects (disc, rectangle, annulus, simple polygon, or a
-disjoint union of those) that know how to discretize themselves into
-interior/boundary samples plus oriented quadrature contours for Cauchy
-integrals.  Whether the complement is connected is declared, not
-computed: the stock constructors set the flag correctly for single
-pieces, unions must say so themselves.
+A set is a disc, rectangle, annulus, simple polygon, or a disjoint union
+of those; each piece is stored as its boundary loops, outer first (a
+counterclockwise circle or polyline), then one clockwise circle per hole.
+Samples (`discretize`), membership, extents, translation and the Cauchy
+quadrature contours (`quadrature_contours`) all derive from the loops.
+Whether the complement is connected is declared, not computed: the stock
+constructors set the flag for single pieces, unions must say so.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 from dataclasses import dataclass, replace
@@ -21,6 +23,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "CompactSetSpec",
+    "Loop",
     "SampleDensity",
     "Contour",
     "DiscretizedSet",
@@ -30,6 +33,7 @@ __all__ = [
     "jordan_polygon",
     "union_of_disjoint",
     "discretize",
+    "quadrature_contours",
     "translate",
     "max_real_part",
     "contains",
@@ -39,18 +43,104 @@ __all__ = [
 ]
 
 _KINDS = ("disc", "rectangle", "annulus", "jordan_polygon", "union-of-disjoint")
+_GAUSS_ORDER = 12  # Gauss-Legendre nodes per polyline quadrature panel
+
+
+@dataclass(frozen=True)
+class Loop:
+    """One closed boundary curve: a circle, or a polyline through `corners`.
+
+    Polyline corners run counterclockwise and do not repeat the first.
+    `orientation` is +1 for an outer boundary and -1 for a hole, whose
+    quadrature runs clockwise; only circles are holes.
+    """
+
+    center: complex = 0j
+    radius: float = 0.0
+    corners: tuple[complex, ...] = ()
+    orientation: int = 1
+
+    @property
+    def edges(self) -> list[tuple[complex, complex]]:
+        """(start, end) of each polyline edge, closing back to the first corner."""
+        return list(zip(self.corners, self.corners[1:] + self.corners[:1]))
+
+    @property
+    def perimeter(self) -> float:
+        if not self.corners:
+            return 2 * math.pi * self.radius
+        return sum(abs(b - a) for a, b in self.edges)
+
+    def bounding_box(self) -> tuple[complex, complex]:
+        if self.corners:
+            c = np.array(self.corners)
+            return complex(c.real.min(), c.imag.min()), complex(c.real.max(), c.imag.max())
+        return self.center - self.radius * (1 + 1j), self.center + self.radius * (1 + 1j)
+
+    def points(self, m: int) -> np.ndarray:
+        """About m samples, counterclockwise from angle 0 or the first corner."""
+        if not self.corners:
+            th = 2 * math.pi * np.arange(m) / m
+            return self.center + self.radius * np.exp(1j * th)
+        total, pts = self.perimeter, []
+        for a, b in self.edges:
+            k = max(1, int(round(m * abs(b - a) / total)))
+            pts.extend(a + t * (b - a) for t in np.arange(k) / k)
+        return np.array(pts, dtype=complex)
+
+    def contains(self, z: np.ndarray, tol: float) -> np.ndarray:
+        """Whether z is on the set's side of this loop, with `tol` of slack."""
+        if self.corners:
+            return _winding_inside(self.corners, z, tol)
+        r = np.abs(z - self.center)
+        return r <= self.radius + tol if self.orientation > 0 else r >= self.radius - tol
+
+    def translate(self, offset: complex) -> "Loop":
+        if self.corners:
+            return replace(self, corners=tuple(v + offset for v in self.corners))
+        return replace(self, center=self.center + offset)
+
+    def contour(self, nodes: int) -> "Contour":
+        """Closed quadrature loop with about `nodes` points.
+
+        A circle gets the closed trapezoid rule (spectral) on
+        max(16, nodes) points; a polyline gets composite order-12
+        Gauss-Legendre panels of length perimeter / (nodes // 12).
+        """
+        if not self.corners:
+            m = max(16, nodes)
+            th = 2 * math.pi * np.arange(m + 1) / m
+            if self.orientation < 0:
+                th = -th
+            e = np.exp(1j * th)
+            pts = self.center + self.radius * e
+            pts[-1] = pts[0]
+            # dz = i r e^{i theta} dtheta, halved at the seam
+            w = (2 * math.pi / m) * 1j * self.radius * e * self.orientation
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            return Contour(pts, w, self)
+        x, wx = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+        panel = self.perimeter / max(1, nodes // _GAUSS_ORDER)
+        c = self.corners
+        pts, wts = [[c[0]]], [[0j]]  # zero-weight anchors close the loop
+        for a, b in self.edges:
+            panels = max(1, math.ceil(abs(b - a) / panel))
+            for k in range(panels):
+                za = a + (b - a) * k / panels
+                zb = a + (b - a) * (k + 1) / panels
+                mid, half = 0.5 * (za + zb), 0.5 * (zb - za)
+                pts.append(mid + half * x)
+                wts.append(half * wx.astype(complex))
+        return Contour(np.concatenate(pts + [[c[0]]]), np.concatenate(wts + [[0j]]), self)
 
 
 @dataclass(frozen=True)
 class CompactSetSpec:
+    """A single piece as its boundary `loops` (outer first), or a union of `members`."""
+
     kind: str
-    center: complex = 0j
-    radius: float = 0.0
-    corner_lo: complex = 0j
-    corner_hi: complex = 0j
-    r_inner: float = 0.0
-    r_outer: float = 0.0
-    vertices: tuple[complex, ...] = ()
+    loops: tuple[Loop, ...] = ()
     members: tuple["CompactSetSpec", ...] = ()
     declared_complement_connected: bool = True
 
@@ -59,27 +149,36 @@ class CompactSetSpec:
             raise InvalidInputError(f"unknown set kind {self.kind!r}")
 
 
+def _check_finite(what: str, *values: complex) -> None:
+    if not all(cmath.isfinite(v) for v in values):
+        raise InvalidInputError(f"{what} must be finite")
+
+
 def disc(center: complex, radius: float) -> CompactSetSpec:
-    if not (radius > 0) or not math.isfinite(radius):
+    c = complex(center)
+    _check_finite("disc center and radius", c, radius)
+    if not radius > 0:
         raise InvalidInputError("disc radius must be positive and finite")
-    return CompactSetSpec("disc", center=complex(center), radius=float(radius))
+    return CompactSetSpec("disc", (Loop(c, float(radius)),))
 
 
 def rectangle(corner_lo: complex, corner_hi: complex) -> CompactSetSpec:
     lo, hi = complex(corner_lo), complex(corner_hi)
+    _check_finite("rectangle corners", lo, hi)
     if not (lo.real < hi.real and lo.imag < hi.imag):
         raise InvalidInputError("rectangle corners must satisfy lo < hi componentwise")
-    return CompactSetSpec("rectangle", corner_lo=lo, corner_hi=hi)
+    corners = (lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag))
+    return CompactSetSpec("rectangle", (Loop(corners=corners),))
 
 
 def annulus(center: complex, r_inner: float, r_outer: float) -> CompactSetSpec:
+    c = complex(center)
+    _check_finite("annulus center and radii", c, r_inner, r_outer)
     if not (0 < r_inner < r_outer):
         raise InvalidInputError("annulus needs 0 < r_inner < r_outer")
     return CompactSetSpec(
         "annulus",
-        center=complex(center),
-        r_inner=float(r_inner),
-        r_outer=float(r_outer),
+        (Loop(c, float(r_outer)), Loop(c, float(r_inner), orientation=-1)),
         declared_complement_connected=False,
     )
 
@@ -89,15 +188,12 @@ def _segments_properly_intersect(a, b, c, d) -> bool:
         v = (q.real - p.real) * (r.imag - p.imag) - (q.imag - p.imag) * (r.real - p.real)
         return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    return False
+    return orient(a, b, c) != orient(a, b, d) and orient(c, d, a) != orient(c, d, b)
 
 
 def jordan_polygon(vertices: Sequence[complex]) -> CompactSetSpec:
     vs = tuple(complex(v) for v in vertices)
+    _check_finite("polygon vertices", *vs)
     if len(vs) < 3:
         raise InvalidInputError("polygon needs at least 3 vertices")
     n = len(vs)
@@ -121,7 +217,7 @@ def jordan_polygon(vertices: Sequence[complex]) -> CompactSetSpec:
         raise InvalidInputError("polygon has vanishing area")
     if area2 < 0:
         vs = tuple(reversed(vs))
-    return CompactSetSpec("jordan_polygon", vertices=vs)
+    return CompactSetSpec("jordan_polygon", (Loop(corners=vs),))
 
 
 def union_of_disjoint(
@@ -132,16 +228,16 @@ def union_of_disjoint(
         raise InvalidInputError("union needs at least one member")
     if any(m.kind == "union-of-disjoint" for m in ms):
         raise InvalidInputError("nested unions are not supported; flatten first")
-    # cheap disjointness screen: coarse boundary polylines must stay apart
+    # cheap disjointness screen: coarse outer traces must stay apart
     # and no member's reference point may lie inside another member
-    polys = [_boundary_polyline(m, 64) for m in ms]
+    traces = [m.loops[0].points(64) for m in ms]
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
-            d = np.abs(polys[i][:, None] - polys[j][None, :]).min()
+            d = np.abs(traces[i][:, None] - traces[j][None, :]).min()
             if d < 1e-9:
                 raise InvalidInputError("union members touch or overlap")
-            if contains(ms[j], polys[i][0], tol=-1e-9) or contains(
-                ms[i], polys[j][0], tol=-1e-9
+            if contains(ms[j], traces[i][0], tol=-1e-9) or contains(
+                ms[i], traces[j][0], tol=-1e-9
             ):
                 raise InvalidInputError("union members are nested")
     return CompactSetSpec(
@@ -151,32 +247,9 @@ def union_of_disjoint(
     )
 
 
-def _boundary_polyline(spec: CompactSetSpec, n: int) -> np.ndarray:
-    """Coarse closed boundary trace, for screening geometry only."""
-    th = np.linspace(0, 2 * math.pi, n, endpoint=False)
-    if spec.kind == "disc":
-        return spec.center + spec.radius * np.exp(1j * th)
-    if spec.kind == "annulus":
-        return spec.center + spec.r_outer * np.exp(1j * th)
-    if spec.kind == "rectangle":
-        lo, hi = spec.corner_lo, spec.corner_hi
-        corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-        return _polyline_points(corners, n)
-    if spec.kind == "jordan_polygon":
-        return _polyline_points(list(spec.vertices), n)
-    raise InvalidInputError(f"no boundary for kind {spec.kind!r}")
-
-
-def _polyline_points(corners: list[complex], n: int) -> np.ndarray:
-    lens = [abs(corners[(i + 1) % len(corners)] - corners[i]) for i in range(len(corners))]
-    total = sum(lens)
-    pts = []
-    for i, c in enumerate(corners):
-        nxt = corners[(i + 1) % len(corners)]
-        k = max(1, int(round(n * lens[i] / total)))
-        for t in np.arange(k) / k:
-            pts.append(c + t * (nxt - c))
-    return np.array(pts, dtype=complex)
+def _pieces(spec: CompactSetSpec) -> tuple[CompactSetSpec, ...]:
+    """The single pieces making up `spec`: its union members, or itself."""
+    return spec.members or (spec,)
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +284,11 @@ def _winding_inside(vertices: tuple[complex, ...], z: np.ndarray, tol: float) ->
 
 
 def contains(spec: CompactSetSpec, z: complex | np.ndarray, tol: float = 1e-12):
-    """Membership in the closed set, with `tol` of outward slack."""
+    """Membership in the closed set, with `tol` of outward (Euclidean) slack."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if spec.kind == "disc":
-        out = np.abs(zs - spec.center) <= spec.radius + tol
-    elif spec.kind == "rectangle":
-        lo, hi = spec.corner_lo, spec.corner_hi
-        out = (
-            (zs.real >= lo.real - tol)
-            & (zs.real <= hi.real + tol)
-            & (zs.imag >= lo.imag - tol)
-            & (zs.imag <= hi.imag + tol)
-        )
-    elif spec.kind == "annulus":
-        r = np.abs(zs - spec.center)
-        out = (r >= spec.r_inner - tol) & (r <= spec.r_outer + tol)
-    elif spec.kind == "jordan_polygon":
-        out = _winding_inside(spec.vertices, zs, tol)
-    else:
-        out = np.zeros(zs.shape, dtype=bool)
-        for m in spec.members:
-            out |= contains(m, zs, tol)
+    out = np.zeros(zs.shape, dtype=bool)
+    for piece in _pieces(spec):
+        out |= np.logical_and.reduce([loop.contains(zs, tol) for loop in piece.loops])
     return bool(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
@@ -242,24 +299,20 @@ def contains(spec: CompactSetSpec, z: complex | np.ndarray, tol: float = 1e-12):
 
 @dataclass(frozen=True)
 class SampleDensity:
-    """Target spacings; contours get their own panel rules."""
+    """Target spacings of the boundary and interior samples."""
 
     boundary_spacing: float = 0.01
     interior_spacing: float = 0.05
-    gauss_panel_length: float = 0.1   # composite panels along polygon edges
-    gauss_order: int = 12
 
     def validated(self) -> "SampleDensity":
-        if self.boundary_spacing <= 0 or self.interior_spacing <= 0:
-            raise InvalidInputError("sampling density must be positive")
-        if self.gauss_order < 2 or self.gauss_panel_length <= 0:
-            raise InvalidInputError("quadrature panels need order >= 2, length > 0")
+        if not (0 < self.boundary_spacing < math.inf and 0 < self.interior_spacing < math.inf):
+            raise InvalidInputError("sampling density must be positive and finite")
         return self
 
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed oriented loop with complex line-integral weights.
+    """Closed quadrature loop of `loop` with complex line-integral weights.
 
     points[0] == points[-1]; integral of f is sum(weights * f(points)).
     Endpoint duplicates may carry zero weight (Gauss panels put no nodes
@@ -268,14 +321,21 @@ class Contour:
 
     points: np.ndarray
     weights: np.ndarray
-    orientation: int  # +1 counterclockwise, -1 clockwise
-    role: str  # "outer" or "hole"
+    loop: Loop
 
     def __post_init__(self):
         if abs(self.points[0] - self.points[-1]) > 1e-12:
             raise InvalidInputError("contour must close (first == last point)")
         if float(np.sum(np.abs(self.weights))) <= 0:
             raise InvalidInputError("contour must carry positive total weight")
+
+    @property
+    def orientation(self) -> int:  # +1 counterclockwise (outer), -1 clockwise (hole)
+        return self.loop.orientation
+
+    @property
+    def role(self) -> str:
+        return "outer" if self.orientation > 0 else "hole"
 
     @property
     def total_weight(self) -> float:
@@ -287,12 +347,16 @@ def contour_integral(contour: Contour, f: Callable[[np.ndarray], np.ndarray] | n
     return complex(np.sum(contour.weights * vals))
 
 
+def quadrature_contours(spec: CompactSetSpec, nodes: int) -> list[Contour]:
+    """One closed quadrature contour per boundary loop, ~`nodes` points each."""
+    return [loop.contour(nodes) for piece in _pieces(spec) for loop in piece.loops]
+
+
 @dataclass(frozen=True)
 class DiscretizedSet:
     spec: CompactSetSpec
     interior_samples: np.ndarray
     boundary_samples: np.ndarray
-    contours: tuple[Contour, ...]
 
     def all_samples(self) -> np.ndarray:
         return np.concatenate([self.boundary_samples, self.interior_samples])
@@ -304,47 +368,7 @@ class DiscretizedSet:
             buf.write(f"interior,{z.real:.17g},{z.imag:.17g},,\n")
         for z in self.boundary_samples:
             buf.write(f"boundary,{z.real:.17g},{z.imag:.17g},,\n")
-        for c in self.contours:
-            for z, w in zip(c.points, c.weights):
-                buf.write(f"contour-{c.role},{z.real:.17g},{z.imag:.17g},{w.real:.17g},{w.imag:.17g}\n")
         return buf.getvalue()
-
-
-def _circle_contour(center: complex, radius: float, spacing: float, orientation: int, role: str) -> Contour:
-    m = max(16, int(math.ceil(2 * math.pi * radius / spacing)))
-    th = 2 * math.pi * np.arange(m + 1) / m
-    if orientation < 0:
-        th = -th
-    pts = center + radius * np.exp(1j * th)
-    pts[-1] = pts[0]
-    # closed trapezoid: dz = i r e^{i theta} dtheta, halved at the seam
-    w = (2 * math.pi / m) * 1j * radius * np.exp(1j * th) * orientation
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return Contour(pts, w, orientation, role)
-
-
-def _gauss_polyline_contour(
-    corners: list[complex], density: SampleDensity, orientation: int, role: str
-) -> Contour:
-    """Composite Gauss-Legendre panels along a closed polyline."""
-    nodes, weights = np.polynomial.legendre.leggauss(density.gauss_order)
-    pts = [np.array([corners[0]])]
-    wts = [np.array([0j])]  # zero-weight anchor closes the loop
-    n = len(corners)
-    for i in range(n):
-        a, b = corners[i], corners[(i + 1) % n]
-        length = abs(b - a)
-        panels = max(1, int(math.ceil(length / density.gauss_panel_length)))
-        for k in range(panels):
-            za = a + (b - a) * k / panels
-            zb = a + (b - a) * (k + 1) / panels
-            mid, half = 0.5 * (za + zb), 0.5 * (zb - za)
-            pts.append(mid + half * nodes)
-            wts.append(half * weights.astype(complex))
-    pts.append(np.array([corners[0]]))
-    wts.append(np.array([0j]))
-    return Contour(np.concatenate(pts), np.concatenate(wts), orientation, role)
 
 
 def _interior_grid(spec: CompactSetSpec, lo: complex, hi: complex, spacing: float) -> np.ndarray:
@@ -357,59 +381,14 @@ def _interior_grid(spec: CompactSetSpec, lo: complex, hi: complex, spacing: floa
 
 
 def discretize(spec: CompactSetSpec, density: SampleDensity | None = None) -> DiscretizedSet:
-    """Samples + contours; boundary spacing ≤ requested, grid interior."""
+    """Samples on every boundary loop at spacing ≤ requested, grid interior."""
     d = (density or SampleDensity()).validated()
-    sp = d.boundary_spacing
-
-    if spec.kind == "disc":
-        m = max(16, int(math.ceil(2 * math.pi * spec.radius / sp)))
-        th = 2 * math.pi * np.arange(m) / m
-        boundary = spec.center + spec.radius * np.exp(1j * th)
-        lo = spec.center - spec.radius * (1 + 1j)
-        hi = spec.center + spec.radius * (1 + 1j)
-        interior = _interior_grid(spec, lo, hi, d.interior_spacing)
-        contours = (_circle_contour(spec.center, spec.radius, sp, +1, "outer"),)
-    elif spec.kind == "rectangle":
-        lo, hi = spec.corner_lo, spec.corner_hi
-        corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-        per = 2 * ((hi.real - lo.real) + (hi.imag - lo.imag))
-        boundary = _polyline_points(corners, max(16, int(math.ceil(per / sp))))
-        interior = _interior_grid(spec, lo, hi, d.interior_spacing)
-        contours = (_gauss_polyline_contour(corners, d, +1, "outer"),)
-    elif spec.kind == "annulus":
-        mo = max(16, int(math.ceil(2 * math.pi * spec.r_outer / sp)))
-        mi = max(16, int(math.ceil(2 * math.pi * spec.r_inner / sp)))
-        boundary = np.concatenate(
-            [
-                spec.center + spec.r_outer * np.exp(2j * math.pi * np.arange(mo) / mo),
-                spec.center + spec.r_inner * np.exp(2j * math.pi * np.arange(mi) / mi),
-            ]
-        )
-        lo = spec.center - spec.r_outer * (1 + 1j)
-        hi = spec.center + spec.r_outer * (1 + 1j)
-        interior = _interior_grid(spec, lo, hi, d.interior_spacing)
-        contours = (
-            _circle_contour(spec.center, spec.r_outer, sp, +1, "outer"),
-            _circle_contour(spec.center, spec.r_inner, sp, -1, "hole"),
-        )
-    elif spec.kind == "jordan_polygon":
-        corners = list(spec.vertices)
-        per = sum(abs(corners[(i + 1) % len(corners)] - corners[i]) for i in range(len(corners)))
-        boundary = _polyline_points(corners, max(16, int(math.ceil(per / sp))))
-        res = np.array(corners)
-        lo = complex(res.real.min(), res.imag.min())
-        hi = complex(res.real.max(), res.imag.max())
-        interior = _interior_grid(spec, lo, hi, d.interior_spacing)
-        contours = (_gauss_polyline_contour(corners, d, +1, "outer"),)
-    elif spec.kind == "union-of-disjoint":
-        parts = [discretize(m, d) for m in spec.members]
-        boundary = np.concatenate([p.boundary_samples for p in parts])
-        interior = np.concatenate([p.interior_samples for p in parts])
-        contours = tuple(c for p in parts for c in p.contours)
-    else:  # pragma: no cover - kinds validated at construction
-        raise InvalidInputError(f"unknown set kind {spec.kind!r}")
-
-    return DiscretizedSet(spec, interior, boundary, contours)
+    boundary, interior = [], []
+    for piece in _pieces(spec):
+        for loop in piece.loops:
+            boundary.append(loop.points(max(16, math.ceil(loop.perimeter / d.boundary_spacing))))
+        interior.append(_interior_grid(piece, *piece.loops[0].bounding_box(), d.interior_spacing))
+    return DiscretizedSet(spec, np.concatenate(interior), np.concatenate(boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -419,28 +398,16 @@ def discretize(spec: CompactSetSpec, density: SampleDensity | None = None) -> Di
 
 def translate(spec: CompactSetSpec, offset: complex) -> CompactSetSpec:
     o = complex(offset)
-    if spec.kind == "union-of-disjoint":
-        return replace(spec, members=tuple(translate(m, o) for m in spec.members))
     return replace(
         spec,
-        center=spec.center + o,
-        corner_lo=spec.corner_lo + o,
-        corner_hi=spec.corner_hi + o,
-        vertices=tuple(v + o for v in spec.vertices),
+        loops=tuple(loop.translate(o) for loop in spec.loops),
+        members=tuple(translate(m, o) for m in spec.members),
     )
 
 
 def max_real_part(spec: CompactSetSpec) -> float:
-    """Exact for every kind (polygon max is attained at a vertex)."""
-    if spec.kind == "disc":
-        return spec.center.real + spec.radius
-    if spec.kind == "rectangle":
-        return spec.corner_hi.real
-    if spec.kind == "annulus":
-        return spec.center.real + spec.r_outer
-    if spec.kind == "jordan_polygon":
-        return max(v.real for v in spec.vertices)
-    return max(max_real_part(m) for m in spec.members)
+    """Exact: the right edge of each loop's bounding box (a polyline peaks at a corner)."""
+    return max(loop.bounding_box()[1].real for piece in _pieces(spec) for loop in piece.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +419,25 @@ def _c2p(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _point(p) -> complex:
+    if isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p):
+        return complex(*p)
+    raise InvalidInputError(f"a point must be a list of two numbers, got {p!r}")
+
+
 def spec_to_json_dict(spec: CompactSetSpec) -> dict:
     out: dict = {"kind": spec.kind}
-    if spec.kind == "disc":
-        out |= {"center": _c2p(spec.center), "radius": spec.radius}
-    elif spec.kind == "rectangle":
-        out |= {"corner_lo": _c2p(spec.corner_lo), "corner_hi": _c2p(spec.corner_hi)}
-    elif spec.kind == "annulus":
-        out |= {
-            "center": _c2p(spec.center),
-            "r_inner": spec.r_inner,
-            "r_outer": spec.r_outer,
-        }
+    loop = spec.loops[0] if spec.loops else None
+    if spec.kind == "union-of-disjoint":
+        out["members"] = [spec_to_json_dict(m) for m in spec.members]
     elif spec.kind == "jordan_polygon":
-        out |= {"vertices": [_c2p(v) for v in spec.vertices]}
+        out["vertices"] = [_c2p(v) for v in loop.corners]
+    elif spec.kind == "rectangle":
+        out |= {"corner_lo": _c2p(loop.corners[0]), "corner_hi": _c2p(loop.corners[2])}
+    elif spec.kind == "annulus":
+        out |= {"center": _c2p(loop.center), "r_inner": spec.loops[1].radius, "r_outer": loop.radius}
     else:
-        out |= {"members": [spec_to_json_dict(m) for m in spec.members]}
+        out |= {"center": _c2p(loop.center), "radius": loop.radius}
     out["declared_complement_connected"] = spec.declared_complement_connected
     return out
 
@@ -476,13 +446,13 @@ def spec_from_json_dict(d: dict) -> CompactSetSpec:
     try:
         kind = d["kind"]
         if kind == "disc":
-            out = disc(complex(*d["center"]), d["radius"])
+            out = disc(_point(d["center"]), d["radius"])
         elif kind == "rectangle":
-            out = rectangle(complex(*d["corner_lo"]), complex(*d["corner_hi"]))
+            out = rectangle(_point(d["corner_lo"]), _point(d["corner_hi"]))
         elif kind == "annulus":
-            out = annulus(complex(*d["center"]), d["r_inner"], d["r_outer"])
+            out = annulus(_point(d["center"]), d["r_inner"], d["r_outer"])
         elif kind == "jordan_polygon":
-            out = jordan_polygon([complex(*v) for v in d["vertices"]])
+            out = jordan_polygon([_point(v) for v in d["vertices"]])
         elif kind == "union-of-disjoint":
             out = union_of_disjoint(spec_from_json_dict(m) for m in d["members"])
         else:

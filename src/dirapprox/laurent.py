@@ -21,52 +21,13 @@ import numpy as np
 
 from .errors import InvalidAnchorError, InvalidInputError, PoleError
 from .fit import FitOptions, FitResult, _target_values, minimax_fit_samples
-from .geometry import (
-    CompactSetSpec,
-    Contour,
-    DiscretizedSet,
-    SampleDensity,
-    _circle_contour,
-    _gauss_polyline_contour,
-    _winding_inside,
-)
+from .geometry import CompactSetSpec, Contour, DiscretizedSet, quadrature_contours
 from .series import DirichletPolynomial, evaluate, evaluate_many
 
 _FAR_DIRECTION = 0.6 + 0.8j  # unit vector for the vanishing-at-infinity probe
 _EVAL_CHUNK = 256
+_START_NODES = 512  # quadrature nodes per loop before any doubling
 _MAX_DOUBLINGS = 4  # node doublings per loop in laurent_decompose
-
-
-# ---------------------------------------------------------------------------
-# quadrature loops
-# ---------------------------------------------------------------------------
-
-
-def _quadrature_contours(spec: CompactSetSpec, nodes: int) -> list[Contour]:
-    """One closed quadrature loop per boundary curve, ~`nodes` points each.
-
-    Circles get the closed trapezoid rule (spectral); polyline boundaries
-    get composite Gauss-Legendre panels.
-    """
-    if spec.kind == "disc":
-        return [_circle_contour(spec.center, spec.radius, 2 * math.pi * spec.radius / nodes, +1, "outer")]
-    if spec.kind == "annulus":
-        return [
-            _circle_contour(spec.center, spec.r_outer, 2 * math.pi * spec.r_outer / nodes, +1, "outer"),
-            _circle_contour(spec.center, spec.r_inner, 2 * math.pi * spec.r_inner / nodes, -1, "hole"),
-        ]
-    if spec.kind in ("rectangle", "jordan_polygon"):
-        if spec.kind == "rectangle":
-            lo, hi = spec.corner_lo, spec.corner_hi
-            corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-        else:
-            corners = list(spec.vertices)
-        per = sum(abs(corners[(i + 1) % len(corners)] - corners[i]) for i in range(len(corners)))
-        density = SampleDensity(gauss_panel_length=per / max(1, nodes // 12), gauss_order=12)
-        return [_gauss_polyline_contour(corners, density, +1, "outer")]
-    if spec.kind == "union-of-disjoint":
-        return [c for m in spec.members for c in _quadrature_contours(m, nodes)]
-    raise InvalidInputError(f"unknown set kind {spec.kind!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +163,7 @@ class LaurentPieces:
 def _build_pieces(
     spec: CompactSetSpec, f, anchors: list[complex], nodes: int
 ) -> tuple[list[CauchyPiece], list[CauchyPiece]]:
-    loops = _quadrature_contours(spec, nodes)
+    loops = quadrature_contours(spec, nodes)
     outer_loops = [c for c in loops if c.role == "outer"]
     hole_loops = [c for c in loops if c.role == "hole"]
 
@@ -210,12 +171,11 @@ def _build_pieces(
         raise InvalidAnchorError(
             f"need exactly one anchor per hole: got {len(anchors)} anchors, {len(hole_loops)} holes"
         )
-    # pair anchors with holes by containment; each hole claimed once
+    # pair anchors with holes by containment, at least 1e-9 inside the hole
+    # circle (off the set's side of it); each hole claimed once
     order: list[int] = []
     for a in anchors:
-        inside = [
-            k for k, loop in enumerate(hole_loops) if _winding_inside(loop.points[:-1], a, tol=-1e-9)[0]
-        ]
+        inside = [k for k, c in enumerate(hole_loops) if not c.loop.contains(a, 1e-9)]
         if len(inside) != 1 or inside[0] in order:
             raise InvalidAnchorError(f"anchor {a} is not strictly inside exactly one unclaimed hole")
         order.append(inside[0])
@@ -250,13 +210,12 @@ def laurent_decompose(
     f,
     anchors,
     *,
-    nodes: int = 512,
     residual_tol: float = 1e-8,
 ) -> LaurentPieces:
     """Split f over the set's boundary curves by Cauchy quadrature.
 
     `anchors` places one point strictly inside each bounded complementary
-    component (hole).  Loops start at `nodes` points each and double
+    component (hole).  Loops start at _START_NODES points each and double
     until the reconstruction residual stabilizes; a residual still above
     `residual_tol` sets the warning flag rather than raising.
     """
@@ -269,7 +228,7 @@ def laurent_decompose(
     scale = max(1.0, float(np.abs(ftrue).max()))
 
     best: tuple[float, list[CauchyPiece], list[CauchyPiece], int] | None = None
-    n = nodes
+    n = _START_NODES
     prev_residual = math.inf
     for _ in range(_MAX_DOUBLINGS + 1):
         outer_pieces, hole_pieces = _build_pieces(dset.spec, f, anchors, n)
@@ -351,7 +310,6 @@ def rational_dirichlet_fit(
     degrees,
     options: FitOptions | None = None,
     *,
-    nodes: int = 512,
     residual_tol: float = 1e-8,
 ) -> tuple[RationalDirichletFunction, float]:
     """Split f, fit every piece by discrete minimax, reassemble.
@@ -371,7 +329,7 @@ def rational_dirichlet_fit(
     if degrees[0] < 1 or any(d < 2 for d in degrees[1:]):
         raise InvalidInputError("outer degree must be >= 1 and hole degrees >= 2")
 
-    pieces = laurent_decompose(dset, f, anchors, nodes=nodes, residual_tol=residual_tol)
+    pieces = laurent_decompose(dset, f, anchors, residual_tol=residual_tol)
     samples = dset.all_samples()
 
     parts: list[tuple[complex, DirichletPolynomial]] = []

@@ -413,8 +413,6 @@ def verify_schedule(
     fine = SampleDensity(
         boundary_spacing=base.boundary_spacing / grid_refine,
         interior_spacing=base.interior_spacing / grid_refine,
-        gauss_panel_length=base.gauss_panel_length,
-        gauss_order=base.gauss_order,
     )
 
     overall = True

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirapprox import bohr
 from dirapprox.bohr import (
     LiftedPolynomial,
     MultiIndex,
     PolydiscPlan,
     PrimeTable,
+    _torus_grid_argmax,
     _torus_grid_values,
     _torus_values,
     bohr_gap_report,
@@ -181,11 +183,25 @@ def test_torus_grid_matches_the_explicit_meshgrid(n):
     theta = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     grid = np.stack(np.meshgrid(*[theta] * k, indexing="ij"), axis=-1).reshape(-1, k)
     want = _torus_values(E, c, grid)
-    got = _torus_grid_values(E, c, theta)
+    got = _torus_grid_values(E, c, theta, theta)
     assert got.shape == (24,) * k
     np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-12 * np.abs(c).sum())
     i = np.unravel_index(np.argmax(got), got.shape)
     np.testing.assert_array_equal(theta[np.array(i)], grid[np.argmax(want)])
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])  # k = 2, 3, 3
+def test_blocked_torus_argmax_matches_the_whole_grid(n, monkeypatch):
+    # one value per block forces 16-row blocks: 16, 16 and 8 of 40 rows
+    monkeypatch.setattr(bohr, "_GRID_BLOCK_VALUES", 1)
+    rng = np.random.default_rng(n + 10)
+    E, c = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))).exponent_matrix()
+    theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    full = _torus_grid_values(E, c, theta, theta)
+    value, angles = _torus_grid_argmax(E, c, theta)
+    i = np.unravel_index(np.argmax(full), full.shape)
+    assert value == full[i]
+    np.testing.assert_array_equal(angles, theta[np.array(i)])
 
 
 def test_polydisc_zero_polish_starts_keeps_the_best_sample():

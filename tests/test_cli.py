@@ -400,6 +400,25 @@ class TestExitCodes:
             main(["eval", "--input", src, "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("set_text", [
+        '{"kind": "annulus", "center": [0, 0], "r_inner": 1, "r_outer": 1e999}',
+        '{"kind": "rectangle", "corner_lo": [-1e999, -1], "corner_hi": [0, 1]}',
+        '{"kind": "jordan_polygon", "vertices": [[1e999, 0], [-1, 1], [-1, -1]]}',
+        '{"kind": "disc", "center": [1e999, 0], "radius": 0.5}',
+        '{"kind": "disc", "center": [-1], "radius": 0.5}',
+    ])
+    def test_non_finite_or_malformed_set_is_invalid_input(self, tmp_path, capsys, set_text):
+        src = tmp_path / "in.json"
+        src.write_text('{"set": %s, "target": {"kind": "named", "name": "exp"}}' % set_text)
+        assert main(["fit", "--input", str(src), "--degree", "3"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density", ["nan", "inf"])
+    def test_non_finite_density_is_invalid_input(self, tmp_path, capsys, density):
+        src = write(tmp_path / "in.json", DISC_EXP)
+        assert main(["fit", "--input", src, "--degree", "3", "--density", density]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unwritable_output_is_invalid_input(self, tmp_path):
         src = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0]]})
         out = tmp_path / "no" / "such" / "dir" / "x.json"

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dirapprox.geometry import (
     discretize,
     jordan_polygon,
     max_real_part,
+    quadrature_contours,
     rectangle,
     spec_from_json_dict,
     spec_to_json_dict,
@@ -53,6 +55,33 @@ def test_invalid_geometry_rejected():
         jordan_polygon([0, 1 + 1j, 1, 1j])  # bowtie
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("center, radius", [(complex(INF, 0), 1), (complex(0, NAN), 1)])
+def test_disc_rejects_non_finite_geometry(center, radius):
+    with pytest.raises(InvalidInputError):
+        disc(center, radius)
+
+
+@pytest.mark.parametrize("lo, hi", [(complex(-INF, -1), 1j), (-1 - 1j, complex(0, INF))])
+def test_rectangle_rejects_non_finite_corners(lo, hi):
+    with pytest.raises(InvalidInputError):
+        rectangle(lo, hi)
+
+
+@pytest.mark.parametrize("center, r_inner, r_outer", [(0, 1, INF), (complex(INF, 0), 1, 2)])
+def test_annulus_rejects_non_finite_geometry(center, r_inner, r_outer):
+    with pytest.raises(InvalidInputError):
+        annulus(center, r_inner, r_outer)
+
+
+@pytest.mark.parametrize("bad", [complex(INF, 0), complex(0, NAN)])
+def test_polygon_rejects_non_finite_vertices(bad):
+    with pytest.raises(InvalidInputError):
+        jordan_polygon([bad, 1, 1j])
+
+
 def test_union_screens_overlap_and_nesting():
     with pytest.raises(InvalidInputError):
         union_of_disjoint([disc(0, 1), disc(1, 1)])
@@ -65,7 +94,7 @@ def test_union_screens_overlap_and_nesting():
 
 def test_polygon_stored_counterclockwise():
     p = jordan_polygon([0, 1j, 1 + 1j, 1])  # given clockwise
-    vs = p.vertices
+    vs = p.loops[0].corners
     area2 = sum(
         vs[i].real * vs[(i + 1) % 4].imag - vs[(i + 1) % 4].real * vs[i].imag
         for i in range(4)
@@ -98,10 +127,10 @@ def test_rectangle_boundary_traces_perimeter():
 
 
 def test_annulus_two_contours_opposite_orientation():
-    ds = discretize(annulus(0, 1, 2), COARSE)
-    assert len(ds.contours) == 2
-    assert sorted(c.orientation for c in ds.contours) == [-1, 1]
-    roles = {c.role for c in ds.contours}
+    contours = quadrature_contours(annulus(0, 1, 2), 512)
+    assert len(contours) == 2
+    assert sorted(c.orientation for c in contours) == [-1, 1]
+    roles = {c.role for c in contours}
     assert roles == {"outer", "hole"}
 
 
@@ -113,9 +142,9 @@ def test_membership_of_every_sample(spec):
 
 @pytest.mark.parametrize("spec", all_specs())
 def test_contours_closed_with_positive_weight(spec):
-    ds = discretize(spec, COARSE)
-    assert len(ds.contours) >= 1
-    for c in ds.contours:
+    contours = quadrature_contours(spec, 512)
+    assert len(contours) >= 1
+    for c in contours:
         assert c.points[0] == c.points[-1]
         assert c.total_weight > 0
 
@@ -128,9 +157,36 @@ def test_cauchy_two_pi_i_default_density():
         (jordan_polygon([0, 2, 2 + 1j, 1j]), 1 + 0.5j),
     ]
     for spec, c in cases:
-        ds = discretize(spec)  # default densities, per the stated guarantee
-        total = sum(contour_integral(ct, lambda z: 1.0 / (z - c)) for ct in ds.contours)
+        contours = quadrature_contours(spec, 512)
+        total = sum(contour_integral(ct, lambda z: 1.0 / (z - c)) for ct in contours)
         assert abs(total - 2j * cmath.pi) < 1e-8
+
+
+def test_rectangle_tolerance_is_euclidean_at_the_corners():
+    r, tol = rectangle(-1 - 1j, 0 + 1j), 1e-6
+    corner = 0 + 1j
+    assert not contains(r, corner + 0.9 * tol * (1 + 1j), tol=tol)
+    assert contains(r, corner + 0.7 * tol * (1 + 1j), tol=tol)
+
+
+def annulus_and_polygon():
+    return union_of_disjoint([annulus(0, 1, 2), jordan_polygon([3, 5, 5 + 1j, 3 + 1j])])
+
+
+def test_quadrature_contours_follow_the_loops_in_order():
+    contours = quadrature_contours(annulus_and_polygon(), 64)
+    assert [c.role for c in contours] == ["outer", "hole", "outer"]
+    assert [c.orientation for c in contours] == [1, -1, 1]
+    # the hole runs clockwise: its winding number about the center is -1
+    assert abs(contour_integral(contours[1], lambda z: 1.0 / z) + 2j * cmath.pi) < 1e-12
+
+
+def test_union_extent_and_translation_agree_with_members():
+    u = annulus_and_polygon()
+    assert max_real_part(u) == max(max_real_part(m) for m in u.members) == 5.0
+    moved = translate(u, -2 + 1j)
+    assert moved.members == tuple(translate(m, -2 + 1j) for m in u.members)
+    assert max_real_part(moved) == 3.0
 
 
 def test_interior_points_excluded_by_annulus_hole():
@@ -189,10 +245,30 @@ def test_malformed_json_rejected():
         spec_from_json_dict({"kind": "blob"})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"kind": "disc", "center": [-1], "radius": 0.5},
+        {"kind": "annulus", "center": [True, 0], "r_inner": 1, "r_outer": 2},
+    ],
+)
+def test_json_points_must_be_two_numbers(bad):
+    with pytest.raises(InvalidInputError):
+        spec_from_json_dict(bad)
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf])
+def test_sample_density_needs_finite_positive_spacings(spacing):
+    with pytest.raises(InvalidInputError):
+        SampleDensity(boundary_spacing=spacing).validated()
+    with pytest.raises(InvalidInputError):
+        SampleDensity(interior_spacing=spacing).validated()
+
+
 def test_csv_export_has_all_roles():
     csv = discretize(disc(0, 1), COARSE).to_csv()
     assert csv.splitlines()[0] == "role,re,im,weight_re,weight_im"
-    assert "interior," in csv and "boundary," in csv and "contour-outer," in csv
+    assert "interior," in csv and "boundary," in csv
 
 
 # --- randomized membership consistency -----------------------------------------
