@@ -9,121 +9,53 @@ fit       discrete minimax fitting with and without coefficient constraints
 laurent   Laurent decomposition on holed domains, rational Dirichlet fits
 universal one partial-sum ladder approximating a whole family of targets
 chordal   Riemann-sphere chordal metric and zeta convergence checks
+
+The submodules and the names below load on first access (PEP 562), so
+importing the package, or `dirapprox.cli`, loads no numpy.  A name is
+looked up in its submodule on every access, never cached here, so a
+patched submodule attribute is what the package hands out.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("dirapprox")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0.dev0"
+import importlib
+import sys
 
 from . import errors
-from .bohr import LiftedPolynomial, bohr_gap_report, lift, unlift
-from .chordal import (
-    INFINITY,
-    ConvergenceReport,
-    SpherePoint,
-    chi,
-    chi_many,
-    chi_uniform_error,
-    chordal_convergence_check,
-    zeta_chordal_convergence_check,
-)
-from .fit import (
-    FitOptions,
-    FitResult,
-    TargetFunction,
-    constrained_fit,
-    convergence_study,
-    minimax_fit,
-)
-from .geometry import (
-    SampleDensity,
-    annulus,
-    disc,
-    discretize,
-    jordan_polygon,
-    rectangle,
-    translate,
-    union_of_disjoint,
-)
-from .laurent import (
-    LaurentPieces,
-    RationalDirichletFunction,
-    laurent_decompose,
-    rational_dirichlet_fit,
-)
-from .series import (
-    AbscissaReport,
-    CoefficientRule,
-    DirichletPolynomial,
-    Sentinel,
-    estimate_abscissas,
-    evaluate,
-    evaluate_many,
-    seminorm_sigma,
-    shift_by_delta,
-    sup_norm_halfplane,
-)
-from .universal import (
-    FamilyEntry,
-    TargetFamily,
-    UniversalOptions,
-    UniversalSchedule,
-    build_universal,
-    compact_rectangle,
-    verify_schedule,
-)
 
-__all__ = [
-    "errors",
-    "AbscissaReport",
-    "CoefficientRule",
-    "DirichletPolynomial",
-    "Sentinel",
-    "estimate_abscissas",
-    "evaluate",
-    "evaluate_many",
-    "seminorm_sigma",
-    "shift_by_delta",
-    "sup_norm_halfplane",
-    "LiftedPolynomial",
-    "bohr_gap_report",
-    "lift",
-    "unlift",
-    "SampleDensity",
-    "annulus",
-    "disc",
-    "discretize",
-    "jordan_polygon",
-    "rectangle",
-    "translate",
-    "union_of_disjoint",
-    "FitOptions",
-    "FitResult",
-    "TargetFunction",
-    "constrained_fit",
-    "convergence_study",
-    "minimax_fit",
-    "LaurentPieces",
-    "RationalDirichletFunction",
-    "laurent_decompose",
-    "rational_dirichlet_fit",
-    "FamilyEntry",
-    "TargetFamily",
-    "UniversalOptions",
-    "UniversalSchedule",
-    "build_universal",
-    "compact_rectangle",
-    "verify_schedule",
-    "INFINITY",
-    "ConvergenceReport",
-    "SpherePoint",
-    "chi",
-    "chi_many",
-    "chi_uniform_error",
-    "chordal_convergence_check",
-    "zeta_chordal_convergence_check",
-    "__version__",
-]
+_EXPORTS = {
+    "series": ("AbscissaReport", "CoefficientRule", "DirichletPolynomial", "Sentinel",
+               "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma",
+               "shift_by_delta", "sup_norm_halfplane"),
+    "bohr": ("LiftedPolynomial", "bohr_gap_report", "lift", "unlift"),
+    "geometry": ("SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
+                 "translate", "union_of_disjoint"),
+    "fit": ("FitOptions", "FitResult", "TargetFunction", "constrained_fit", "convergence_study",
+            "minimax_fit"),
+    "laurent": ("LaurentPieces", "RationalDirichletFunction", "laurent_decompose",
+                "rational_dirichlet_fit"),
+    "universal": ("FamilyEntry", "TargetFamily", "UniversalOptions", "UniversalSchedule",
+                  "build_universal", "compact_rectangle", "verify_schedule"),
+    "chordal": ("INFINITY", "ConvergenceReport", "SpherePoint", "chi", "chi_many",
+                "chi_uniform_error", "chordal_convergence_check", "zeta_chordal_convergence_check"),
+}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["errors", *_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _HOME:  # sys.modules first: import_module costs several times more per access
+        return getattr(sys.modules.get(_HOME[name]) or importlib.import_module(_HOME[name]), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__version__":
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            return version("dirapprox")
+        except PackageNotFoundError:  # running from a source tree
+            return "0.0.0.dev0"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -44,6 +44,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _TABLE_CACHE: dict[int, "PrimeTable"] = {}
+_MAX_DEGREE = 1_000_000  # largest n that unlift places: its coefficient array has n entries
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,8 @@ def lift(p: DirichletPolynomial) -> LiftedPolynomial:
     return LiftedPolynomial(terms, table.count())
 
 
-def unlift(q: LiftedPolynomial, max_degree: int = 1_000_000) -> DirichletPolynomial:
-    """Inverse dictionary: coefficient of alpha lands at n = p^alpha."""
+def unlift(q: LiftedPolynomial) -> DirichletPolynomial:
+    """Inverse dictionary: coefficient of alpha lands at n = p^alpha (n <= 10^6)."""
     need = max((len(ix) for ix in q.terms), default=0)
     # enough primes for the longest index: p_k <= ~k(ln k + ln ln k) for k>=6
     bound = 50 if need < 10 else int(need * (math.log(need) + math.log(math.log(need))) * 1.2) + 10
@@ -234,9 +235,9 @@ def unlift(q: LiftedPolynomial, max_degree: int = 1_000_000) -> DirichletPolynom
     degree = 1
     for ix, c in q.terms.items():
         n = ix.prime_power(table)
-        if n > max_degree:
+        if n > _MAX_DEGREE:
             raise OutOfRangeError(
-                f"term {ix.exponents} encodes n={n} beyond max_degree={max_degree}"
+                f"term {ix.exponents} encodes n={n} beyond the supported degree {_MAX_DEGREE}"
             )
         entries[n] = entries.get(n, 0) + c
         degree = max(degree, n)
@@ -269,19 +270,18 @@ def evaluate_lifted(q: LiftedPolynomial, z: Iterable[complex]) -> complex:
 class PolydiscPlan:
     """Torus sampling plan.
 
-    Tensor-product angle grids for few variables; beyond tensor_max_vars
-    the grid is replaced by seeded Monte-Carlo angles with local
-    gradient polish of the polish_starts best candidates (0: no
-    polish).  Hard cap at max_vars.
+    For k <= 3 variables a tensor grid of `angles` per axis, doubled up
+    to max_refinements times until the best value moves by less than
+    0.1 %, with each grid's best point polished; beyond that, seeded
+    Monte-Carlo angles with the polish_starts best candidates polished
+    (0: no polish).  Hard cap at max_vars.
     """
 
     angles: int = 64
-    tensor_max_vars: int = 3
     max_vars: int = 8
     mc_samples: int = 120_000
     polish_starts: int = 16
     max_refinements: int = 2
-    refine_tol: float = 1e-3
     seed: int = 0
 
     def validated(self) -> "PolydiscPlan":
@@ -294,7 +294,10 @@ class PolydiscPlan:
         return self
 
 
+_TENSOR_MAX_VARS = 3  # beyond this many variables the torus is sampled at random
+_REFINE_TOL = 1e-3  # relative change that ends the tensor grid's refinement
 _GRID_BLOCK_VALUES = 1 << 20  # grid values per block of the k <= 3 tensor grid
+_POLISH_STEPS = 50  # Newton-ascent trials per torus polish
 
 
 def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -335,27 +338,41 @@ def _torus_grid_argmax(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple
 
 
 def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
-    """Local maximization of |q(e^{i theta})| via L-BFGS on -|q|^2."""
-    # imported here: scipy.optimize takes longer to import than the whole
-    # package, and only this polish step needs it
-    from scipy.optimize import minimize
+    """Local max of |q(e^{i theta})| by damped-Newton (Levenberg) ascent on F = |f|^2.
 
-    def neg_sq_and_grad(theta):
-        ph = np.exp(1j * (E @ theta))
-        f = np.dot(c, ph)
-        # d|f|^2/dtheta_j = 2 Re( conj(f) * i * sum_t c_t E_tj e^{i E_t.theta} )
-        g = 2.0 * np.real(np.conj(f) * (1j * (c * ph) @ E))
-        return -abs(f) ** 2, -g
-
-    res = minimize(neg_sq_and_grad, theta0, jac=True, method="L-BFGS-B")
-    return math.sqrt(max(0.0, -res.fun))
+    With a_t = c_t e^{i E_t.theta} and f = sum_t a_t: grad f = i a E,
+    d^2 f = -E^T diag(a) E, grad F = 2 Re(conj(f) grad f) and hess F =
+    2 Re(conj(f) d^2 f + grad f grad f^H).  A step divides grad F by
+    |eigenvalue| + mu along each eigenvector of hess F, so it always ascends
+    and leaves saddles; it is kept only if |f| rises, and mu shrinks after a
+    kept step and grows after a rejected one.
+    """
+    theta = np.asarray(theta0, dtype=float)
+    a = c * np.exp(1j * (E @ theta))
+    lam = 1e-3
+    for _ in range(_POLISH_STEPS):
+        f = a.sum()
+        df = 1j * (a @ E)
+        grad = 2.0 * np.real(np.conj(f) * df)
+        w, V = np.linalg.eigh(2.0 * np.real(np.conj(f) * -((E.T * a) @ E) + np.outer(df, np.conj(df))))
+        step = V @ ((V.T @ grad) / (np.abs(w) + lam * max(np.abs(w).max(), abs(f) ** 2, 1e-300)))
+        if grad @ step <= 1e-16 * abs(f) ** 2:  # any gain would be lost to rounding
+            break
+        a_trial = c * np.exp(1j * (E @ (theta + step)))
+        if abs(a_trial.sum()) > abs(f):
+            theta, a, lam = theta + step, a_trial, max(0.1 * lam, 1e-12)
+        else:
+            lam *= 10.0
+    return float(abs(a.sum()))
 
 
 def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None) -> float:
     """Lower-bound estimate of sup over the closed unit polydisc.
 
     Sampling is restricted to the distinguished boundary torus |z_j| = 1
-    (the maximum principle puts the sup there).
+    (the maximum principle puts the sup there), and the best samples are
+    polished to a local maximum by damped-Newton ascent in the angles.
+    Every value returned is |q| at a point of the torus.
     """
     if plan is None:
         plan = PolydiscPlan()
@@ -371,7 +388,7 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
             f"{k} variables exceeds plan cap {plan.max_vars}; raise max_vars knowingly"
         )
 
-    if k <= plan.tensor_max_vars:
+    if k <= _TENSOR_MAX_VARS:
         best = 0.0
         m = plan.angles
         prev = -1.0
@@ -379,7 +396,7 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
             theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
             value, theta_max = _torus_grid_argmax(E, c, theta)
             best = max(best, value, _polish_on_torus(E, c, theta_max))
-            if prev >= 0 and abs(best - prev) <= plan.refine_tol * max(best, 1e-30):
+            if prev >= 0 and abs(best - prev) <= _REFINE_TOL * max(best, 1e-30):
                 break
             prev = best
             m *= 2

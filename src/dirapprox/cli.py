@@ -2,13 +2,14 @@
 
 One subcommand per module operation; inputs and outputs are files so
 runs are reproducible and diffable.  Exit codes: 0 success, 2 invalid
-input, 3 numerical failure (non-convergence), 4 resource limits.  JSON
+input, 3 numerical failure (non-convergence), 4 resource limits; any
+other exception is an internal error and exits 1 with a traceback.  JSON
 artifacts are written with sorted keys and floats at 17 significant
 digits, so identical configs and inputs give byte-identical outputs.
 
 DIRAPPROX_THREADS caps the numeric stack's internal parallelism; it is
-exported to the BLAS/OpenMP thread-count variables at startup, so set it
-in the parent environment for full effect.
+exported to the BLAS/OpenMP thread-count variables before any handler
+imports numpy (this module loads none), and a variable already set wins.
 """
 
 from __future__ import annotations
@@ -110,17 +111,41 @@ def _read_json(path: str | None) -> dict:
         raise InvalidInputError("this subcommand needs --input")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _object(json.load(fh), "input JSON")
     except FileNotFoundError:
         raise InvalidInputError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"input is not valid JSON: {exc}")
 
 
+def _object(raw, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _list(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise InvalidInputError(f"{what} must be a JSON list, got {type(raw).__name__}")
+    return raw
+
+
 def _require(d: dict, key: str):
-    if key not in d:
+    if key not in _object(d, f"the object holding {key!r}"):
         raise InvalidInputError(f"input JSON is missing the {key!r} field")
     return d[key]
+
+
+def _number(raw, what: str, kind=float):
+    """kind(raw) for a JSON number; anything else is invalid input."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be a number: {exc}") from exc
+
+
+def _numbers(raw, what: str, kind=int) -> list:
+    return [_number(x, what, kind) for x in _list(raw, what)]
 
 
 def _complex_pairs(raw, what: str):
@@ -176,16 +201,15 @@ def _family_from(d: dict):
     from .universal import FamilyEntry, TargetFamily
 
     entries = []
-    for e in _require(d, "family"):
-        derivs = tuple(
-            TargetFunction.from_json_dict(t) for t in e.get("derivative_targets", [])
-        )
+    for e in _list(_require(d, "family"), "family"):
+        target = TargetFunction.from_json_dict(_require(e, "target"))
+        derivs = _list(e.get("derivative_targets", []), "derivative_targets")
         entries.append(
             FamilyEntry(
-                TargetFunction.from_json_dict(_require(e, "target")),
-                compact_index=int(_require(e, "compact_index")),
-                tol=float(_require(e, "tol")),
-                derivative_targets=derivs,
+                target,
+                compact_index=_number(_require(e, "compact_index"), "compact_index", int),
+                tol=_number(_require(e, "tol"), "tol"),
+                derivative_targets=tuple(TargetFunction.from_json_dict(t) for t in derivs),
                 label=e.get("label", ""),
             )
         )
@@ -248,12 +272,12 @@ def _cmd_supnorm(args) -> int:
     p = _poly_from(d)
     plan = None
     if "plan" in d:
-        raw = dict(d["plan"])
+        raw = dict(_object(d["plan"], "plan"))
         known = {}
         if "height" in raw:
-            known["height"] = float(raw.pop("height"))
+            known["height"] = _number(raw.pop("height"), "height")
         if "edge_points" in raw:
-            known["edge_points"] = int(raw.pop("edge_points"))
+            known["edge_points"] = _number(raw.pop("edge_points"), "edge_points", int)
         if raw:
             raise InvalidInputError(f"unknown supnorm plan keys: {sorted(raw)}")
         plan = SupNormPlan(**known)
@@ -276,7 +300,7 @@ def _cmd_abscissa(args) -> int:
         rule = CoefficientRule(kind)
     else:
         raise InvalidInputError(f"rule kind {kind!r} is not file-representable")
-    report = estimate_abscissas(rule, int(d.get("truncation", 100_000)))
+    report = estimate_abscissas(rule, _number(d.get("truncation", 100_000), "truncation", int))
     artifact = report.to_json_dict()
     artifact["ordering_holds"] = report.ordering_holds()
     _emit(
@@ -386,7 +410,7 @@ def _cmd_rational_fit(args) -> int:
     d = _read_json(args.input)
     dset = _dset_from(d, args)
     anchors = _complex_pairs(d.get("anchors", []), "anchors")
-    degrees = [int(n) for n in _require(d, "degrees")]
+    degrees = _numbers(_require(d, "degrees"), "degrees")
     r, err = rational_dirichlet_fit(
         dset,
         _target_from(d, "function"),
@@ -405,13 +429,13 @@ def _cmd_universal_build(args) -> int:
     family = _family_from(d)
     opts = None
     if "options" in d:
-        raw = dict(d["options"])
+        raw = dict(_object(d["options"], "options"))
         known = {}
         for key in ("sigma", "budget"):
             if key in raw:
-                known[key] = float(raw.pop(key))
+                known[key] = _number(raw.pop(key), key)
         if "block_steps" in raw:
-            known["block_steps"] = tuple(int(n) for n in raw.pop("block_steps"))
+            known["block_steps"] = tuple(_numbers(raw.pop("block_steps"), "block_steps"))
         if raw:
             raise InvalidInputError(f"unknown universal options: {sorted(raw)}")
         opts = UniversalOptions(**known)
@@ -445,12 +469,12 @@ def _cmd_chordal_check(args) -> int:
     interval = _require(d, "interval")
     if not isinstance(interval, list) or len(interval) != 2:
         raise InvalidInputError("interval must be [sigma_lo, sigma_hi]")
-    ladder = [int(n) for n in _require(d, "ladder")]
+    ladder = _numbers(_require(d, "ladder"), "ladder")
     kwargs = {"grid_tol": float(args.tol)}
     if args.density is not None:
         kwargs["grid_per_unit"] = float(args.density)
     report = zeta_chordal_convergence_check(
-        (float(interval[0]), float(interval[1])), ladder, float(args.eps), **kwargs
+        tuple(_numbers(interval, "interval", float)), ladder, float(args.eps), **kwargs
     )
     if args.output is None:
         raise InvalidInputError("chordal-check needs --output for its JSON/CSV pair")
@@ -470,7 +494,7 @@ def _cmd_convergence_study(args) -> int:
 
     d = _read_json(args.input)
     dset = _dset_from(d, args)
-    degrees = [int(n) for n in _require(d, "degrees")]
+    degrees = _numbers(_require(d, "degrees"), "degrees")
     rows = convergence_study(dset, _target_from(d), degrees, _fit_options_from(args))
     csv = "N,minimax_error\n" + "".join(f"{n},{_g17(e)}\n" for n, e in rows)
     if args.output:
@@ -490,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirapprox",
         description="Dirichlet-polynomial approximation toolkit (file-based batch commands)",
-        epilog="exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 resource limits",
+        epilog="exit codes: 0 success, 1 internal error, 2 invalid input, 3 numerical failure, 4 resource limits",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -558,7 +582,7 @@ def main(argv=None) -> int:
     except (NumericalFailureError, IllConditionedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInputError, PoleError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (InvalidInputError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,7 +125,7 @@ class TargetFunction:
             if name == "polynomial":
                 return TargetFunction.polynomial([complex(re, im) for re, im in d["poly_coeffs"]])
             return TargetFunction("named", name=name)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed target description: {exc}") from exc
 
 

@@ -228,16 +228,14 @@ def union_of_disjoint(
         raise InvalidInputError("union needs at least one member")
     if any(m.kind == "union-of-disjoint" for m in ms):
         raise InvalidInputError("nested unions are not supported; flatten first")
-    # cheap disjointness screen: coarse outer traces must stay apart
-    # and no member's reference point may lie inside another member
-    traces = [m.loops[0].points(64) for m in ms]
+    # members whose boundaries stay apart are disjoint unless one lies
+    # inside the other, which a point of its outer loop then shows
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
-            d = np.abs(traces[i][:, None] - traces[j][None, :]).min()
-            if d < 1e-9:
+            if min(_loop_distance(p, q) for p in ms[i].loops for q in ms[j].loops) < 1e-9:
                 raise InvalidInputError("union members touch or overlap")
-            if contains(ms[j], traces[i][0], tol=-1e-9) or contains(
-                ms[i], traces[j][0], tol=-1e-9
+            if contains(ms[j], ms[i].loops[0].points(1)[0], tol=-1e-9) or contains(
+                ms[i], ms[j].loops[0].points(1)[0], tol=-1e-9
             ):
                 raise InvalidInputError("union members are nested")
     return CompactSetSpec(
@@ -245,6 +243,25 @@ def union_of_disjoint(
         members=ms,
         declared_complement_connected=declared_complement_connected,
     )
+
+
+def _loop_distance(p: Loop, q: Loop) -> float:
+    """Least distance between two boundary curves; 0 when they meet."""
+    if p.corners and not q.corners:
+        p, q = q, p
+    if not q.corners:  # two circles
+        d = abs(p.center - q.center)
+        return max(d - p.radius - q.radius, abs(p.radius - q.radius) - d, 0.0)
+    qa, qb = np.array(q.corners), np.array(q.corners[1:] + q.corners[:1])
+    if not p.corners:  # a circle against each edge: nearest and farthest edge points
+        near = _segment_distances(np.array([p.center]), qa, qb)[0]
+        far = np.maximum(np.abs(qa - p.center), np.abs(qb - p.center))
+        return float(np.maximum(np.maximum(near - p.radius, p.radius - far), 0.0).min())
+    if any(_segments_properly_intersect(a, b, c, d) for a, b in p.edges for c, d in q.edges):
+        return 0.0
+    # edges that do not cross are nearest at an endpoint of one of them
+    pa, pb = np.array(p.corners), np.array(p.corners[1:] + p.corners[:1])
+    return float(min(_segment_distances(pa, qa, qb).min(), _segment_distances(qa, pa, pb).min()))
 
 
 def _pieces(spec: CompactSetSpec) -> tuple[CompactSetSpec, ...]:
@@ -257,21 +274,22 @@ def _pieces(spec: CompactSetSpec) -> tuple[CompactSetSpec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _winding_inside(vertices: tuple[complex, ...], z: np.ndarray, tol: float) -> np.ndarray:
-    """Point-in-polygon with `tol` fuzz outward (negative tol shrinks)."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    vs = np.asarray(vertices, dtype=complex)
-    a = vs
-    b = np.roll(vs, -1)
-    # distance to each edge segment
+def _segment_distances(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point z_i to each segment [a_j, b_j], shape (len(z), len(a))."""
     ab = b - a
     t = np.clip(
-        ((zs[:, None] - a[None, :]) * np.conj(ab[None, :])).real / (np.abs(ab) ** 2)[None, :],
+        ((z[:, None] - a[None, :]) * np.conj(ab[None, :])).real / (np.abs(ab) ** 2)[None, :],
         0.0,
         1.0,
     )
-    proj = a[None, :] + t * ab[None, :]
-    dist = np.abs(zs[:, None] - proj).min(axis=1)
+    return np.abs(z[:, None] - (a[None, :] + t * ab[None, :]))
+
+
+def _winding_inside(vertices: tuple[complex, ...], z: np.ndarray, tol: float) -> np.ndarray:
+    """Point-in-polygon with `tol` fuzz outward (negative tol shrinks)."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    a = np.asarray(vertices, dtype=complex)
+    b = np.roll(a, -1)
     # crossing-number parity
     x, y = zs.real, zs.imag
     ax, ay, bx, by = a.real, a.imag, b.real, b.imag
@@ -280,7 +298,13 @@ def _winding_inside(vertices: tuple[complex, ...], z: np.ndarray, tol: float) ->
         xint = ax[None, :] + (y[:, None] - ay[None, :]) * (bx - ax)[None, :] / (by - ay)[None, :]
     crossings = np.sum(cond & (x[:, None] < xint), axis=1)
     inside = (crossings % 2) == 1
-    return inside | (dist <= tol) if tol >= 0 else inside & (dist >= -tol)
+    # the fuzz can only admit parity-outside points (tol >= 0) or reject
+    # parity-inside ones (tol < 0): edge distances are needed for those alone
+    out = inside.copy()
+    pick = ~inside if tol >= 0 else inside
+    dist = _segment_distances(zs[pick], a, b).min(axis=1)
+    out[pick] = dist <= tol if tol >= 0 else dist >= -tol
+    return out
 
 
 def contains(spec: CompactSetSpec, z: complex | np.ndarray, tol: float = 1e-12):

@@ -18,7 +18,7 @@ returned for inspection rather than discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,8 @@ __all__ = [
 # two once the low frequencies are spoken for), so longer defaults only
 # burn time.  Override via UniversalOptions.block_steps.
 _BLOCK_STEPS = (1, 2, 5, 10, 20, 40, 80, 160)
-_LADDER_SIGMAS = (1.0, 0.5, 0.25, 0.125, 0.0625)
+_LADDER_SIGMAS = (1.0, 0.5, 0.25, 0.125, 0.0625)  # seminorm abscissas recorded per block
+_GRID_REFINE = 2.0  # verify_schedule samples K_m this much denser than build_universal
 _VERIFY_NOTE = (
     "finite-family report: the checks witness the enumerated targets on "
     "their rectangles only; no finite schedule certifies anything about "
@@ -133,9 +134,6 @@ class UniversalOptions:
     sigma: float | None = None
     budget: float | None = None
     block_steps: tuple[int, ...] = _BLOCK_STEPS
-    density: SampleDensity | None = None
-    fit_options: FitOptions | None = None
-    ladder_sigmas: tuple[float, ...] = _LADDER_SIGMAS
 
     def __post_init__(self):
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -146,10 +144,6 @@ class UniversalOptions:
         if not steps or any(s < 1 for s in steps) or any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("block_steps must be strictly increasing positive integers")
         object.__setattr__(self, "block_steps", steps)
-        sigmas = tuple(float(s) for s in self.ladder_sigmas)
-        if not sigmas or any(s <= 0 for s in sigmas):
-            raise InvalidInputError("ladder sigmas must be positive")
-        object.__setattr__(self, "ladder_sigmas", sigmas)
 
 
 @dataclass(frozen=True)
@@ -304,12 +298,12 @@ def build_universal(
         m = entry.compact_index
         sigma = opts.sigma if opts.sigma is not None else 1.0 / (m + 1)
         budget = opts.budget if opts.budget is not None else 4.0 ** (-m)
-        dset = discretize(compact_rectangle(m), opts.density)
+        dset = discretize(compact_rectangle(m))
         prev = cuts[-1] if cuts else 0
         # an empty prefix is represented as the zero polynomial at n=1 with
         # the support left open there, so stage 1 may still use n=1
         prefix = DirichletPolynomial(coeffs if prev else np.zeros(1, dtype=complex))
-        fit_opts = replace(opts.fit_options or FitOptions(), target_error=entry.tol)
+        fit_opts = FitOptions(target_error=entry.tol)
         best: tuple[float, object, int] | None = None
         chosen = None
         for step in opts.block_steps:
@@ -338,7 +332,7 @@ def build_universal(
                     block_length=degree - prev,
                     sup_error=float(err),
                     block_seminorm=float(result.constraint_value),
-                    ladder=tuple((s, seminorm_sigma(block, s)) for s in opts.ladder_sigmas),
+                    ladder=tuple((s, seminorm_sigma(block, s)) for s in _LADDER_SIGMAS),
                     converged=False,
                     detail=(
                         f"no block of length <= {opts.block_steps[-1]} reached "
@@ -362,7 +356,7 @@ def build_universal(
                 block_length=degree - prev,
                 sup_error=float(result.minimax_error),
                 block_seminorm=float(result.constraint_value),
-                ladder=tuple((s, seminorm_sigma(block, s)) for s in opts.ladder_sigmas),
+                ladder=tuple((s, seminorm_sigma(block, s)) for s in _LADDER_SIGMAS),
                 converged=True,
             )
         )
@@ -378,15 +372,12 @@ def verify_schedule(
     sched: UniversalSchedule,
     targets: TargetFamily,
     *,
-    grid_refine: float = 2.0,
     tol_factor: float = 1.5,
-    density: SampleDensity | None = None,
-    ladder_sigmas: tuple[float, ...] | None = None,
 ) -> dict:
     """Re-check every cut against its target on a fresh, denser grid.
 
     Each completed stage is re-evaluated from raw coefficients (records are
-    not trusted) on K_m discretized at grid_refine x the build density, and
+    not trusted) on K_m discretized at twice the build density, and
     passes when its sup error — and, when supplied, the exactly
     differentiated partial sums against the entry's derivative targets —
     stays within tol_factor x tol.  Block seminorm caps are recomputed, and
@@ -395,8 +386,8 @@ def verify_schedule(
 
     Returns a JSON-ready dict with a top-level "pass" boolean.
     """
-    if grid_refine <= 0 or tol_factor <= 0:
-        raise InvalidInputError("grid_refine and tol_factor must be positive")
+    if tol_factor <= 0:
+        raise InvalidInputError("tol_factor must be positive")
     if len(sched.cuts) > len(targets.entries):
         raise InvalidInputError(
             f"schedule has {len(sched.cuts)} cuts but the family has "
@@ -409,10 +400,10 @@ def verify_schedule(
                 f"stage record ({rec.compact_index}, tol {rec.tol:g}) does not "
                 f"align with entry ({entry.compact_index}, tol {entry.tol:g})"
             )
-    base = density if density is not None else SampleDensity()
+    base = SampleDensity()
     fine = SampleDensity(
-        boundary_spacing=base.boundary_spacing / grid_refine,
-        interior_spacing=base.interior_spacing / grid_refine,
+        boundary_spacing=base.boundary_spacing / _GRID_REFINE,
+        interior_spacing=base.interior_spacing / _GRID_REFINE,
     )
 
     overall = True
@@ -477,9 +468,8 @@ def verify_schedule(
         )
         prev = cut
 
-    sigmas = tuple(ladder_sigmas) if ladder_sigmas is not None else _LADDER_SIGMAS
     ladder_report = []
-    for s in sigmas:
+    for s in _LADDER_SIGMAS:
         # the blocks tile the coefficients, so their seminorms add up to this
         total = seminorm_sigma(DirichletPolynomial(sched.coefficients), s) if sched.cuts else 0.0
         finite = bool(np.isfinite(total))
@@ -488,7 +478,7 @@ def verify_schedule(
 
     return {
         "pass": bool(overall),
-        "grid_refine": grid_refine,
+        "grid_refine": _GRID_REFINE,
         "tol_factor": tol_factor,
         "entries": entries_report,
         "budget": budget_report,

@@ -204,6 +204,20 @@ def test_blocked_torus_argmax_matches_the_whole_grid(n, monkeypatch):
     np.testing.assert_array_equal(angles, theta[np.array(i)])
 
 
+def test_torus_polish_reaches_the_aligned_maximum():
+    # prime-indexed terms have independent phases, so sup |q| = sum |c_t|, and
+    # every other critical point is a saddle the ascent must not stop at;
+    # a_13 = 0 leaves the sixth variable unused (a zero row of the Hessian)
+    rng = np.random.default_rng(5)
+    a = np.zeros(13, dtype=complex)
+    a[[0, 1, 2, 4, 6, 10]] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    E, c = lift(DirichletPolynomial(a)).exponent_matrix()
+    assert E.shape == (6, 6) and not E[:, 5].any()
+    for theta0 in rng.uniform(0.0, 2.0 * np.pi, size=(8, 6)):
+        assert bohr._polish_on_torus(E, c, theta0) == pytest.approx(np.abs(c).sum(), rel=1e-14)
+    assert bohr._polish_on_torus(E, 0 * c, np.zeros(6)) == 0.0
+
+
 def test_polydisc_zero_polish_starts_keeps_the_best_sample():
     q = lift(DirichletPolynomial(np.arange(1.0, 8.0) + 0.5j))  # k = 4: Monte Carlo
     plan = PolydiscPlan(mc_samples=3000, polish_starts=0, seed=3)

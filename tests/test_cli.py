@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dirapprox
-from dirapprox.cli import main
+from dirapprox.cli import _THREAD_VARS, main
 from dirapprox.laurent import rational_from_json_dict
 from dirapprox.series import DirichletPolynomial, evaluate, seminorm_sigma
 
@@ -424,6 +424,32 @@ class TestExitCodes:
         out = tmp_path / "no" / "such" / "dir" / "x.json"
         assert main(["eval", "--input", src, "--output", str(out)]) == 2
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["eval"], [[1, 0]]),
+        (["supnorm"], {**TWO_POW, "plan": {"height": "tall"}}),
+        (["supnorm"], {**TWO_POW, "plan": [20000]}),
+        (["convergence-study"], {**DISC_EXP, "degrees": ["five"]}),
+        (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "compact_index": "one"}]}),
+        (["universal-build"], {"family": [3]}),
+        (["chordal-check", "--eps", "0.1"], {"interval": [2, 3], "ladder": 10}),
+    ])
+    def test_malformed_json_shapes_are_invalid_input(self, tmp_path, capsys, argv, doc):
+        assert main([*argv, "--input", write(tmp_path / "in.json", doc)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [KeyError("internal"), TypeError("internal")])
+    def test_internal_errors_propagate(self, tmp_path, monkeypatch, exc):
+        # a bug inside a handler is not bad input: it must not exit 2
+        import dirapprox.cli as cli_mod
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "_cmd_eval", broken)
+        src = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0]]})
+        with pytest.raises(type(exc)):
+            main(["eval", "--input", src])
+
 
 class TestThreadCap:
     def test_cap_exported_to_blas_variables(self, tmp_path, monkeypatch):
@@ -457,10 +483,16 @@ class TestThreadCap:
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
-def run_cli(argv, cwd):
+def run_cli(argv, cwd, env_changes=None):
     """Run ``argv`` in a child Python that imports the ``dirapprox`` tree
-    this process imported, whatever the child's working directory."""
+    this process imported, whatever the child's working directory.
+    ``env_changes`` sets variables, or unsets those mapped to None."""
     env = dict(os.environ)
+    for var, value in (env_changes or {}).items():
+        if value is None:
+            env.pop(var, None)
+        else:
+            env[var] = value
     source_root = str(Path(dirapprox.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source_root, env.get("PYTHONPATH")]))
@@ -503,10 +535,81 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "0.5"
 
 
+# the package namespace as it stood when every name was imported eagerly
+PUBLIC_NAMES = (
+    "errors", "AbscissaReport", "CoefficientRule", "DirichletPolynomial", "Sentinel",
+    "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma", "shift_by_delta",
+    "sup_norm_halfplane", "LiftedPolynomial", "bohr_gap_report", "lift", "unlift",
+    "SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
+    "translate", "union_of_disjoint", "FitOptions", "FitResult", "TargetFunction",
+    "constrained_fit", "convergence_study", "minimax_fit", "LaurentPieces",
+    "RationalDirichletFunction", "laurent_decompose", "rational_dirichlet_fit", "FamilyEntry",
+    "TargetFamily", "UniversalOptions", "UniversalSchedule", "build_universal",
+    "compact_rectangle", "verify_schedule", "INFINITY", "ConvergenceReport", "SpherePoint",
+    "chi", "chi_many", "chi_uniform_error", "chordal_convergence_check",
+    "zeta_chordal_convergence_check", "__version__",
+)
+SUBMODULES = ("bohr", "chordal", "fit", "geometry", "laurent", "series", "universal")
+
+
+def child_prints(code, tmp_path, env_changes=None) -> str:
+    proc = run_cli(["-c", code], tmp_path, env_changes)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImportCost:
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy.optimize is imported only by the torus polish of bohr-check
-        proc = run_cli(
-            ["-c", "import sys, dirapprox, dirapprox.cli; print('scipy' in sys.modules)"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        code = "import sys, dirapprox, dirapprox.cli; print('scipy' in sys.modules)"
+        assert child_prints(code, tmp_path) == "False"
+
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
+        # so the thread cap is exported before numpy starts its BLAS pool
+        assert child_prints("import sys, dirapprox.cli; print('numpy' in sys.modules)", tmp_path) == "False"
+
+    def test_thread_cap_reaches_openblas(self, tmp_path):
+        src = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0]]})
+        code = (
+            "import ctypes, pathlib\n"
+            "from dirapprox.cli import main\n"
+            f"assert main(['eval', '--input', {src!r}]) == 0\n"
+            "import numpy\n"
+            "libs = sorted((pathlib.Path(numpy.__file__).parent.parent / 'numpy.libs').glob('*openblas*.so*'))\n"
+            "fn = getattr(ctypes.CDLL(str(libs[0])), 'scipy_openblas_get_num_threads64_', None) if libs else None\n"
+            "if fn is not None:\n"
+            "    fn.argtypes, fn.restype = [], ctypes.c_int\n"
+            "print(fn() if fn is not None else 'absent')\n"
+        )
+        unset = dict.fromkeys(_THREAD_VARS)  # maps each to None
+        out = child_prints(code, tmp_path, {**unset, "DIRAPPROX_THREADS": "1"}).split("\n")
+        if out[-1] == "absent":
+            pytest.skip("numpy's OpenBLAS does not export scipy_openblas_get_num_threads64_")
+        assert out == ["0.5", "1"]
+
+    def test_bohr_gap_report_leaves_scipy_unloaded(self, tmp_path):
+        code = (
+            "import sys, dirapprox as dx\n"
+            "p = dx.DirichletPolynomial([1, 0.5j, -0.25, 0.2, 0.1, -0.1j, 0.05])\n"  # k = 4: polished samples
+            "assert dx.bohr_gap_report(p).within_tolerance\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        assert child_prints(code, tmp_path) == "False"
+
+    def test_package_names_resolve_lazily(self, tmp_path):
+        names = PUBLIC_NAMES + SUBMODULES
+        code = (
+            "import sys, dirapprox\n"
+            "loaded = 'numpy' in sys.modules\n"
+            f"missing = [n for n in {names!r} if getattr(dirapprox, n, None) is None]\n"
+            f"print(loaded, missing, set({names!r}) <= set(dir(dirapprox)), sorted(dirapprox.__all__))\n"
+        )
+        assert child_prints(code, tmp_path) == f"False [] True {sorted(PUBLIC_NAMES)}"
+
+    def test_names_follow_patched_submodule_attributes(self, monkeypatch):
+        # nothing is cached in the package namespace, so a patch is seen there
+        import dirapprox.bohr as bohr_mod
+
+        monkeypatch.setattr(bohr_mod, "lift", "patched")
+        assert dirapprox.lift == "patched"
+        monkeypatch.undo()
+        assert dirapprox.lift is bohr_mod.lift

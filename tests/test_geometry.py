@@ -87,9 +87,18 @@ def test_union_screens_overlap_and_nesting():
         union_of_disjoint([disc(0, 1), disc(1, 1)])
     with pytest.raises(InvalidInputError):
         union_of_disjoint([disc(0, 2), disc(0.2, 0.3)])
+    with pytest.raises(InvalidInputError):
+        # the disc's center sits in the hole but its rim crosses the inner circle
+        union_of_disjoint([annulus(0, 1, 2), disc(-0.5, 0.6)])
+    with pytest.raises(InvalidInputError):
+        union_of_disjoint([rectangle(0, 1 + 1j), rectangle(1 + 1e-10, 2 + 1j)])
+    with pytest.raises(InvalidInputError):
+        union_of_disjoint([jordan_polygon([0, 2, 1 + 2j]), jordan_polygon([1 + 1j, 3 + 1j, 3 + 3j])])
     u = union_of_disjoint([disc(0, 1), rectangle(3 - 1j, 4 + 1j)])
     assert len(u.members) == 2
     assert not u.declared_complement_connected
+    assert len(union_of_disjoint([annulus(0, 1, 2), disc(0, 0.5)]).members) == 2  # in the hole
+    assert len(union_of_disjoint([rectangle(0, 1 + 1j), rectangle(1 + 1e-8, 2 + 1j)]).members) == 2
 
 
 def test_polygon_stored_counterclockwise():
@@ -167,6 +176,39 @@ def test_rectangle_tolerance_is_euclidean_at_the_corners():
     corner = 0 + 1j
     assert not contains(r, corner + 0.9 * tol * (1 + 1j), tol=tol)
     assert contains(r, corner + 0.7 * tol * (1 + 1j), tol=tol)
+
+
+def _winding_inside_all_points(vertices, z, tol):
+    """Membership with every point's edge distance computed (reference)."""
+    a = np.asarray(vertices, dtype=complex)
+    b = np.roll(a, -1)
+    ab = b - a
+    t = np.clip(((z[:, None] - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
+    dist = np.abs(z[:, None] - (a + t * ab)).min(axis=1)
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    y = z.imag[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = ax + (y - ay) * (bx - ax) / (by - ay)
+    inside = np.sum(((ay > y) != (by > y)) & (z.real[:, None] < xint), axis=1) % 2 == 1
+    return inside | (dist <= tol) if tol >= 0 else inside & (dist >= -tol)
+
+
+@pytest.mark.parametrize("spec", [
+    rectangle(-1 - 1j, 0 + 1j),
+    rectangle(-3 - 3j, 0 + 3j),
+    jordan_polygon([0, 2, 2 + 1j, 1 + 0.3j, 1j]),
+    jordan_polygon([0.1, 1.7 - 0.4j, 2.3 + 1.1j, 0.4 + 2j, -0.6 + 0.9j]),
+])
+@pytest.mark.parametrize("tol", [1e-12, -1e-9])
+def test_polygon_membership_matches_the_all_points_formula(spec, tol):
+    loop = spec.loops[0]
+    rng = np.random.default_rng(7)
+    on_edges = np.concatenate([a + rng.random(200) * (b - a) for a, b in loop.edges] + [np.array(loop.corners)])
+    jitter = 1e-6 * (rng.standard_normal(on_edges.size) + 1j * rng.standard_normal(on_edges.size))
+    offsets = (0, 1e-13, -1e-13j, 5e-10 * (1 + 1j), -2e-9, 3e-9j, jitter)
+    z = np.concatenate([on_edges + offset for offset in offsets])
+    got = contains(spec, z, tol=tol)
+    assert (got == _winding_inside_all_points(loop.corners, z, tol)).all()
 
 
 def annulus_and_polygon():

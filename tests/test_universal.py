@@ -299,8 +299,6 @@ def test_options_validation():
         UniversalOptions(budget=0.0)
     with pytest.raises(InvalidInputError):
         UniversalOptions(block_steps=(5, 5))
-    with pytest.raises(InvalidInputError):
-        UniversalOptions(ladder_sigmas=(0.5, -0.5))
 
 
 def test_compact_rectangle_shape():
