@@ -77,11 +77,6 @@ class PrimeTable:
         return len(self.primes)
 
 
-def prime_count(bound: int) -> int:
-    """pi(bound): number of primes <= bound."""
-    return PrimeTable.up_to(max(bound, 1)).count()
-
-
 # ---------------------------------------------------------------------------
 # multi-indices and lifted polynomials
 # ---------------------------------------------------------------------------
@@ -191,27 +186,6 @@ class LiftedPolynomial:
             E[t, : len(ix)] = ix.exponents
             c[t] = self.terms[ix]
         return E, c
-
-    def to_json_list(self) -> list[dict]:
-        keys = sorted(self.terms, key=lambda ix: (len(ix), ix.exponents))
-        return [
-            {
-                "exponents": list(ix.exponents),
-                "coeff": [self.terms[ix].real, self.terms[ix].imag],
-            }
-            for ix in keys
-        ]
-
-    @staticmethod
-    def from_json_list(items: Iterable[dict], variable_count: int | None = None) -> "LiftedPolynomial":
-        terms = {}
-        kmax = 0
-        for it in items:
-            ix = MultiIndex(tuple(it["exponents"]))
-            kmax = max(kmax, len(ix))
-            re, im = it["coeff"]
-            terms[ix] = complex(re, im)
-        return LiftedPolynomial(terms, variable_count if variable_count is not None else kmax)
 
 
 def lift(p: DirichletPolynomial) -> LiftedPolynomial:

@@ -470,14 +470,14 @@ def _cmd_chordal_check(args) -> int:
     if not isinstance(interval, list) or len(interval) != 2:
         raise InvalidInputError("interval must be [sigma_lo, sigma_hi]")
     ladder = _numbers(_require(d, "ladder"), "ladder")
+    if args.output is None:
+        raise InvalidInputError("chordal-check needs --output for its JSON/CSV pair")
     kwargs = {"grid_tol": float(args.tol)}
     if args.density is not None:
         kwargs["grid_per_unit"] = float(args.density)
     report = zeta_chordal_convergence_check(
         tuple(_numbers(interval, "interval", float)), ladder, float(args.eps), **kwargs
     )
-    if args.output is None:
-        raise InvalidInputError("chordal-check needs --output for its JSON/CSV pair")
     _write_text(args.output, _canonical_json(report.to_json_dict()) + "\n")
     csv_path = os.path.splitext(args.output)[0] + ".csv"
     _write_text(csv_path, report.to_csv())

@@ -1,10 +1,11 @@
 """Discrete Chebyshev fitting of Dirichlet polynomials on compact sets.
 
 minimax_fit solves min_a max_i |sum_n a_n n^{-s_i} - g(s_i)| by Lawson
-iteratively-reweighted least squares; constrained_fit adds the weighted
-coefficient-norm constraint ||h - f||_sigma <= eps on top of the same
-kernel.  All errors are sampled sups over the discretized set, never
-certified continuous sups.
+iteratively-reweighted least squares, whose weights also certify a lower
+bound on that minimum; constrained_fit adds the weighted coefficient-norm
+constraint ||h - f||_sigma <= eps on top of the same kernel.  All errors
+and bounds are of sampled sups over the discretized set, never certified
+continuous sups.
 """
 
 from __future__ import annotations
@@ -147,8 +148,10 @@ def _target_values(g, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_RIDGE = 1e-12  # Tikhonov term of the Lawson normal equations
-_SUP_TOL = 1e-10  # change in sup error between iterations that counts as settled
+_RANK_CUT = 1e-13  # Lawson keeps singular directions above this times the largest
+_GAP = 1.01  # Lawson settles once its best error is within this factor of its bound
+_NOISE = 1e-13  # ... or below this times max|y|, where both are rounding noise
+_SUP_TOL = 1e-10  # constrained_fit: a smaller gain in sup error counts as a stall
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,22 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit, its sampled sup error and a lower bound on the best one.
+
+    lower_bound bounds from below the sampled sup error of every
+    coefficient vector whose design-matrix image lies in the rank-r range
+    of the column-scaled design (provenance "rank"), up to rounding; the
+    directions cut from that range have singular values below 1e-13 of
+    the largest.  minimax_fit's `converged` means minimax_error <= 1.01 *
+    lower_bound, or, when a target_error is given, minimax_error <=
+    target_error.  constrained_fit reports the bound of the unconstrained
+    fit, which the ball can only raise the optimum above, and its
+    `converged` means feasible and, when given, within target_error.
+    """
+
     polynomial: DirichletPolynomial
     minimax_error: float
+    lower_bound: float
     constraint_value: float | None
     iterations: int
     converged: bool
@@ -173,6 +190,7 @@ class FitResult:
         return {
             "coefficients": self.polynomial.to_pairs(),
             "minimax_error": self.minimax_error,
+            "lower_bound": self.lower_bound,
             "constraint_value": self.constraint_value,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -185,39 +203,35 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _normal_equations(B: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B^H W B + _RIDGE*I and B^H W y over the live rows, w_i > 1e-24.
-
-    w sums to 1 and |B_ij| <= 1, so the rows left out move each entry of
-    B^H W B by less than m * 1e-24 (and of B^H W y by that times max|y|):
-    for m <= 1e6, six orders below the ridge.  IRLS drives hundreds
-    of weights to zero or into the subnormal range, where arithmetic is
-    slow.  At most two B-sized temporaries live here, as many as the
-    plain B^H (W B) product makes, and they are freed on return.
-    """
-    live = w > 1e-24
-    if not live.all():
-        B, w, y = B[live], w[live], y[live]
-    WBh = B.conj()  # conj(W B), whose transpose is (W B)^H
-    WBh *= w[:, None]
-    G = WBh.T @ B
-    G.flat[:: G.shape[0] + 1] += _RIDGE
-    return G, WBh.T @ y
-
-
 def _lawson(
     A: np.ndarray,
     y: np.ndarray,
     opts: FitOptions,
     stop_at: float | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
-    """IRLS for min_c sup_i |A c - y|: weights grow with residual size.
+) -> tuple[np.ndarray, float, float, int, int, bool]:
+    """Lawson IRLS for min_c sup_i |A c - y| on an orthonormal basis.
 
-    Columns are sup-normalized internally (near-collinear n^{-s} columns
-    make the raw normal equations hopeless beyond N ~ 30).  Returns the
-    best iterate by sup error, its error, iterations used, and whether
-    the sup error stabilized below _SUP_TOL between iterations or
-    the best sup error reached `stop_at`, which ends the iteration.
+    A's columns are scaled by powers of two, B = A / scale, in place and
+    exactly; A is restored before the iteration.  The SVD of B's
+    triangular factor gives the r = #{S_k > _RANK_CUT S_0} leading
+    coefficient directions V_r, and Q R_Q = B V_r S_r^{-1} is an
+    orthonormal basis of their image, so coordinates d stand for the
+    coefficients X d with X = V_r S_r^{-1} R_Q^{-1} / scale.  From the
+    least-squares seed d = Q^H y, each reweighting w <- w |y - Q d|
+    solves an r x r weighted Gram over the live rows, w_i > 1e-24.
+    Errors are those of the coefficients themselves, max |y - A X d|.
+
+    After each solve, mu = w (y - Q d), projected onto range(Q)^perp,
+    certifies |mu^H y| / ||mu||_1 as a lower bound on the error of every
+    d': |mu^H y| = |mu^H (y - Q d')| <= ||mu||_1 ||y - Q d'||_inf (Lawson
+    1961; Nakatsukasa & Trefethen 2020).  The bound reported pairs the
+    best mu with the best residual, which keeps it below the best error
+    under rounding too.  Lawson stops, settled, once the best error is
+    within _GAP of the bound or below _NOISE max|y|; it also stops at
+    `stop_at` or after opts.max_iterations reweightings.
+
+    Returns the best coefficients, their error, the bound, the
+    reweightings used, r and whether Lawson settled.
     """
     m, n = A.shape
     if not np.all(np.isfinite(A)):
@@ -225,57 +239,62 @@ def _lawson(
             "design matrix overflows (samples too deep in the left half-plane)",
             diagnostic={"degree": n, "samples": m, "iteration": 0},
         )
-    scale = np.abs(A).max(axis=0)
-    scale[scale == 0] = 1.0
-    B = A / scale[None, :]
-
-    w = np.full(m, 1.0 / m)
-    best_c = np.zeros(n, dtype=complex)
-    best_err = float(np.abs(B @ best_c - y).max()) if m else 0.0
-    # SVD least squares seeds the race: on exactly representable targets
-    # it lands at machine precision where the ridge leaves ~1e-10 behind
+    scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=0))[1])  # 0 -> 1
+    A /= scale
     try:
-        c0 = np.linalg.lstsq(B, y, rcond=None)[0]
-        if np.all(np.isfinite(c0)):
-            e0 = float(np.abs(B @ c0 - y).max())
-            if e0 < best_err:
-                best_c, best_err = c0, e0
-    except np.linalg.LinAlgError:
-        pass  # the ridge path below raises with a diagnostic if it also fails
-    if stop_at is not None and best_err <= stop_at:
-        return best_c / scale, best_err, 0, True
-    prev_err = math.inf
-    converged = False
+        S, Vh = np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)[1:]
+        rank = int(np.count_nonzero(S > _RANK_CUT * S[0]))
+        X = Vh[:rank].conj().T / S[:rank]
+        Q, RQ = np.linalg.qr(A @ X)
+        X = np.linalg.solve(RQ.T, X.T).T / scale[:, None]  # d -> coefficients X d
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(
+            f"factorization of the design matrix failed: {exc}",
+            diagnostic={"degree": n, "samples": m, "iteration": 0},
+        ) from exc
+    finally:
+        A *= scale
+
+    floor = _NOISE * float(np.abs(y).max())
+    w = np.full(m, 1.0 / m)
+    d = Q.conj().T @ y
+    best_err, bound, top, cert = math.inf, 0.0, 0.0, None
     iterations = 0
-    for it in range(1, opts.max_iterations + 1):
-        iterations = it
-        G, rhs = _normal_equations(B, w, y)
-        try:
-            c = np.linalg.solve(G, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError(
-                "weighted normal equations are singular beyond the ridge",
-                diagnostic={"degree": n, "samples": m, "iteration": it},
-            ) from exc
-        if not np.all(np.isfinite(c)):
-            raise IllConditionedError(
-                "non-finite solution from normal equations",
-                diagnostic={"degree": n, "samples": m, "iteration": it},
-            )
-        r = np.abs(B @ c - y)
-        err = float(r.max()) if m else 0.0
+    while True:
+        c = X @ d
+        r = y - A @ c
+        err = float(np.abs(r).max())
         if err < best_err:
-            best_err, best_c = err, c
-        if (stop_at is not None and best_err <= stop_at) or abs(prev_err - err) < _SUP_TOL:
-            converged = True
+            best_err, best_c, best_r = err, c, r
+        rq = y - Q @ d
+        mu = w * rq
+        mu -= Q @ (Q.conj().T @ mu)
+        l1 = float(np.abs(mu).sum())
+        b = float(abs(np.vdot(mu, rq))) / l1 if l1 > 0 else 0.0
+        if b > top:
+            top, cert, cert_l1 = b, mu, l1
+        if cert is not None:
+            bound = float(abs(np.vdot(cert, best_r))) / cert_l1
+        settled = best_err <= max(_GAP * bound, floor)
+        reached = stop_at is not None and best_err <= stop_at
+        if settled or reached or iterations == opts.max_iterations:
             break
-        prev_err = err
-        w = w * np.maximum(r, 1e-300)
+        w *= np.abs(rq)
         total = w.sum()
         if not math.isfinite(total) or total <= 0:
             break
         w /= total
-    return best_c / scale, best_err, iterations, converged
+        live = w > 1e-24
+        Ql, wl, yl = (Q, w, y) if live.all() else (Q[live], w[live], y[live])
+        WQh = Ql.conj().T * wl  # (W Q)^H over the live rows
+        try:
+            d = np.linalg.solve(WQh @ Ql, WQh @ yl)
+        except np.linalg.LinAlgError:
+            break  # the weights sit on fewer than r rows
+        if not np.all(np.isfinite(d)):
+            break
+        iterations += 1
+    return best_c, best_err, bound, iterations, rank, settled
 
 
 def minimax_fit_samples(
@@ -312,26 +331,23 @@ def minimax_fit_samples(
             raise InvalidInputError("support mask excludes every coefficient")
     A = A_full if support is None else A_full[:, support]
 
-    c, err, iters, conv = _lawson(A, gvals, opts, stop_at=opts.target_error)
+    c, err, bound, iters, rank, settled = _lawson(A, gvals, opts, stop_at=opts.target_error)
     coeffs = np.zeros(degree, dtype=complex)
     if support is not None:
         coeffs[support] = c
     else:
         coeffs = c
-    p = DirichletPolynomial(coeffs)
-    exact = float(np.abs(A_full @ p.coefficients - gvals).max())
-    if opts.target_error is not None:
-        conv = exact <= opts.target_error
     return FitResult(
-        polynomial=p,
-        minimax_error=exact,
+        polynomial=DirichletPolynomial(coeffs),
+        minimax_error=err,
+        lower_bound=bound,
         constraint_value=None,
         iterations=iters,
-        converged=conv,
+        converged=settled if opts.target_error is None else err <= opts.target_error,
         provenance={
             "method": "lawson-irls",
             "column_normalized": True,
-            "ridge": _RIDGE,
+            "rank": rank,
             "samples": int(points.size),
             "support": "all" if support is None else f"{int(support.sum())} of {degree}",
         },
@@ -518,7 +534,7 @@ def constrained_fit(
 
     # unconstrained shortcut; exact minimax_fit behavior when the ball
     # never binds
-    c, err, iters, _ = _lawson(A, dvals, opts)
+    c, _, bound, iters, rank, _ = _lawson(A, dvals, opts)
     total_iters += iters
     if float(np.sum(u * np.abs(c))) <= eps:
         d, route = c, "unconstrained"
@@ -552,12 +568,14 @@ def constrained_fit(
     return FitResult(
         polynomial=h,
         minimax_error=exact,
+        lower_bound=bound,
         constraint_value=constraint_value,
         iterations=total_iters,
         converged=bool(feasible and hit_target),
         provenance={
             "method": "lawson-irls+seminorm-ball",
             "route": route,
+            "rank": rank,
             "sigma": sigma,
             "eps": eps,
             "geometry_waiver": waived,
@@ -580,9 +598,10 @@ def convergence_study(
 ) -> list[tuple[int, float]]:
     """(N, minimax_error) rows over an ascending degree ladder.
 
-    Nested bases make the true minimax errors non-increasing; the IRLS
-    solver is kept honest by carrying the best smaller-degree solution
-    forward and reporting whichever is better at each N.
+    Nested bases make the true minimax errors non-increasing, but each
+    fit searches only its design's rank-r range, which need not contain
+    the smaller degree's; the best smaller-degree solution is carried
+    forward and whichever is better is reported at each N.
     """
     degrees = [int(n) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):

@@ -74,9 +74,6 @@ class DirichletPolynomial:
         end = int(nz[-1]) + 1 if nz.size else 1
         return np.asarray(self.coefficients[:end])
 
-    def is_constant(self) -> bool:
-        return bool(np.all(self.coefficients[1:] == 0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletPolynomial):
             return NotImplemented
@@ -121,7 +118,8 @@ def _exp_basis(x, lo: int, hi: int) -> np.ndarray:
     Real for real x, complex for complex x.  No errstate guard, which
     would add ~40% to small calls: callers that can overflow set their own.
     """
-    return np.exp(np.multiply.outer(-np.asarray(x), _log_range(lo, hi)))
+    t = np.multiply.outer(-np.asarray(x), _log_range(lo, hi))
+    return np.exp(t, out=t)
 
 
 _GRID_BLOCK = 256  # in-block powers per row of _grid_sums' second table
@@ -378,14 +376,6 @@ def ext_leq(a: ExtendedReal, b: ExtendedReal, tol: float = 0.0) -> bool:
 
 def ext_to_json(x: ExtendedReal):
     return x.value if isinstance(x, Sentinel) else float(x)
-
-
-def ext_from_json(x) -> ExtendedReal:
-    if x == "neg_inf":
-        return Sentinel.NEG_INF
-    if x == "pos_inf":
-        return Sentinel.POS_INF
-    return float(x)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,29 @@ class TestFitCommands:
         assert rep["converged"] is True
         assert rep["minimax_error"] <= 1e-4
 
+    def test_fit_artifacts_carry_a_lower_bound(self, tmp_path):
+        src = write(tmp_path / "in.json", DISC_EXP)
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.json"
+            assert main(["fit", "--input", src, "--degree", "20", "--output", str(out)]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+        rep = json.loads(runs[0])
+        assert 0 < rep["lower_bound"] <= rep["minimax_error"] <= 1.01 * rep["lower_bound"]
+        assert rep["converged"] is True and rep["provenance"]["rank"] >= 1
+        spec = {
+            "set": {"kind": "rectangle", "corner_lo": [-2, -1], "corner_hi": [-0.5, 1]},
+            "target": {"kind": "named", "name": "constant", "constant": [1, 0]},
+            "base": [[0, 0], [1, 0]],
+        }
+        out = tmp_path / "c.json"
+        assert main(["fit-constrained", "--input", write(tmp_path / "c_in.json", spec), "--degree",
+                     "6", "--sigma", "1", "--eps", "0.5", "--density", "0.1", "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["provenance"]["route"] == "lawson+projected-gradient"
+        assert 0 <= rep["lower_bound"] <= rep["minimax_error"]
+
     def test_constrained_fit_with_inactive_budget(self, tmp_path):
         spec = {
             "set": {"kind": "rectangle", "corner_lo": [-2, -1], "corner_hi": [-0.5, 1]},
@@ -349,6 +372,17 @@ class TestChordalCommand:
     def test_missing_output_is_invalid_input(self, tmp_path):
         src = write(tmp_path / "in.json", {"interval": [2, 3], "ladder": [10]})
         assert main(["chordal-check", "--input", src, "--eps", "0.01"]) == 2
+
+    def test_missing_output_fails_before_the_check_runs(self, tmp_path, capsys, monkeypatch):
+        import dirapprox.chordal as chordal_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the check ran although --output is missing")
+
+        monkeypatch.setattr(chordal_mod, "zeta_chordal_convergence_check", never)
+        src = write(tmp_path / "in.json", {"interval": [-5, 5], "ladder": [10, 10_000]})
+        assert main(["chordal-check", "--input", src, "--eps", "0.1"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unreached_target_exits_3(self, tmp_path, monkeypatch):
         import dirapprox.chordal as chordal_mod

@@ -1,21 +1,22 @@
-import math
+import json
 
 import numpy as np
 import pytest
 
+from dirapprox import fit
+from dirapprox.cli import main as cli_main
 from dirapprox.errors import IllConditionedError, InvalidInputError
 from dirapprox.fit import (
-    _RIDGE,
-    _SUP_TOL,
     FitOptions,
     TargetFunction,
-    _lawson,
     constrained_fit,
     convergence_study,
     minimax_fit,
+    minimax_fit_samples,
     project_weighted_l1,
 )
 from dirapprox.geometry import (
+    DiscretizedSet,
     SampleDensity,
     disc,
     discretize,
@@ -25,11 +26,28 @@ from dirapprox.geometry import (
 from dirapprox.series import DirichletPolynomial, _exp_basis, evaluate_many, seminorm_sigma
 
 DISC = discretize(disc(-1, 0.5), SampleDensity(0.02, 0.06))
+DISC_DEFAULT = discretize(disc(-1, 0.5), SampleDensity())
 BOX = discretize(translate(rectangle(-1 - 1j, 0 + 1j), -0.5), SampleDensity(0.05, 0.1))
 
 
 def poly(*coeffs):
     return DirichletPolynomial(np.array(coeffs, dtype=complex))
+
+
+@pytest.fixture(autouse=True)
+def every_fit_is_bounded_below(monkeypatch):
+    """Each FitResult made by a test here has lower_bound <= minimax_error."""
+    made = []
+
+    class Recorded(fit.FitResult):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(fit, "FitResult", Recorded)
+    yield
+    for r in made:
+        assert 0 <= r.lower_bound <= r.minimax_error
 
 
 # --- targets ------------------------------------------------------------------
@@ -67,6 +85,7 @@ def test_target_json_round_trip():
 def test_constant_target_recovered_exactly():
     r = minimax_fit(DISC, TargetFunction.const(3 - 1j), 4)
     assert r.minimax_error <= 1e-10
+    assert r.converged and r.iterations == 0  # settled at rounding level
     assert r.polynomial.coefficient(1) == pytest.approx(3 - 1j, abs=1e-8)
 
 
@@ -122,53 +141,52 @@ def test_target_error_stops_lawson_and_sets_converged():
     assert tight.minimax_error == plain.minimax_error
 
 
-def _full_row_lawson(A, y, opts):
-    """IRLS with every row in the normal equations: _lawson's arithmetic
-    without the live-row cut.
-
-    Returns the best coefficients, their sup error, and how many weights
-    were <= 1e-24 in the solve that produced the best iterate.
-    """
-    scale = np.abs(A).max(axis=0)
-    B = A / scale[None, :]
-    w = np.full(A.shape[0], 1.0 / A.shape[0])
-    best_c = np.zeros(A.shape[1], dtype=complex)
-    best_err = float(np.abs(y).max())
-    c0 = np.linalg.lstsq(B, y, rcond=None)[0]
-    e0 = float(np.abs(B @ c0 - y).max())
-    if e0 < best_err:
-        best_c, best_err = c0, e0
-    dead_at_best, prev_err = 0, math.inf
-    for _ in range(opts.max_iterations):
-        WBh = B.conj() * w[:, None]
-        G = WBh.T @ B
-        G[np.diag_indices_from(G)] += _RIDGE
-        c = np.linalg.solve(G, WBh.T @ y)
-        r = np.abs(B @ c - y)
-        err = float(r.max())
-        if err < best_err:
-            best_c, best_err, dead_at_best = c, err, int(np.sum(w <= 1e-24))
-        if abs(prev_err - err) < _SUP_TOL:
-            break
-        prev_err = err
-        w = w * np.maximum(r, 1e-300)
-        w /= w.sum()
-    return best_c / scale, best_err, dead_at_best
+def test_constant_fit_on_a_circle_meets_its_known_minimax():
+    # the best constant for values on a circle of radius rho, sampled at
+    # angles no half-turn apart, is its centre, with error exactly rho; the
+    # samples crowd to one side, so the least-squares seed is off centre
+    rho, m = 0.75, 40
+    for seed in range(3):
+        jitter = np.random.default_rng(seed).uniform(0.0, 0.9, m)
+        theta = 2 * np.pi * (np.arange(m) + jitter) / m
+        theta += 0.8 * np.sin(theta)
+        values = (0.5 - 2j) + rho * np.exp(1j * theta)
+        r = minimax_fit_samples(-1 + 0.1 * np.exp(1j * theta), values, 1)
+        assert r.lower_bound <= rho <= r.minimax_error <= 1.01 * r.lower_bound
+        assert r.converged and r.iterations > 0
 
 
-def test_lawson_live_rows_match_full_rows():
-    # IRLS amplifies rounding over many iterations (reordering the rows
-    # moves a long run's result by 1e-12..1e-4), so the comparison uses a
-    # short, well-conditioned run whose best iterate comes after weights
-    # have already fallen below the live-row cut
-    pts = discretize(disc(-1, 0.5), SampleDensity(0.05, 0.1)).all_samples()
-    A, y = _exp_basis(pts, 1, 3), 1 / (pts - 0.3)
-    opts = FitOptions(max_iterations=15)
-    want_c, want_err, dead = _full_row_lawson(A, y, opts)
-    assert dead > 0
-    c, err, _, _ = _lawson(A, y, opts)
-    assert err == pytest.approx(want_err, rel=1e-12)
-    np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=0)
+def test_converged_and_exit_code_survive_row_permutations(tmp_path, monkeypatch):
+    # reordering the samples changes only the rounding of every solve
+    pts = DISC_DEFAULT.all_samples()
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({
+        "set": {"kind": "disc", "center": [-1, 0], "radius": 0.5},
+        "target": {"kind": "named", "name": "exp"},
+    }))
+    orders = [np.arange(pts.size)] + [
+        np.random.default_rng(seed).permutation(pts.size) for seed in range(1, 6)
+    ]
+    for n in (10, 20, 30, 40, 50, 60):
+        fits, codes = [], []
+        for order in orders:
+            fits.append(minimax_fit_samples(pts[order], np.exp(pts[order]), n))
+            monkeypatch.setattr(DiscretizedSet, "all_samples", lambda self, o=order: pts[o])
+            codes.append(cli_main(["fit", "--input", str(src), "--degree", str(n),
+                                   "--output", str(tmp_path / "fit.json")]))
+        assert {f.converged for f in fits} == {True} and set(codes) == {0}
+        errs = [f.minimax_error for f in fits]
+        assert max(errs) <= 1.01 * min(errs)
+
+
+def test_lawson_restores_the_design_and_reports_its_coefficients_error():
+    pts, y = DISC.all_samples(), np.exp(DISC.all_samples())
+    A = _exp_basis(pts, 1, 30)
+    before = A.copy()
+    c, err, bound, *_ = fit._lawson(A, y, FitOptions())
+    assert np.array_equal(A.view(np.float64), before.view(np.float64))
+    assert err == float(np.abs(y - A @ c).max())
+    assert 0 < bound <= err <= 1.01 * bound
 
 
 def test_support_mask_restricts_basis():
