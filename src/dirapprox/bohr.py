@@ -177,10 +177,10 @@ class LiftedPolynomial:
         return LiftedPolynomial(out, max(self.variable_count, other.variable_count))
 
     def exponent_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T x k exponent matrix, length-T coefficient vector), sorted keys."""
+        """(T x k integer exponent matrix, length-T coefficient vector), sorted keys."""
         keys = sorted(self.terms, key=lambda ix: (len(ix), ix.exponents))
         k = self.variable_count
-        E = np.zeros((len(keys), k), dtype=float)
+        E = np.zeros((len(keys), k), dtype=np.intp)
         c = np.zeros(len(keys), dtype=complex)
         for t, ix in enumerate(keys):
             E[t, : len(ix)] = ix.exponents
@@ -221,18 +221,36 @@ def unlift(q: LiftedPolynomial) -> DirichletPolynomial:
     return DirichletPolynomial(coeffs)
 
 
+def _monomials(E: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Monomials z^{E_t} at the B points z (B x k), as a T x B array.
+
+    Each variable's powers z_j^1 .. z_j^{max E[:, j]} come from repeated
+    multiplication, and each term multiplies only the powers of the
+    variables it uses: exact integer powers, with 0^0 = 1.
+    """
+    powers = [
+        np.cumprod(np.broadcast_to(z[:, j], (top, z.shape[0])), axis=0)
+        for j, top in enumerate(E.max(axis=0, initial=0))
+    ]
+    M = np.ones((E.shape[0], z.shape[0]), dtype=complex)
+    for t, e in enumerate(E):
+        used = np.flatnonzero(e)
+        if used.size:
+            M[t] = powers[used[0]][e[used[0]] - 1]
+            for j in used[1:]:
+                M[t] *= powers[j][e[j] - 1]
+    return M
+
+
 def evaluate_lifted(q: LiftedPolynomial, z: Iterable[complex]) -> complex:
-    """Value of q at a point of C^k (componentwise powers; 0^0 = 1)."""
+    """Value of q at a point of C^k (exact integer powers; 0^0 = 1)."""
     zv = np.asarray(list(z), dtype=complex)
     if zv.size != q.variable_count:
         raise InvalidInputError(
             f"point has {zv.size} coordinates, polynomial expects {q.variable_count}"
         )
     E, c = q.exponent_matrix()
-    if E.size == 0:
-        return complex(np.sum(c))
-    vals = np.prod(np.power(zv[None, :], E), axis=1)
-    return complex(np.sum(c * vals))
+    return complex(c @ _monomials(E, zv[None, :])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +264,17 @@ class PolydiscPlan:
 
     For k <= 3 variables a tensor grid of `angles` per axis, doubled up
     to max_refinements times until the best value moves by less than
-    0.1 %, with each grid's best point polished; beyond that, seeded
-    Monte-Carlo angles with the polish_starts best candidates polished
-    (0: no polish).  Hard cap at max_vars.
+    0.1 %, with each grid's best point polished; beyond that, mc_samples
+    seeded Monte-Carlo angles with the polish_starts best candidates
+    polished (0: no polish).  Hard cap at max_vars.
+
+    Either way the torus is evaluated in blocks of a few MB, whatever the
+    plan's size: _GRID_BLOCK_VALUES grid values or _MC_BLOCK random points.
+    A random point costs k (cos, sin) pairs, since its prime-power
+    monomials are products of powers of z_j = e^{i theta_j}.  The block
+    sizes change no result: the random stream, the candidates polished
+    and the grid maximum are those of one whole pass (for the grid, up to
+    the GEMV caveat of _torus_grid_argmax).
     """
 
     angles: int = 64
@@ -259,56 +285,83 @@ class PolydiscPlan:
     seed: int = 0
 
     def validated(self) -> "PolydiscPlan":
-        if self.angles < 2 or self.mc_samples < 1:
-            raise InvalidInputError("polydisc plan must sample at least 2 angles")
+        if self.angles < 2:
+            raise InvalidInputError(f"polydisc plan needs angles >= 2, got {self.angles!r}")
+        if self.mc_samples < 1:
+            raise InvalidInputError(f"polydisc plan needs mc_samples >= 1, got {self.mc_samples!r}")
         if self.polish_starts < 0:
             raise InvalidInputError(f"polydisc plan needs polish_starts >= 0, got {self.polish_starts!r}")
         if self.max_refinements < 0:
             raise InvalidInputError(f"polydisc plan needs max_refinements >= 0, got {self.max_refinements!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"polydisc plan needs seed >= 0, got {self.seed!r}")
         return self
 
 
 _TENSOR_MAX_VARS = 3  # beyond this many variables the torus is sampled at random
 _REFINE_TOL = 1e-3  # relative change that ends the tensor grid's refinement
-_GRID_BLOCK_VALUES = 1 << 20  # grid values per block of the k <= 3 tensor grid
+_GRID_BLOCK_VALUES = 1 << 18  # grid values per block of the k <= 3 tensor grid
+_MC_BLOCK = 8192  # random torus points drawn and evaluated per block
 _POLISH_STEPS = 50  # Newton-ascent trials per torus polish
 
 
 def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """|q| at torus points exp(i theta); thetas is (B x k)."""
-    phases = thetas @ E.T
-    return np.abs(np.exp(1j * phases) @ c)
+    """|q| at torus points exp(i theta); thetas is (B x k).
+
+    Each point costs k (cos, sin) pairs: its monomials are products of the
+    prime powers z_j^a (_monomials), not T complex exponentials.
+    """
+    z = np.empty(thetas.shape, dtype=complex)
+    np.cos(thetas, out=z.real)
+    np.sin(thetas, out=z.imag)
+    return np.abs(c @ _monomials(E, z))
 
 
-def _torus_grid_values(E: np.ndarray, c: np.ndarray, theta1: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """|q| on the tensor grid theta1 x theta^(k-1), shape (len(theta1),) + (m,) * (k-1).
+def _grid_tables(E: np.ndarray, c: np.ndarray, theta1: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U_1 * c, R) for the tensor grid theta1 x theta^(k-1).
 
     exp(i theta_a . E_t) factors over the axes, so with per-axis tables
     U_j = exp(i theta (x) E[:, j]) (rows x T) and R the row-wise Khatri-Rao
-    product of U_2..U_k, the grid is |(U_1 * c) @ R^T|: one GEMM.
+    product of U_2..U_k, the grid is |(U_1 * c) @ R^T|: one GEMM whose rows
+    run along axis 1 and whose columns run over axes 2..k in C order.
     """
     R = np.ones((1, c.size), dtype=complex)
     for j in range(1, E.shape[1]):
         Uj = np.exp(1j * np.multiply.outer(theta, E[:, j]))
         R = (R[:, None, :] * Uj[None, :, :]).reshape(-1, c.size)
-    U1 = np.exp(1j * np.multiply.outer(theta1, E[:, 0]))
-    return np.abs((U1 * c) @ R.T).reshape((theta1.size,) + (theta.size,) * (E.shape[1] - 1))
+    return np.exp(1j * np.multiply.outer(theta1, E[:, 0])) * c, R
+
+
+def _torus_grid_values(E: np.ndarray, c: np.ndarray, theta1: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """|q| on the tensor grid theta1 x theta^(k-1), shape (len(theta1),) + (m,) * (k-1), in one GEMM."""
+    A, R = _grid_tables(E, c, theta1, theta)
+    return np.abs(A @ R.T).reshape((theta1.size,) + (theta.size,) * (E.shape[1] - 1))
 
 
 def _torus_grid_argmax(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max of |q| on the grid theta^k and its angles, over blocks of axis-1 rows.
+    """Max of |q| on the grid theta^k and its angles, over blocks of the one GEMM.
 
-    Blocks of 16j rows hold memory to ~_GRID_BLOCK_VALUES values and, in
-    OpenBLAS, reproduce the single GEMM's values bit for bit.
+    R is built once; each block is 16i axis-1 rows times a slice of 16j
+    rows of R (grid columns), ~_GRID_BLOCK_VALUES values in all.  In
+    OpenBLAS such a block reproduces the whole GEMM's values
+    (_torus_grid_values) bit for bit, since its columns keep their place in
+    the kernel's column tiles.  A slice that starts off those tiles can
+    differ by an ulp, and so can a block of one row or one column (only
+    for odd m), which goes through GEMV.  Ties go to the first point in
+    C order, as np.argmax over the whole grid would.
     """
-    rows = 16 * max(1, _GRID_BLOCK_VALUES // (16 * theta.size ** (E.shape[1] - 1)))
-    best, arg = -1.0, ()
-    for start in range(0, theta.size, rows):
-        vals = _torus_grid_values(E, c, theta[start : start + rows], theta)
-        i = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[i] > best:
-            best, arg = float(vals[i]), (start + i[0],) + i[1:]
-    return best, theta[np.array(arg)]
+    A, R = _grid_tables(E, c, theta, theta)
+    rows = 16 * max(1, _GRID_BLOCK_VALUES // (16 * len(R)))
+    cols = 16 * max(1, _GRID_BLOCK_VALUES // (16 * rows))
+    best, arg = -1.0, 0
+    for r0 in range(0, len(A), rows):
+        for c0 in range(0, len(R), cols):
+            vals = np.abs(A[r0 : r0 + rows] @ R[c0 : c0 + cols].T)
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            flat = (r0 + i) * len(R) + c0 + j
+            if vals[i, j] > best or (vals[i, j] == best and flat < arg):
+                best, arg = float(vals[i, j]), flat
+    return best, theta[np.array(np.unravel_index(arg, (theta.size,) * E.shape[1]))]
 
 
 def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
@@ -376,11 +429,23 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
             m *= 2
         return best
 
+    # each block keeps its best candidates; consecutive draws from one
+    # generator are the stream of a single (mc_samples, k) draw
     rng = np.random.default_rng(plan.seed)
-    thetas = rng.uniform(0.0, 2.0 * math.pi, size=(plan.mc_samples, k))
-    vals = _torus_values(E, c, thetas)
-    best = float(vals.max())
-    for i in np.argsort(vals)[::-1][: plan.polish_starts]:
+    keep = max(plan.polish_starts, 1)
+    kept_vals, kept_thetas = [], []
+    for start in range(0, plan.mc_samples, _MC_BLOCK):
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(min(_MC_BLOCK, plan.mc_samples - start), k))
+        vals = _torus_values(E, c, thetas)
+        kth = max(vals.size - keep, 0)  # every value tied with or above the keep-th largest
+        top = np.flatnonzero(vals >= np.partition(vals, kth)[kth])
+        top = top[np.argsort(-vals[top], kind="stable")[:keep]]
+        kept_vals.append(vals[top])
+        kept_thetas.append(thetas[top])
+    vals, thetas = np.concatenate(kept_vals), np.concatenate(kept_thetas)
+    order = np.argsort(-vals, kind="stable")
+    best = float(vals[order[0]])
+    for i in order[: plan.polish_starts]:
         best = max(best, _polish_on_torus(E, c, thetas[i]))
     return best
 
@@ -424,7 +489,11 @@ def bohr_gap_report(
 
     Both sides are sampled lower bounds, so the gap measures estimator
     quality, not the identity itself; tolerance is a knob (default 2%).
+    The tolerance and the polydisc plan are checked before either side runs.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {tolerance!r}")
+    polydisc_plan = (polydisc_plan or PolydiscPlan()).validated()
     q = lift(p)
     hp = sup_norm_halfplane(p, 0.0, halfplane_plan or _gap_halfplane_plan(q.variable_count))
     pd = polydisc_sup_estimate(q, polydisc_plan)

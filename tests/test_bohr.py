@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,24 @@ def test_lift_preserves_values_under_prime_substitution(seed):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+# 1 + 2 z1 + 3 z2 + 4 z1^2 + 5 z1 z2 - i z1^3 z3
+HAND_TERMS = {(): 1, (1,): 2, (0, 1): 3, (2,): 4, (1, 1): 5, (3, 0, 1): -1j}
+
+
+def test_evaluate_lifted_takes_zero_to_the_power_zero_as_one():
+    q = LiftedPolynomial({MultiIndex(e): c for e, c in HAND_TERMS.items()}, 3)
+    b = 0.5 + 0.25j
+    assert evaluate_lifted(q, [0, b, 7 - 1j]) == 1 + 3 * b
+    assert evaluate_lifted(q, [0, 0, 0]) == 1
+
+
+def test_evaluate_lifted_off_the_torus_matches_the_hand_expansion():
+    q = LiftedPolynomial({MultiIndex(e): c for e, c in HAND_TERMS.items()}, 3)
+    a, b, d = 1.5 - 0.5j, 0.3 + 2j, -0.2 + 0.7j
+    want = 1 + 2 * a + 3 * b + 4 * a * a + 5 * a * b - 1j * a * a * a * d
+    assert evaluate_lifted(q, [a, b, d]) == pytest.approx(want, rel=1e-14)
+
+
 # --- polydisc sup ------------------------------------------------------------
 
 
@@ -192,8 +212,11 @@ def test_torus_grid_matches_the_explicit_meshgrid(n):
 
 @pytest.mark.parametrize("n", [3, 5, 6])  # k = 2, 3, 3
 def test_blocked_torus_argmax_matches_the_whole_grid(n, monkeypatch):
-    # one value per block forces 16-row blocks: 16, 16 and 8 of 40 rows
-    monkeypatch.setattr(bohr, "_GRID_BLOCK_VALUES", 1)
+    # 256 values per block force 16, 16 and 8 of 40 rows times 16-column
+    # slices of R (16, 16, 8 of 40 at k = 2; 100 of 1600 at k = 3): all real
+    # GEMMs, where a budget of 1 would make one-column blocks, which go
+    # through GEMV and can differ by an ulp
+    monkeypatch.setattr(bohr, "_GRID_BLOCK_VALUES", 256)
     rng = np.random.default_rng(n + 10)
     E, c = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))).exponent_matrix()
     theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
@@ -202,6 +225,37 @@ def test_blocked_torus_argmax_matches_the_whole_grid(n, monkeypatch):
     i = np.unravel_index(np.argmax(full), full.shape)
     assert value == full[i]
     np.testing.assert_array_equal(angles, theta[np.array(i)])
+
+
+@pytest.mark.parametrize("n", [17, 32, 64])  # k = 7, 11, 18; exponents up to 6
+def test_torus_values_match_the_exponential_sum(n):
+    rng = np.random.default_rng(n)
+    E, c = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))).exponent_matrix()
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(500, E.shape[1]))
+    want = np.abs(np.exp(1j * thetas @ E.T) @ c)
+    np.testing.assert_allclose(_torus_values(E, c, thetas), want, rtol=0, atol=1e-13 * np.abs(c).sum())
+
+
+@pytest.mark.parametrize("polish_starts", [0, 16])  # 16 candidates span several 7-row blocks
+def test_monte_carlo_blocks_do_not_change_the_estimate(polish_starts, monkeypatch):
+    q = lift(DirichletPolynomial(np.arange(1.0, 12.0) - 0.3j * np.arange(11.0)))  # k = 5
+    plan = PolydiscPlan(mc_samples=3000, polish_starts=polish_starts, seed=11)
+    whole = polydisc_sup_estimate(q, plan)
+    monkeypatch.setattr(bohr, "_MC_BLOCK", 7)
+    assert polydisc_sup_estimate(q, plan) == whole
+
+
+@pytest.mark.parametrize("n", [17, 5])  # k = 7 (Monte Carlo), k = 3 (tensor grid)
+def test_torus_estimate_memory_is_bounded(n):
+    rng = np.random.default_rng(n)
+    q = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    tracemalloc.start()
+    try:
+        polydisc_sup_estimate(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_torus_polish_reaches_the_aligned_maximum():
@@ -226,6 +280,27 @@ def test_polydisc_zero_polish_starts_keeps_the_best_sample():
     assert polydisc_sup_estimate(q, plan) == _torus_values(E, c, thetas).max()
     with pytest.raises(InvalidInputError):
         polydisc_sup_estimate(q, PolydiscPlan(polish_starts=-1))
+
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"mc_samples": 0}, {"angles": 1}])
+def test_polydisc_plan_rejects_bad_fields(bad):
+    (field,) = bad
+    with pytest.raises(InvalidInputError, match=field):
+        PolydiscPlan(**bad).validated()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tolerance": -1.0}, {"tolerance": float("nan")}, {"tolerance": float("inf")},
+     {"polydisc_plan": PolydiscPlan(seed=-1)}],
+)
+def test_gap_report_rejects_bad_input_before_the_sweep(kwargs, monkeypatch):
+    def no_sweep(*args, **kw):
+        raise AssertionError("the half-plane sweep ran")
+
+    monkeypatch.setattr(bohr, "sup_norm_halfplane", no_sweep)
+    with pytest.raises(InvalidInputError):
+        bohr_gap_report(DirichletPolynomial(np.ones(7, dtype=complex)), **kwargs)
 
 
 def test_polydisc_negative_refinements_rejected():

@@ -171,6 +171,18 @@ class TestBohr:
         src = write(tmp_path / "p.json", TWO_POW)
         assert main(["bohr-check", "--input", src, "--seed", "7"]) == 0
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "-1"], ["--tol", "nan"]])
+    def test_gap_check_bad_flags_exit_2_before_any_sampling(self, tmp_path, capsys, monkeypatch, flags):
+        import dirapprox.bohr as bohr_mod
+
+        def no_sweep(*args, **kw):
+            raise AssertionError("the half-plane sweep ran")
+
+        monkeypatch.setattr(bohr_mod, "sup_norm_halfplane", no_sweep)
+        src = write(tmp_path / "p.json", {"coefficients": [[1, 0]] * 7})
+        assert main(["bohr-check", "--input", src, *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestFitCommands:
     def test_fit_artifact_and_determinism(self, tmp_path):
