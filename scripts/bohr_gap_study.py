@@ -2,10 +2,11 @@
 """Measure the half-plane vs polydisc sup gap as polynomial length grows.
 
 For each length N, draws random unit-scale Dirichlet polynomials, computes
-the half-plane sup estimate and the polydisc sup of the lift, and prints
-the worst relative gap per length.  The two estimates target the same
-number through unrelated discretizations, so the gap is a live error bar
-on both.
+the polydisc sup estimate of the lift and |P(it)| at its Kronecker witness
+t, and prints the worst relative gap per length.  The witness's prime
+phases approximate the best torus point, so the gap measures how well a
+real point of the line Re s = 0 reproduces it; it grows with the number
+of primes.
 """
 
 from __future__ import annotations

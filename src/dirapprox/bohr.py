@@ -4,15 +4,19 @@ Each integer n = p_1^{a_1} ... p_k^{a_k} corresponds to the monomial
 z^a; under z_j = p_j^{-s} a Dirichlet polynomial of degree N becomes a
 polynomial in k = pi(N) variables, and the half-plane sup norm equals
 the sup over the closed unit polydisc.  This module implements the
-dictionary exactly and the norm identity as a pair of sampled
-lower-bound estimators.
+dictionary exactly and checks the norm identity from both sides: a
+sampled and polished estimate of the sup over the torus, and |P| at an
+explicit real point of the line Re s = 0 whose prime phases p^{-it}
+approximate the best torus point (a Kronecker witness, found by lattice
+reduction).  Both are values of |P| or of its lift, so both are lower
+bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .errors import (
     OutOfRangeError,
     ResourceLimitError,
 )
-from .series import DirichletPolynomial, SupNormPlan, sup_norm_halfplane
+from .series import DirichletPolynomial
 
 __all__ = [
     "PrimeTable",
@@ -364,8 +368,8 @@ def _torus_grid_argmax(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple
     return best, theta[np.array(np.unravel_index(arg, (theta.size,) * E.shape[1]))]
 
 
-def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
-    """Local max of |q(e^{i theta})| by damped-Newton (Levenberg) ascent on F = |f|^2.
+def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> tuple[float, np.ndarray]:
+    """Local max of |q(e^{i theta})| and its angles, by damped-Newton (Levenberg) ascent on F = |f|^2.
 
     With a_t = c_t e^{i E_t.theta} and f = sum_t a_t: grad f = i a E,
     d^2 f = -E^T diag(a) E, grad F = 2 Re(conj(f) grad f) and hess F =
@@ -390,7 +394,7 @@ def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> float:
             theta, a, lam = theta + step, a_trial, max(0.1 * lam, 1e-12)
         else:
             lam *= 10.0
-    return float(abs(a.sum()))
+    return float(abs(a.sum())), theta
 
 
 def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None) -> float:
@@ -401,31 +405,36 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
     polished to a local maximum by damped-Newton ascent in the angles.
     Every value returned is |q| at a point of the torus.
     """
-    if plan is None:
-        plan = PolydiscPlan()
-    plan = plan.validated()
+    return _polydisc_best(q, (plan or PolydiscPlan()).validated())[0]
+
+
+def _polydisc_best(q: LiftedPolynomial, plan: PolydiscPlan) -> tuple[float, np.ndarray]:
+    """polydisc_sup_estimate's value and the torus angles where |q| takes it.
+
+    The variable cap is checked before any sampling.
+    """
     k = q.variable_count
     if not q.terms:
-        return 0.0
+        return 0.0, np.zeros(k)
     E, c = q.exponent_matrix()
     if k == 0 or np.all(E == 0):
-        return float(abs(np.sum(c)))
+        return float(abs(np.sum(c))), np.zeros(k)
     if k > plan.max_vars:
         raise ResourceLimitError(
             f"{k} variables exceeds plan cap {plan.max_vars}; raise max_vars knowingly"
         )
 
     if k <= _TENSOR_MAX_VARS:
-        best = 0.0
+        best = (0.0, np.zeros(k))
         m = plan.angles
         prev = -1.0
         for _ in range(plan.max_refinements + 1):
             theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-            value, theta_max = _torus_grid_argmax(E, c, theta)
-            best = max(best, value, _polish_on_torus(E, c, theta_max))
-            if prev >= 0 and abs(best - prev) <= _REFINE_TOL * max(best, 1e-30):
+            grid = _torus_grid_argmax(E, c, theta)
+            best = max(best, grid, _polish_on_torus(E, c, grid[1]), key=lambda vt: vt[0])
+            if prev >= 0 and abs(best[0] - prev) <= _REFINE_TOL * max(best[0], 1e-30):
                 break
-            prev = best
+            prev = best[0]
             m *= 2
         return best
 
@@ -444,10 +453,169 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
         kept_thetas.append(thetas[top])
     vals, thetas = np.concatenate(kept_vals), np.concatenate(kept_thetas)
     order = np.argsort(-vals, kind="stable")
-    best = float(vals[order[0]])
+    best = (float(vals[order[0]]), thetas[order[0]])
     for i in order[: plan.polish_starts]:
-        best = max(best, _polish_on_torus(E, c, thetas[i]))
+        best = max(best, _polish_on_torus(E, c, thetas[i]), key=lambda vt: vt[0])
     return best
+
+
+# ---------------------------------------------------------------------------
+# Kronecker witnesses
+# ---------------------------------------------------------------------------
+
+_WITNESS_DIGITS = 80  # decimal precision of log n, 2 pi and t log n
+_WITNESS_T_DIGITS = 40  # significant digits of the reported t
+_WITNESS_PENALTY = 10**-26  # weight of m_a in the closest-vector problem; |t| grows like its inverse
+_WITNESS_SCALE = 2**128  # the lattice is this scaling of its real basis, rounded to integers
+
+
+def _lll(b: list[list[int]]) -> tuple[list, list[int], list[list[int]]]:
+    """LLL reduction (delta = 0.99) of the independent integer rows b, in exact integers.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Algorithm 2.6.7): Gram-Schmidt is kept as the integers d_i
+    (Gram determinant of rows 1..i) and lam[i][j] = d_j mu_ij, extended
+    one row at a time and updated in place by each reduction and swap.
+    Returns (rows, d, lam), 1-based (index 0 unused), for _babai.
+    """
+    n = len(b)
+    b = [None] + [list(row) for row in b]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    d[1] = _dot(b[1], b[1])
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+        _size_reduce(b[k], lam[k], b, lam, d, k - 1)
+        if 100 * d[k] * d[k - 2] < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(1, k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            mu = lam[k][k - 1]
+            B = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k] * lam[i][k - 1] - mu * t) // d[k - 1]
+                lam[i][k - 1] = (B * t + mu * lam[i][k]) // d[k]
+            d[k - 1] = B
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                _size_reduce(b[k], lam[k], b, lam, d, l)
+            k += 1
+    return b, d, lam
+
+
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _size_reduce(v: list[int], lv: list[int], b: list, lam: list[list[int]], d: list[int], l: int) -> None:
+    """v -= round(mu_vl) b_l in place, with lv = (d_j mu_vj)_j updated to match."""
+    if 2 * abs(lv[l]) > d[l]:
+        q = (2 * lv[l] + d[l]) // (2 * d[l])
+        v[:] = [x - q * y for x, y in zip(v, b[l])]
+        lv[l] -= q * d[l]
+        for i in range(1, l):
+            lv[i] -= q * lam[l][i]
+
+
+def _babai(b: list[list[int]], target: list[int]) -> list[int]:
+    """target minus a lattice vector near it (Babai's nearest plane on the LLL-reduced rows b).
+
+    The target's Gram-Schmidt coefficients come from the same integer
+    recurrence as a new row of _lll; nearest-plane rounding is then size
+    reduction of the target against rows n, ..., 1.
+    """
+    b, d, lam = _lll(b)
+    n = len(b) - 1
+    w = list(target)
+    lw = [0] * (n + 1)
+    for j in range(1, n + 1):
+        u = _dot(w, b[j])
+        for i in range(1, j):
+            u = (d[i] * u - lw[i] * lam[j][i]) // d[i - 1]
+        lw[j] = u
+    for l in range(n, 0, -1):
+        _size_reduce(w, lw, b, lam, d, l)
+    return w
+
+
+def _decimal_pi():
+    """pi as a Decimal at the current precision, by Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
+    from decimal import Decimal
+
+    def atan_inv(x: int) -> Decimal:
+        total = power = Decimal(1) / x
+        n, sign, last = 1, 1, None
+        while total != last:
+            last = total
+            power /= x * x
+            n, sign = n + 2, -sign
+            total += sign * power / n
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _kronecker_witness(coeffs: np.ndarray, primes: Sequence[int], theta: np.ndarray) -> tuple[float, str]:
+    """|P(it)| at a real t whose prime phases p_j^{-it} approximate e^{i theta_j}, and t.
+
+    P(it) equals the lift at z_j = e^{i theta_j} when t log p_j + theta_j
+    = 2 pi m_j for integers m_j.  Eliminating t through the first prime
+    p_a that a nonzero term uses, t = (2 pi m_a - theta_a) / log p_a, and
+    every other used prime needs m_a r_j - m_j ~ -(theta_j - theta_a r_j)
+    / 2 pi with r_j = log p_j / log p_a.  That is a closest-vector problem
+    in the lattice of (penalty * m_a, m_a r_j - m_j), solved by LLL and
+    Babai's nearest plane on the basis scaled by _WITNESS_SCALE; the
+    penalty keeps |m_a|, and so |t|, bounded.  Kronecker's theorem makes
+    the approximation as good as the penalty allows.  Primes that no
+    term uses leave P unchanged and are left out; with at most one used
+    prime no lattice is needed.
+
+    t is rounded to _WITNESS_T_DIGITS significant digits and returned as
+    that exact decimal string; the value is |P| at that t, from the
+    phases t log n mod 2 pi worked out at _WITNESS_DIGITS digits.
+    """
+    from decimal import Decimal, localcontext  # here, not at the top: lift and unlift never need it
+
+    idx = np.flatnonzero(coeffs)
+    ns = [int(i) + 1 for i in idx]
+    used = [j for j, p in enumerate(primes) if any(n % p == 0 for n in ns)]
+    with localcontext() as ctx:
+        ctx.prec = _WITNESS_DIGITS
+        two_pi = 2 * _decimal_pi()
+        t = Decimal(0)
+        if used:
+            log_a = Decimal(primes[used[0]]).ln()
+            turns = [Decimal(float(theta[j])) / two_pi for j in used]
+            m_a = 0
+            if len(used) > 1:
+                S = _WITNESS_SCALE
+                ratios = [Decimal(primes[j]).ln() / log_a for j in used[1:]]
+                penalty = int(_WITNESS_PENALTY * S)
+                basis = [[penalty] + [int((r * S).to_integral_value()) for r in ratios]]
+                basis += [[S if i == j else 0 for i in range(len(used))] for j in range(1, len(used))]
+                target = [0] + [int((-(u - turns[0] * r) * S).to_integral_value()) for u, r in zip(turns[1:], ratios)]
+                m_a = -_babai(basis, target)[0] // penalty
+            t = (m_a - turns[0]) * two_pi / log_a
+        with localcontext() as short:
+            short.prec = _WITNESS_T_DIGITS
+            t = +t
+        phases = []
+        for n in ns:
+            x = t * Decimal(n).ln()
+            phases.append(float(x - (x / two_pi).to_integral_value() * two_pi))
+    return float(abs(np.sum(coeffs[idx] * np.exp(-1j * np.array(phases))))), format(t, "f")
 
 
 # ---------------------------------------------------------------------------
@@ -457,45 +625,44 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
 
 @dataclass(frozen=True)
 class BohrGapReport:
+    """The two sides of the half-plane / polydisc sup identity at Re s = 0.
+
+    halfplane_value: |P(i witness_t)|, at the real point witness_t (an
+    exact decimal string); polydisc_value: the torus estimate.  Both are
+    lower bounds on the common sup.
+    """
+
     halfplane_value: float
     polydisc_value: float
     relative_gap: float
     tolerance: float
+    witness_t: str
 
     @property
     def within_tolerance(self) -> bool:
         return self.relative_gap <= self.tolerance
 
 
-def _gap_halfplane_plan(k: int) -> SupNormPlan:
-    """Sweep length scaled to variable count.
-
-    The boundary line fills the k-torus of prime phases at rate
-    ~T^{1/(k-1)} per coordinate, so high k needs a long sweep to come
-    within a couple of percent of the sup; low k converges fast.
-    """
-    height = {0: 200.0, 1: 200.0, 2: 2e4, 3: 1e5, 4: 2e5, 5: 2e6, 6: 6.5e6, 7: 1.2e7}.get(k, 3.2e7)
-    dt = 0.5 if height <= 2e6 else 1.0
-    return SupNormPlan(height=height, edge_points=int(height / dt) + 1)
-
-
 def bohr_gap_report(
     p: DirichletPolynomial,
     tolerance: float = 0.02,
-    halfplane_plan: SupNormPlan | None = None,
     polydisc_plan: PolydiscPlan | None = None,
 ) -> BohrGapReport:
     """Numerical check of the half-plane / polydisc sup identity.
 
-    Both sides are sampled lower bounds, so the gap measures estimator
-    quality, not the identity itself; tolerance is a knob (default 2%).
-    The tolerance and the polydisc plan are checked before either side runs.
+    The polydisc side is the torus estimate; the half-plane side is |P|
+    at the Kronecker witness of the best torus point, an explicit real
+    point of the line Re s = 0.  Both are lower bounds, so the gap
+    measures how well the witness reproduces the torus point, not the
+    identity itself; tolerance is a knob (default 2%).  The tolerance,
+    the polydisc plan and its variable cap are checked before any
+    sampling.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {tolerance!r}")
     polydisc_plan = (polydisc_plan or PolydiscPlan()).validated()
     q = lift(p)
-    hp = sup_norm_halfplane(p, 0.0, halfplane_plan or _gap_halfplane_plan(q.variable_count))
-    pd = polydisc_sup_estimate(q, polydisc_plan)
+    pd, theta = _polydisc_best(q, polydisc_plan)
+    hp, t = _kronecker_witness(p.coefficients, PrimeTable.up_to(max(p.degree, 1)).primes, theta)
     scale = max(hp, pd, 1e-300)
-    return BohrGapReport(hp, pd, abs(hp - pd) / scale, tolerance)
+    return BohrGapReport(hp, pd, abs(hp - pd) / scale, tolerance, t)

@@ -135,10 +135,19 @@ def _grid_sums(c: np.ndarray, x0, dx, m: int, lo: int = 1) -> np.ndarray:
     product differs from the direct term by the rounding of two exponents,
     a few |x log n| ulps.
     """
-    J = min(m, _GRID_BLOCK)
-    hi = lo + c.size - 1
-    starts = _exp_basis(x0 + J * dx * np.arange(-(-m // J)), lo, hi) * c
-    return (starts @ _exp_basis(dx * np.arange(J), lo, hi).T).ravel()[:m]
+    return _grid_rows(c, x0, dx, m, lo, _inblock_powers(dx, m, lo, lo + c.size - 1))
+
+
+def _inblock_powers(dx, m: int, lo: int, hi: int) -> np.ndarray:
+    """The w x J table n^{-i dx} (i < J = min(m, _GRID_BLOCK)) of _grid_sums."""
+    return _exp_basis(dx * np.arange(min(m, _GRID_BLOCK)), lo, hi).T
+
+
+def _grid_rows(c: np.ndarray, x0, dx, m: int, lo: int, inblock: np.ndarray) -> np.ndarray:
+    """_grid_sums with its in-block table given; only its first min(m, _GRID_BLOCK) columns are used."""
+    J = min(m, inblock.shape[1])
+    starts = _exp_basis(x0 + J * dx * np.arange(-(-m // J)), lo, lo + c.size - 1) * c
+    return (starts @ inblock[:, :J]).ravel()[:m]
 
 
 def evaluate(p: DirichletPolynomial, s: complex) -> complex:
@@ -225,7 +234,8 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     """Max of |P| along Re s = sigma0, t in [0, height].
 
     Each block of 131,072 samples of the uniform t grid is one
-    _grid_sums call in complex128, accurate to a few |t log n| ulps.
+    _grid_sums product in complex128, accurate to a few |t log n| ulps;
+    the in-block table is the same for every block and built once.
     The sampling error is larger: a peak's top can fall between two
     samples, which can rank two close peaks in the wrong order.  So
     each block keeps its highest local maxima (not its highest samples,
@@ -236,12 +246,13 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     dt = height / max(1, m - 1)
 
     block_len = 131_072
+    inblock = _inblock_powers(1j * dt, m, 1, p.degree)
     cand_t: list[np.ndarray] = []
     cand_v: list[np.ndarray] = []
     per_block_keep = 8
     for lo in range(0, m, block_len):
         size = min(block_len, m - lo)
-        vals = np.abs(_grid_sums(p.coefficients, complex(sigma0, lo * dt), 1j * dt, size))
+        vals = np.abs(_grid_rows(p.coefficients, complex(sigma0, lo * dt), 1j * dt, size, 1, inblock))
         peak = np.ones(size, dtype=bool)  # local maxima; each end has one neighbour
         peak[1:] = vals[1:] >= vals[:-1]
         peak[:-1] &= vals[:-1] >= vals[1:]

@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,8 +270,10 @@ def test_torus_polish_reaches_the_aligned_maximum():
     E, c = lift(DirichletPolynomial(a)).exponent_matrix()
     assert E.shape == (6, 6) and not E[:, 5].any()
     for theta0 in rng.uniform(0.0, 2.0 * np.pi, size=(8, 6)):
-        assert bohr._polish_on_torus(E, c, theta0) == pytest.approx(np.abs(c).sum(), rel=1e-14)
-    assert bohr._polish_on_torus(E, 0 * c, np.zeros(6)) == 0.0
+        value, theta = bohr._polish_on_torus(E, c, theta0)
+        assert value == pytest.approx(np.abs(c).sum(), rel=1e-14)
+        assert _torus_values(E, c, theta[None, :])[0] == pytest.approx(value, rel=1e-14)
+    assert bohr._polish_on_torus(E, 0 * c, np.zeros(6))[0] == 0.0
 
 
 def test_polydisc_zero_polish_starts_keeps_the_best_sample():
@@ -289,18 +293,30 @@ def test_polydisc_plan_rejects_bad_fields(bad):
         PolydiscPlan(**bad).validated()
 
 
+def forbid_sampling(monkeypatch):
+    """Make the torus sampling (grid and Monte Carlo) and the witness raise if they run."""
+    def ran(*args, **kw):
+        raise AssertionError("the torus was sampled or a witness was sought")
+
+    for name in ("_torus_values", "_torus_grid_argmax", "_kronecker_witness"):
+        monkeypatch.setattr(bohr, name, ran)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"tolerance": -1.0}, {"tolerance": float("nan")}, {"tolerance": float("inf")},
      {"polydisc_plan": PolydiscPlan(seed=-1)}],
 )
 def test_gap_report_rejects_bad_input_before_the_sweep(kwargs, monkeypatch):
-    def no_sweep(*args, **kw):
-        raise AssertionError("the half-plane sweep ran")
-
-    monkeypatch.setattr(bohr, "sup_norm_halfplane", no_sweep)
+    forbid_sampling(monkeypatch)
     with pytest.raises(InvalidInputError):
         bohr_gap_report(DirichletPolynomial(np.ones(7, dtype=complex)), **kwargs)
+
+
+def test_gap_report_checks_the_variable_cap_before_any_sampling(monkeypatch):
+    forbid_sampling(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="9 variables"):
+        bohr_gap_report(DirichletPolynomial(np.ones(23, dtype=complex)))  # nine primes <= 23
 
 
 def test_polydisc_negative_refinements_rejected():
@@ -325,3 +341,63 @@ def test_norm_identity_small_cases():
         p = DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         rep = bohr_gap_report(p)
         assert rep.relative_gap <= rep.tolerance
+
+
+# --- Kronecker witnesses -----------------------------------------------------
+
+
+def gram_schmidt(rows):
+    """Exact Gram-Schmidt (mu, squared norms) of integer rows, in Fractions."""
+    star, mu = [], []
+    for b in rows:
+        v = [Fraction(x) for x in b]
+        mu.append([])
+        for s in star:
+            m = sum(x * y for x, y in zip(b, s)) / sum(y * y for y in s)
+            mu[-1].append(m)
+            v = [x - m * y for x, y in zip(v, s)]
+        star.append(v)
+    return mu, [sum(x * x for x in s) for s in star]
+
+
+def test_lll_and_babai_meet_their_exact_conditions():
+    # witness-shaped lattices: a penalized row of scaled log ratios over S e_j
+    rng = random.Random(8)
+    S = 2**64
+    for dim in (2, 4, 7):
+        basis = [[int(S * 1e-12)] + [rng.randrange(S) for _ in range(dim - 1)]]
+        basis += [[S if i == j else 0 for i in range(dim)] for j in range(1, dim)]
+        rows = bohr._lll(basis)[0][1:]
+        mu, norms = gram_schmidt(rows)
+        for i in range(dim):
+            assert all(abs(m) <= 0.5 for m in mu[i])  # size-reduced
+            if i:
+                assert norms[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * norms[i - 1]  # Lovasz
+        assert np.prod([float(n) for n in norms]) == pytest.approx(float(S) ** (2 * dim - 2) * int(S * 1e-12) ** 2)
+        target = [rng.randrange(-S, S) for _ in range(dim)]
+        w = bohr._babai(basis, target)
+        mu_w, _ = gram_schmidt(rows + [w])
+        assert all(abs(m) <= 0.5 for m in mu_w[-1])  # nearest plane: w is reduced against every row
+        lattice_vector = [x - y for x, y in zip(target, w)]
+        # in the basis's own coordinates: the first entry fixes m_1, the rest are multiples of S
+        m1, rest = divmod(lattice_vector[0], basis[0][0])
+        assert rest == 0
+        assert all((v - m1 * b) % S == 0 for v, b in zip(lattice_vector[1:], basis[0][1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 11, 13, 17, 19])  # k = 0..8
+def test_witness_value_is_recomputed_from_its_decimal_t(n):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(500 + n)
+    for zeros in (0.0, 0.4):  # some primes go unused; below, 2 goes unused
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a[rng.random(n) < zeros] = 0
+        if zeros and n >= 3:
+            a[1::2] = 0
+        rep = bohr_gap_report(DirichletPolynomial(a))
+        with mpmath.workdps(50):
+            t = mpmath.mpf(rep.witness_t)
+            value = abs(mpmath.fsum(mpmath.mpc(c) * mpmath.expj(-t * mpmath.log(k + 1)) for k, c in enumerate(a)))
+        assert float(value) == pytest.approx(rep.halfplane_value, rel=1e-12, abs=1e-300)
+        assert rep.halfplane_value <= rep.polydisc_value * (1 + 1e-12)
+        assert rep.relative_gap <= 1e-4

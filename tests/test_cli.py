@@ -159,29 +159,64 @@ class TestBohr:
         assert rep["relative_gap"] <= 0.02
 
     def test_gap_check_exit_3_when_tolerance_unreachable(self, tmp_path):
-        # complex phases keep the two sups off the sampling grids, so the
-        # estimates agree to ~1e-6 but never to 1e-14
-        src = write(
-            tmp_path / "p.json",
-            {"coefficients": [[1, 0], [0.8, 0.2], [0.5, -0.4]]},
-        )
+        # with eight primes the witness's real point reproduces the torus
+        # point only to ~1e-3 in each angle, so the two sides agree to
+        # ~1e-7 but never to 1e-14 (with one or two primes they can agree
+        # to the last bit)
+        coeffs = [[1, 0], [0.8, 0.2], [0.5, -0.4]] + [[0.3, 0.1]] * 16  # N = 19
+        src = write(tmp_path / "p.json", {"coefficients": coeffs})
         assert main(["bohr-check", "--input", src, "--tol", "1e-14"]) == 3
 
     def test_gap_check_takes_a_seed(self, tmp_path):
         src = write(tmp_path / "p.json", TWO_POW)
         assert main(["bohr-check", "--input", src, "--seed", "7"]) == 0
 
+    def test_gap_check_reruns_byte_identically_and_the_seed_only_moves_the_torus(self, tmp_path):
+        from dirapprox.bohr import PolydiscPlan, bohr_gap_report
+
+        def run(coeffs, seed, name):
+            src = write(tmp_path / f"{name}.in.json", {"coefficients": coeffs})
+            out = tmp_path / f"{name}.json"
+            assert main(["bohr-check", "--input", src, "--seed", str(seed), "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        grid = [[1, 0], [0.8, 0.2], [0.5, -0.4], [0.2, 0.3], [-0.4, 0.1]]  # k = 3: a tensor grid, no seed
+        assert run(grid, 0, "g0") == run(grid, 0, "g0b") == run(grid, 7, "g7")
+        rep = json.loads(run(grid, 0, "g0"))
+        assert set(rep) == {"halfplane_value", "polydisc_value", "relative_gap", "tolerance",
+                            "within_tolerance", "witness_t"}
+
+        mc = grid + [[0, -0.3], [0.25, 0]]  # k = 4: Monte-Carlo samples drawn from the seed
+        assert run(mc, 7, "m7") == run(mc, 7, "m7b")
+        p = DirichletPolynomial.from_pairs(mc)
+        for seed in (0, 7):
+            rep = json.loads(run(mc, seed, f"m{seed}"))
+            want = bohr_gap_report(p, polydisc_plan=PolydiscPlan(seed=seed))
+            assert (rep["polydisc_value"], rep["halfplane_value"], rep["witness_t"]) == (
+                want.polydisc_value, want.halfplane_value, want.witness_t)
+
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_gap_check_bad_flags_exit_2_before_any_sampling(self, tmp_path, capsys, monkeypatch, flags):
-        import dirapprox.bohr as bohr_mod
-
-        def no_sweep(*args, **kw):
-            raise AssertionError("the half-plane sweep ran")
-
-        monkeypatch.setattr(bohr_mod, "sup_norm_halfplane", no_sweep)
+        forbid_torus_sampling(monkeypatch)
         src = write(tmp_path / "p.json", {"coefficients": [[1, 0]] * 7})
         assert main(["bohr-check", "--input", src, *flags]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_gap_check_over_the_variable_cap_exits_4_before_any_sampling(self, tmp_path, capsys, monkeypatch):
+        forbid_torus_sampling(monkeypatch)
+        src = write(tmp_path / "p.json", {"coefficients": [[1, 0]] * 23})  # nine primes <= 23
+        assert main(["bohr-check", "--input", src]) == 4
+        assert "resource limit:" in capsys.readouterr().err
+
+
+def forbid_torus_sampling(monkeypatch):
+    import dirapprox.bohr as bohr_mod
+
+    def ran(*args, **kw):
+        raise AssertionError("the torus was sampled or a witness was sought")
+
+    for name in ("_torus_values", "_torus_grid_argmax", "_kronecker_witness"):
+        monkeypatch.setattr(bohr_mod, name, ran)
 
 
 class TestFitCommands:
