@@ -266,46 +266,26 @@ def evaluate_lifted(q: LiftedPolynomial, z: Iterable[complex]) -> complex:
 class PolydiscPlan:
     """Torus sampling plan.
 
-    For k <= 3 variables a tensor grid of `angles` per axis, doubled up
-    to max_refinements times until the best value moves by less than
-    0.1 %, with each grid's best point polished; beyond that, mc_samples
-    seeded Monte-Carlo angles with the polish_starts best candidates
-    polished (0: no polish).  Hard cap at max_vars.
-
-    Either way the torus is evaluated in blocks of a few MB, whatever the
-    plan's size: _GRID_BLOCK_VALUES grid values or _MC_BLOCK random points.
-    A random point costs k (cos, sin) pairs, since its prime-power
-    monomials are products of powers of z_j = e^{i theta_j}.  The block
-    sizes change no result: the random stream, the candidates polished
-    and the grid maximum are those of one whole pass (for the grid, up to
-    the GEMV caveat of _torus_grid_argmax).
+    One draw of _SAMPLES (8192) angle vectors from default_rng(seed), at
+    every k, with the polish_starts best samples polished (0: no polish).
+    Hard cap at max_vars.  A sample costs k (cos, sin) pairs, since its
+    prime-power monomials are products of powers of z_j = e^{i theta_j},
+    so the draw takes a few MB whatever the polynomial.
     """
 
-    angles: int = 64
     max_vars: int = 8
-    mc_samples: int = 120_000
     polish_starts: int = 16
-    max_refinements: int = 2
     seed: int = 0
 
     def validated(self) -> "PolydiscPlan":
-        if self.angles < 2:
-            raise InvalidInputError(f"polydisc plan needs angles >= 2, got {self.angles!r}")
-        if self.mc_samples < 1:
-            raise InvalidInputError(f"polydisc plan needs mc_samples >= 1, got {self.mc_samples!r}")
         if self.polish_starts < 0:
             raise InvalidInputError(f"polydisc plan needs polish_starts >= 0, got {self.polish_starts!r}")
-        if self.max_refinements < 0:
-            raise InvalidInputError(f"polydisc plan needs max_refinements >= 0, got {self.max_refinements!r}")
         if self.seed < 0:
             raise InvalidInputError(f"polydisc plan needs seed >= 0, got {self.seed!r}")
         return self
 
 
-_TENSOR_MAX_VARS = 3  # beyond this many variables the torus is sampled at random
-_REFINE_TOL = 1e-3  # relative change that ends the tensor grid's refinement
-_GRID_BLOCK_VALUES = 1 << 18  # grid values per block of the k <= 3 tensor grid
-_MC_BLOCK = 8192  # random torus points drawn and evaluated per block
+_SAMPLES = 8192  # random torus points drawn by one estimate
 _POLISH_STEPS = 50  # Newton-ascent trials per torus polish
 
 
@@ -319,53 +299,6 @@ def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarra
     np.cos(thetas, out=z.real)
     np.sin(thetas, out=z.imag)
     return np.abs(c @ _monomials(E, z))
-
-
-def _grid_tables(E: np.ndarray, c: np.ndarray, theta1: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U_1 * c, R) for the tensor grid theta1 x theta^(k-1).
-
-    exp(i theta_a . E_t) factors over the axes, so with per-axis tables
-    U_j = exp(i theta (x) E[:, j]) (rows x T) and R the row-wise Khatri-Rao
-    product of U_2..U_k, the grid is |(U_1 * c) @ R^T|: one GEMM whose rows
-    run along axis 1 and whose columns run over axes 2..k in C order.
-    """
-    R = np.ones((1, c.size), dtype=complex)
-    for j in range(1, E.shape[1]):
-        Uj = np.exp(1j * np.multiply.outer(theta, E[:, j]))
-        R = (R[:, None, :] * Uj[None, :, :]).reshape(-1, c.size)
-    return np.exp(1j * np.multiply.outer(theta1, E[:, 0])) * c, R
-
-
-def _torus_grid_values(E: np.ndarray, c: np.ndarray, theta1: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """|q| on the tensor grid theta1 x theta^(k-1), shape (len(theta1),) + (m,) * (k-1), in one GEMM."""
-    A, R = _grid_tables(E, c, theta1, theta)
-    return np.abs(A @ R.T).reshape((theta1.size,) + (theta.size,) * (E.shape[1] - 1))
-
-
-def _torus_grid_argmax(E: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max of |q| on the grid theta^k and its angles, over blocks of the one GEMM.
-
-    R is built once; each block is 16i axis-1 rows times a slice of 16j
-    rows of R (grid columns), ~_GRID_BLOCK_VALUES values in all.  In
-    OpenBLAS such a block reproduces the whole GEMM's values
-    (_torus_grid_values) bit for bit, since its columns keep their place in
-    the kernel's column tiles.  A slice that starts off those tiles can
-    differ by an ulp, and so can a block of one row or one column (only
-    for odd m), which goes through GEMV.  Ties go to the first point in
-    C order, as np.argmax over the whole grid would.
-    """
-    A, R = _grid_tables(E, c, theta, theta)
-    rows = 16 * max(1, _GRID_BLOCK_VALUES // (16 * len(R)))
-    cols = 16 * max(1, _GRID_BLOCK_VALUES // (16 * rows))
-    best, arg = -1.0, 0
-    for r0 in range(0, len(A), rows):
-        for c0 in range(0, len(R), cols):
-            vals = np.abs(A[r0 : r0 + rows] @ R[c0 : c0 + cols].T)
-            i, j = np.unravel_index(np.argmax(vals), vals.shape)
-            flat = (r0 + i) * len(R) + c0 + j
-            if vals[i, j] > best or (vals[i, j] == best and flat < arg):
-                best, arg = float(vals[i, j]), flat
-    return best, theta[np.array(np.unravel_index(arg, (theta.size,) * E.shape[1]))]
 
 
 def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> tuple[float, np.ndarray]:
@@ -401,9 +334,11 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
     """Lower-bound estimate of sup over the closed unit polydisc.
 
     Sampling is restricted to the distinguished boundary torus |z_j| = 1
-    (the maximum principle puts the sup there), and the best samples are
-    polished to a local maximum by damped-Newton ascent in the angles.
-    Every value returned is |q| at a point of the torus.
+    (the maximum principle puts the sup there): one seeded draw of 8192
+    angle vectors, whose 16 best (plan.polish_starts) are polished to a
+    local maximum by damped-Newton ascent in the angles.  The seed moves
+    the estimate at every k; for k <= 3 the polished maxima agree to
+    rounding.  Every value returned is |q| at a point of the torus.
     """
     return _polydisc_best(q, (plan or PolydiscPlan()).validated())[0]
 
@@ -424,34 +359,8 @@ def _polydisc_best(q: LiftedPolynomial, plan: PolydiscPlan) -> tuple[float, np.n
             f"{k} variables exceeds plan cap {plan.max_vars}; raise max_vars knowingly"
         )
 
-    if k <= _TENSOR_MAX_VARS:
-        best = (0.0, np.zeros(k))
-        m = plan.angles
-        prev = -1.0
-        for _ in range(plan.max_refinements + 1):
-            theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-            grid = _torus_grid_argmax(E, c, theta)
-            best = max(best, grid, _polish_on_torus(E, c, grid[1]), key=lambda vt: vt[0])
-            if prev >= 0 and abs(best[0] - prev) <= _REFINE_TOL * max(best[0], 1e-30):
-                break
-            prev = best[0]
-            m *= 2
-        return best
-
-    # each block keeps its best candidates; consecutive draws from one
-    # generator are the stream of a single (mc_samples, k) draw
-    rng = np.random.default_rng(plan.seed)
-    keep = max(plan.polish_starts, 1)
-    kept_vals, kept_thetas = [], []
-    for start in range(0, plan.mc_samples, _MC_BLOCK):
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(min(_MC_BLOCK, plan.mc_samples - start), k))
-        vals = _torus_values(E, c, thetas)
-        kth = max(vals.size - keep, 0)  # every value tied with or above the keep-th largest
-        top = np.flatnonzero(vals >= np.partition(vals, kth)[kth])
-        top = top[np.argsort(-vals[top], kind="stable")[:keep]]
-        kept_vals.append(vals[top])
-        kept_thetas.append(thetas[top])
-    vals, thetas = np.concatenate(kept_vals), np.concatenate(kept_thetas)
+    thetas = np.random.default_rng(plan.seed).uniform(0.0, 2.0 * math.pi, size=(_SAMPLES, k))
+    vals = _torus_values(E, c, thetas)
     order = np.argsort(-vals, kind="stable")
     best = (float(vals[order[0]]), thetas[order[0]])
     for i in order[: plan.polish_starts]:

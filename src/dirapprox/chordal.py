@@ -329,8 +329,8 @@ def chordal_convergence_check(
         raise InvalidInputError("ladder must be strictly increasing positive integers")
     if not (math.isfinite(target_eps) and target_eps > 0):
         raise InvalidInputError("target_eps must be positive")
-    if grid_per_unit <= 0 or grid_tol <= 0:
-        raise InvalidInputError("grid parameters must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (grid_per_unit, grid_tol)):
+        raise InvalidInputError("grid parameters must be finite and positive")
     _coefficient_block(rule, 1, 64)  # spot-validate the rule up front
 
     def qualifies(sups: _RegionSups) -> bool:

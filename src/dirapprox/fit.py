@@ -162,6 +162,12 @@ class FitOptions:
     target_error: float | None = None
     allow_right_of_zero: bool = False  # geometry waiver for constrained_fit
 
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise InvalidInputError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
+        if self.target_error is not None and not (math.isfinite(self.target_error) and self.target_error >= 0):
+            raise InvalidInputError(f"target_error must be finite and >= 0, got {self.target_error!r}")
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -490,8 +496,10 @@ def constrained_fit(
     exactly everywhere else.
     """
     opts = options or FitOptions()
-    if eps <= 0 or sigma <= 0:
-        raise InvalidInputError("constrained fit needs eps > 0 and sigma > 0")
+    if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma > 0):
+        raise InvalidInputError(
+            f"constrained fit needs finite eps > 0 and sigma > 0, got eps={eps!r}, sigma={sigma!r}"
+        )
     if degree < f.degree:
         raise InvalidInputError("degree must be at least the degree of f")
     waived = opts.allow_right_of_zero

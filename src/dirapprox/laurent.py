@@ -219,6 +219,8 @@ def laurent_decompose(
     until the reconstruction residual stabilizes; a residual still above
     `residual_tol` sets the warning flag rather than raising.
     """
+    if not (math.isfinite(residual_tol) and residual_tol >= 0):
+        raise InvalidInputError(f"residual_tol must be finite and >= 0, got {residual_tol!r}")
     anchors = [complex(a) for a in np.atleast_1d(np.asarray(anchors, dtype=complex))] if np.size(anchors) else []
 
     probes = dset.all_samples()

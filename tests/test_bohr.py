@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,8 +14,6 @@ from dirapprox.bohr import (
     MultiIndex,
     PolydiscPlan,
     PrimeTable,
-    _torus_grid_argmax,
-    _torus_grid_values,
     _torus_values,
     bohr_gap_report,
     evaluate_lifted,
@@ -186,47 +185,17 @@ def test_polydisc_sup_one_plus_z1():
 
 def test_polydisc_sup_matches_dense_grid_for_small_k():
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        n = int(rng.integers(2, 8))  # k <= 3 for n <= 7
-        p = DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        q = lift(p)
-        fast = polydisc_sup_estimate(q, PolydiscPlan(angles=32, max_refinements=1))
-        dense = polydisc_sup_estimate(q, PolydiscPlan(angles=256, max_refinements=0))
-        assert abs(fast - dense) <= 0.01 * max(fast, dense)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 6])  # k = 1, 2, 3, 3
-def test_torus_grid_matches_the_explicit_meshgrid(n):
-    rng = np.random.default_rng(n)
-    q = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    E, c = q.exponent_matrix()
-    k = E.shape[1]
-    assert np.all(E[0] == 0)  # a_1: the constant term
-    theta = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    grid = np.stack(np.meshgrid(*[theta] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    want = _torus_values(E, c, grid)
-    got = _torus_grid_values(E, c, theta, theta)
-    assert got.shape == (24,) * k
-    np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-12 * np.abs(c).sum())
-    i = np.unravel_index(np.argmax(got), got.shape)
-    np.testing.assert_array_equal(theta[np.array(i)], grid[np.argmax(want)])
-
-
-@pytest.mark.parametrize("n", [3, 5, 6])  # k = 2, 3, 3
-def test_blocked_torus_argmax_matches_the_whole_grid(n, monkeypatch):
-    # 256 values per block force 16, 16 and 8 of 40 rows times 16-column
-    # slices of R (16, 16, 8 of 40 at k = 2; 100 of 1600 at k = 3): all real
-    # GEMMs, where a budget of 1 would make one-column blocks, which go
-    # through GEMV and can differ by an ulp
-    monkeypatch.setattr(bohr, "_GRID_BLOCK_VALUES", 256)
-    rng = np.random.default_rng(n + 10)
-    E, c = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))).exponent_matrix()
-    theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
-    full = _torus_grid_values(E, c, theta, theta)
-    value, angles = _torus_grid_argmax(E, c, theta)
-    i = np.unravel_index(np.argmax(full), full.shape)
-    assert value == full[i]
-    np.testing.assert_array_equal(angles, theta[np.array(i)])
+    for n in (2, 3, 4, 5, 6):  # k = 1, 2, 2, 3, 3
+        q = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        E, c = q.exponent_matrix()
+        k = E.shape[1]
+        theta = np.linspace(0.0, 2.0 * np.pi, 256 if k <= 2 else 96, endpoint=False)
+        rest = np.array(list(itertools.product(theta, repeat=k - 1))).reshape(theta.size ** (k - 1), k - 1)
+        dense = max(  # one axis-1 slice of the grid at a time
+            _torus_values(E, c, np.column_stack([np.full(len(rest), t1), rest])).max() for t1 in theta
+        )
+        v = polydisc_sup_estimate(q)
+        assert dense * (1 - 1e-12) <= v <= np.abs(c).sum() * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n", [17, 32, 64])  # k = 7, 11, 18; exponents up to 6
@@ -238,16 +207,7 @@ def test_torus_values_match_the_exponential_sum(n):
     np.testing.assert_allclose(_torus_values(E, c, thetas), want, rtol=0, atol=1e-13 * np.abs(c).sum())
 
 
-@pytest.mark.parametrize("polish_starts", [0, 16])  # 16 candidates span several 7-row blocks
-def test_monte_carlo_blocks_do_not_change_the_estimate(polish_starts, monkeypatch):
-    q = lift(DirichletPolynomial(np.arange(1.0, 12.0) - 0.3j * np.arange(11.0)))  # k = 5
-    plan = PolydiscPlan(mc_samples=3000, polish_starts=polish_starts, seed=11)
-    whole = polydisc_sup_estimate(q, plan)
-    monkeypatch.setattr(bohr, "_MC_BLOCK", 7)
-    assert polydisc_sup_estimate(q, plan) == whole
-
-
-@pytest.mark.parametrize("n", [17, 5])  # k = 7 (Monte Carlo), k = 3 (tensor grid)
+@pytest.mark.parametrize("n", [17, 5])  # k = 7, 3
 def test_torus_estimate_memory_is_bounded(n):
     rng = np.random.default_rng(n)
     q = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
@@ -276,17 +236,25 @@ def test_torus_polish_reaches_the_aligned_maximum():
     assert bohr._polish_on_torus(E, 0 * c, np.zeros(6))[0] == 0.0
 
 
+def test_polydisc_aligned_maximum_at_every_k():
+    # all-ones: the maximum N sits at theta = 0, which no sample hits exactly,
+    # so the polish has to reach it, for k = 0..8
+    for n in range(1, 23):
+        q = lift(DirichletPolynomial(np.ones(n, dtype=complex)))
+        for seed in (0, 7):
+            assert polydisc_sup_estimate(q, PolydiscPlan(seed=seed)) == pytest.approx(n, rel=1e-14)
+
+
 def test_polydisc_zero_polish_starts_keeps_the_best_sample():
-    q = lift(DirichletPolynomial(np.arange(1.0, 8.0) + 0.5j))  # k = 4: Monte Carlo
-    plan = PolydiscPlan(mc_samples=3000, polish_starts=0, seed=3)
-    thetas = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(3000, 4))
+    q = lift(DirichletPolynomial(np.arange(1.0, 8.0) + 0.5j))  # k = 4
+    thetas = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(8192, 4))
     E, c = q.exponent_matrix()
-    assert polydisc_sup_estimate(q, plan) == _torus_values(E, c, thetas).max()
+    assert polydisc_sup_estimate(q, PolydiscPlan(polish_starts=0, seed=3)) == _torus_values(E, c, thetas).max()
     with pytest.raises(InvalidInputError):
         polydisc_sup_estimate(q, PolydiscPlan(polish_starts=-1))
 
 
-@pytest.mark.parametrize("bad", [{"seed": -1}, {"mc_samples": 0}, {"angles": 1}])
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"polish_starts": -1}])
 def test_polydisc_plan_rejects_bad_fields(bad):
     (field,) = bad
     with pytest.raises(InvalidInputError, match=field):
@@ -294,11 +262,11 @@ def test_polydisc_plan_rejects_bad_fields(bad):
 
 
 def forbid_sampling(monkeypatch):
-    """Make the torus sampling (grid and Monte Carlo) and the witness raise if they run."""
+    """Make the torus sampling and the witness raise if they run."""
     def ran(*args, **kw):
         raise AssertionError("the torus was sampled or a witness was sought")
 
-    for name in ("_torus_values", "_torus_grid_argmax", "_kronecker_witness"):
+    for name in ("_torus_values", "_kronecker_witness"):
         monkeypatch.setattr(bohr, name, ran)
 
 
@@ -319,18 +287,12 @@ def test_gap_report_checks_the_variable_cap_before_any_sampling(monkeypatch):
         bohr_gap_report(DirichletPolynomial(np.ones(23, dtype=complex)))  # nine primes <= 23
 
 
-def test_polydisc_negative_refinements_rejected():
-    # with no grid pass at all, the tensor branch used to return 0.0 here
-    with pytest.raises(InvalidInputError):
-        polydisc_sup_estimate(lift(poly(1, 1, 1)), PolydiscPlan(max_refinements=-1))
-
-
 def test_polydisc_variable_cap():
     p = DirichletPolynomial(np.ones(23, dtype=complex))  # nine primes <= 23
     with pytest.raises(ResourceLimitError):
         polydisc_sup_estimate(lift(p))
     # raising the cap makes the same call legal
-    v = polydisc_sup_estimate(lift(p), PolydiscPlan(max_vars=9, mc_samples=2000, polish_starts=2))
+    v = polydisc_sup_estimate(lift(p), PolydiscPlan(max_vars=9, polish_starts=2))
     assert v > 0
 
 

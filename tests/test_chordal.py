@@ -345,6 +345,11 @@ class TestZetaChordalCheck:
             zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, grid_per_unit=0)
         with pytest.raises(InvalidInputError):
             zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, grid_tol=-1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, grid_per_unit=bad)
+            with pytest.raises(InvalidInputError):
+                zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, grid_tol=bad)
 
     def test_search_cap_reached_reports_failure(self):
         report = zeta_chordal_convergence_check(

@@ -27,6 +27,11 @@ DISC_EXP = {
     "target": {"kind": "named", "name": "exp"},
 }
 ANNULUS = {"kind": "annulus", "center": [0, 0], "r_inner": 1, "r_outer": 2}
+BUDGET_FIT = {  # fit-constrained input: a constant target on a left-half-plane rectangle
+    "set": {"kind": "rectangle", "corner_lo": [-2, -1], "corner_hi": [-0.5, 1]},
+    "target": {"kind": "named", "name": "constant", "constant": [1, 0]},
+    "base": [[0, 0], [1, 0]],
+}
 
 
 class TestEval:
@@ -180,20 +185,17 @@ class TestBohr:
             assert main(["bohr-check", "--input", src, "--seed", str(seed), "--output", str(out)]) == 0
             return out.read_bytes()
 
-        grid = [[1, 0], [0.8, 0.2], [0.5, -0.4], [0.2, 0.3], [-0.4, 0.1]]  # k = 3: a tensor grid, no seed
-        assert run(grid, 0, "g0") == run(grid, 0, "g0b") == run(grid, 7, "g7")
-        rep = json.loads(run(grid, 0, "g0"))
-        assert set(rep) == {"halfplane_value", "polydisc_value", "relative_gap", "tolerance",
-                            "within_tolerance", "witness_t"}
-
-        mc = grid + [[0, -0.3], [0.25, 0]]  # k = 4: Monte-Carlo samples drawn from the seed
-        assert run(mc, 7, "m7") == run(mc, 7, "m7b")
-        p = DirichletPolynomial.from_pairs(mc)
-        for seed in (0, 7):
-            rep = json.loads(run(mc, seed, f"m{seed}"))
-            want = bohr_gap_report(p, polydisc_plan=PolydiscPlan(seed=seed))
-            assert (rep["polydisc_value"], rep["halfplane_value"], rep["witness_t"]) == (
-                want.polydisc_value, want.halfplane_value, want.witness_t)
+        k3 = [[1, 0], [0.8, 0.2], [0.5, -0.4], [0.2, 0.3], [-0.4, 0.1]]
+        for coeffs in (k3, k3 + [[0, -0.3], [0.25, 0]]):  # k = 3, 4
+            p = DirichletPolynomial.from_pairs(coeffs)
+            assert run(coeffs, 7, "a") == run(coeffs, 7, "b")
+            for seed in (0, 7):
+                rep = json.loads(run(coeffs, seed, f"s{seed}"))
+                assert set(rep) == {"halfplane_value", "polydisc_value", "relative_gap", "tolerance",
+                                    "within_tolerance", "witness_t"}
+                want = bohr_gap_report(p, polydisc_plan=PolydiscPlan(seed=seed))
+                assert (rep["polydisc_value"], rep["halfplane_value"], rep["witness_t"]) == (
+                    want.polydisc_value, want.halfplane_value, want.witness_t)
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_gap_check_bad_flags_exit_2_before_any_sampling(self, tmp_path, capsys, monkeypatch, flags):
@@ -215,7 +217,7 @@ def forbid_torus_sampling(monkeypatch):
     def ran(*args, **kw):
         raise AssertionError("the torus was sampled or a witness was sought")
 
-    for name in ("_torus_values", "_torus_grid_argmax", "_kronecker_witness"):
+    for name in ("_torus_values", "_kronecker_witness"):
         monkeypatch.setattr(bohr_mod, name, ran)
 
 
@@ -498,6 +500,29 @@ class TestExitCodes:
     def test_non_finite_density_is_invalid_input(self, tmp_path, capsys, density):
         src = write(tmp_path / "in.json", DISC_EXP)
         assert main(["fit", "--input", src, "--degree", "3", "--density", density]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["fit-constrained", "--degree", "6", "--sigma", "nan", "--eps", "0.5"], BUDGET_FIT),
+        (["fit-constrained", "--degree", "6", "--sigma", "inf", "--eps", "0.5"], BUDGET_FIT),
+        (["fit-constrained", "--degree", "6", "--sigma", "1", "--eps", "nan"], BUDGET_FIT),
+        (["fit-constrained", "--degree", "6", "--sigma", "1", "--eps", "inf"], BUDGET_FIT),
+        (["fit", "--degree", "3", "--tol", "nan"], DISC_EXP),
+        (["convergence-study", "--tol", "nan"], {**DISC_EXP, "degrees": [2, 4]}),
+        (["chordal-check", "--eps", "0.1", "--density", "nan"], {"interval": [2, 3], "ladder": [10]}),
+        (["chordal-check", "--eps", "0.1", "--tol", "nan"], {"interval": [2, 3], "ladder": [10]}),
+        (["laurent", "--tol", "nan"], {"set": ANNULUS, "function": {"kind": "named", "name": "identity"},
+                                       "anchors": [[0, 0]]}),
+    ])
+    def test_non_finite_numeric_flags_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch, argv, doc):
+        def solved(*args, **kw):
+            raise AssertionError("a solve started")
+
+        for target in ("dirapprox.fit._lawson", "dirapprox.laurent._build_pieces",
+                       "dirapprox.chordal._coefficient_block"):
+            monkeypatch.setattr(target, solved)
+        src = write(tmp_path / "in.json", doc)
+        assert main([*argv, "--input", src, "--output", str(tmp_path / "out.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unwritable_output_is_invalid_input(self, tmp_path):

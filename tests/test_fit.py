@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -403,3 +404,17 @@ def test_invalid_parameters_rejected():
         constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.0, 4)
     with pytest.raises(InvalidInputError):
         constrained_fit(BOX, TargetFunction.const(1), poly(1, 2, 3), 1.0, 0.5, 2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            constrained_fit(BOX, TargetFunction.const(1), poly(1), bad, 0.5, 4)
+        with pytest.raises(InvalidInputError):
+            constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, bad, 4)
+
+
+@pytest.mark.parametrize("bad", [{"target_error": math.nan}, {"target_error": math.inf},
+                                 {"target_error": -1.0}, {"max_iterations": -1}])
+def test_fit_options_rejects_bad_fields(bad):
+    (field,) = bad
+    with pytest.raises(InvalidInputError, match=field):
+        FitOptions(**bad)
+    assert FitOptions(target_error=0.0, max_iterations=0).max_iterations == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dirapprox import laurent as laurent_mod
 from dirapprox.errors import InvalidAnchorError, InvalidInputError, PoleError
 from dirapprox.geometry import annulus, disc, discretize, union_of_disjoint
 from dirapprox.laurent import (
@@ -118,6 +119,16 @@ def test_anchor_outside_hole_rejected(ring):
 def test_anchor_on_hole_boundary_rejected(ring):
     with pytest.raises(InvalidAnchorError):
         laurent_decompose(ring, lambda s: 1 / s, [1.0])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_bad_residual_tol_rejected_before_any_quadrature(ring, tol, monkeypatch):
+    def built(*args, **kw):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(laurent_mod, "_build_pieces", built)
+    with pytest.raises(InvalidInputError):
+        laurent_decompose(ring, lambda s: 1 / s, [0.0], residual_tol=tol)
 
 
 def test_anchor_count_must_match_holes(ring):
