@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Trace how zeta partial sums converge chordally on a sigma interval.
 
-Prints the ladder of sup chordal errors, the certified first qualifying
+Prints the ladder of sampled sup chordal errors, the first qualifying
 truncation N0, and optionally writes the ladder as CSV.  Left of the
 divergence abscissa the partial sums run off to the point at infinity,
 which is exactly where the limit lives — so the chordal error still

@@ -10,6 +10,7 @@ right of the divergence abscissa and the infinity tag at or left of it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -262,6 +263,11 @@ class _PartialSums:
                 self.values += _grid_sums(a, *self.grid, lo=self.upto + 1)
             self.upto = hi
 
+    def copy(self) -> "_PartialSums":
+        twin = copy.copy(self)
+        twin.values = self.values.copy()
+        return twin
+
 
 @dataclass
 class _RegionSups:
@@ -311,13 +317,18 @@ def chordal_convergence_check(
     The limit is `limit(sigma)` right of the divergence abscissa and the
     infinity tag at or left of it.  The sigma grid starts at grid_per_unit
     points per unit and doubles, at most _MAX_GRID_DOUBLINGS times, until
-    the ladder's sup column moves less than grid_tol.  If no ladder entry
-    reaches target_eps, the search continues past the ladder on geometric
-    checkpoints and then scans the bracketing block index by index, so
-    the reported n0 is the smallest qualifying index.  Inside an optional
-    band the qualification tolerance is widened to _BAND_FACTOR *
-    target_eps (the limit is steepest there); the reported error column is
-    always the plain sup.
+    the ladder's sup column moves less than grid_tol.  Every error is a
+    sampled sup over that grid, so it bounds the sup over the interval
+    from below; nothing here is certified.  If no ladder entry reaches
+    target_eps, the search continues past the ladder on geometric (x1.08)
+    checkpoints and bisects the bracket of the first qualifying one.  The
+    coefficients are non-negative, so every region sup is non-increasing
+    in N and the reported n0 is the smallest qualifying index: n0
+    qualifies on the grid and n0 - 1 does not, hence (up to rounding) no
+    smaller index meets the target on the whole interval either.  Inside
+    an optional band the qualification tolerance is widened to
+    _BAND_FACTOR * target_eps (the limit is steepest there); the reported
+    error column is always the plain sup.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -374,26 +385,26 @@ def chordal_convergence_check(
             n0, n0_error, n0_source = n, sups.plain, "ladder"
             break
     if n0 is None:
-        # geometric checkpoints past the ladder, then an exact scan of the
-        # bracketing block so the reported index is minimal
+        # geometric checkpoints past the ladder, then a bisection of the
+        # first qualifying bracket (below.upto, n0]; a_n >= 0 makes every
+        # region sup non-increasing in N
         n_prev = ladder[-1]
         while n_prev < search_cap:
             n_next = min(search_cap, max(n_prev + 1, int(n_prev * 1.08)))
-            checkpoint = sums.values.copy()
+            below = sums.copy()
             sums.extend(n_next)
             searched_to = n_next
             sups = _region_sups(sums.values, finite_mask, limit_vals, band_mask)
             if qualifies(sups):
-                scan = _PartialSums(lo, step, npts, rule)
-                scan.values, scan.upto = checkpoint, n_prev
-                for n in range(n_prev + 1, n_next + 1):
-                    scan.extend(n)
-                    scan_sups = _region_sups(scan.values, finite_mask, limit_vals, band_mask)
-                    if qualifies(scan_sups):
-                        n0, n0_error, n0_source = n, scan_sups.plain, "search"
-                        break
-                if n0 is None:  # summation-order ties: keep the qualified checkpoint
-                    n0, n0_error, n0_source = n_next, sups.plain, "search"
+                n0, n0_error, n0_source = n_next, sups.plain, "search"
+                while n0 - below.upto > 1:
+                    trial = below.copy()
+                    trial.extend((below.upto + n0) // 2)
+                    trial_sups = _region_sups(trial.values, finite_mask, limit_vals, band_mask)
+                    if qualifies(trial_sups):
+                        n0, n0_error = trial.upto, trial_sups.plain
+                    else:
+                        below = trial
                 break
             n_prev = n_next
 

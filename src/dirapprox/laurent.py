@@ -71,16 +71,15 @@ def _cauchy_transform(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray
     for start in range(0, targets.size, _EVAL_CHUNK):
         t = targets[start : start + _EVAL_CHUNK]
         diff = nodes[None, :] - t[:, None]
-        hit_rows, hit_cols = np.nonzero(diff == 0)
-        diff[hit_rows, hit_cols] = 1.0  # rows overwritten with the datum below
-        inv = 1.0 / diff
-        if hit_rows.size:
-            inv[hit_rows, :] = 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
+            inv = np.divide(1.0, diff, out=diff)  # a node hit poisons its row
             num = inv @ wv
             den = inv @ weights
             block = np.where(np.abs(den) >= math.pi, num / den, num / (2j * math.pi))
-        block[hit_rows] = values[hit_cols]
+        for row in np.flatnonzero(~np.isfinite(block)):
+            hits = np.flatnonzero(nodes == t[row])
+            if hits.size:  # the last equal node, as on a seam repeated at 0 and m
+                block[row] = values[hits[-1]]
         out[start : start + _EVAL_CHUNK] = block
     return out
 

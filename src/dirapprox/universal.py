@@ -386,8 +386,8 @@ def verify_schedule(
 
     Returns a JSON-ready dict with a top-level "pass" boolean.
     """
-    if tol_factor <= 0:
-        raise InvalidInputError("tol_factor must be positive")
+    if not (math.isfinite(tol_factor) and tol_factor > 0):
+        raise InvalidInputError("tol_factor must be finite and positive")
     if len(sched.cuts) > len(targets.entries):
         raise InvalidInputError(
             f"schedule has {len(sched.cuts)} cuts but the family has "

@@ -436,3 +436,99 @@ class TestGenericRuleCheck:
             grid_per_unit=200.0,
         )
         assert report.band is None
+
+
+# ---------------------------------------------------------------------------
+# the search past the ladder
+# ---------------------------------------------------------------------------
+
+
+def _checkpoints(start: int, stop: int) -> list[int]:
+    """The search's geometric checkpoints from `start` to the first one >= stop."""
+    out = [start]
+    while out[-1] < stop:
+        out.append(max(out[-1] + 1, int(out[-1] * 1.08)))
+    return out
+
+
+def _longhand_measure(rule, abscissa, limit, grid, n_max, band):
+    """q(N), N = 1..n_max, from cumulative sums: N qualifies iff q(N) <= eps."""
+    ns = np.arange(1, n_max + 1, dtype=float)
+    sums = np.cumsum(rule(ns)[None, :] * np.exp(-np.outer(grid, np.log(ns))), axis=1)
+    fin = grid > abscissa
+    lim = limit(grid[fin])[:, None]
+    f = sums[fin]
+    fin_err = np.abs(f - lim) / (np.hypot(1.0, f) * np.hypot(1.0, lim))
+    inf_err = 1.0 / np.hypot(1.0, sums[~fin])
+    if band is None:
+        return np.vstack([inf_err, fin_err]).max(axis=0)
+    in_band = (grid[fin] > band[0]) & (grid[fin] <= band[1])
+    core = np.vstack([inf_err, fin_err[~in_band]]).max(axis=0)
+    return np.maximum(core, fin_err[in_band].max(axis=0) / 2.0)  # the band's factor 2
+
+
+_INV = (lambda ns: 1.0 / ns, 0.0, lambda s: zeta_values(s + 1.0))
+_SEARCH_CASES = {
+    # the zeta band; the pole point sigma = 1 sets the sup
+    "zeta-band": ((lambda ns: np.ones_like(ns), 1.0, zeta_values), (-2.0, 2.0), (1.0, 1.05), 25.0),
+    # convergent everywhere, no band: the left endpoint sets the sup
+    "inverse-plain": (_INV, (0.5, 1.5), None, 20.0),
+    # a band over the steep left end, wide enough that it binds
+    "inverse-band": (_INV, (0.5, 1.5), (0.4, 0.7), 20.0),
+}
+
+
+class TestSearchPastTheLadder:
+    @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
+    def test_n0_matches_a_longhand_sequential_reference(self, case):
+        (rule, abscissa, limit), interval, band, density = _SEARCH_CASES[case]
+        ladder = (10, 100)
+
+        def check(eps):
+            return chordal_convergence_check(rule, abscissa, limit, interval, ladder, eps,
+                                             grid_per_unit=density, band=band)
+
+        grid = np.linspace(*interval, check(0.5).grid_points)
+        q = _longhand_measure(rule, abscissa, limit, grid, 2000, band)
+        assert np.all(np.diff(q) < 0)  # strictly decreasing: no ties to break
+        cps = _checkpoints(ladder[-1], 1000)
+        a, b = cps[-3], cps[-2]  # a bracket (a, b] well past the ladder
+        epsilons = {
+            "bracket start": math.sqrt(q[a - 1] * q[a]),  # n0 = a + 1
+            "checkpoint": math.sqrt(q[b - 2] * q[b - 1]),  # n0 = b
+            "interior": math.sqrt(q[a + 2] * q[a + 3]),  # n0 = a + 4
+            "earlier": 0.5 * (q[cps[3] + 5] + q[cps[3] + 6]),  # n0 = cps[3] + 7
+        }
+        found = {}
+        for label, eps in epsilons.items():
+            report = check(eps)
+            reference = int(np.argmax(q <= eps)) + 1
+            assert report.n0 == reference, label
+            assert report.n0_source == "search"
+            assert q[report.n0 - 1] <= eps < q[report.n0 - 2]  # n0 - 1 does not qualify
+            assert report.n0_error <= report.errors[-1]
+            found[label] = report.n0
+        assert found["bracket start"] == a + 1 and found["checkpoint"] == b
+
+    def test_bisection_bounds_the_region_sup_passes(self, monkeypatch):
+        from dirapprox import chordal
+
+        calls = []
+        real = chordal._region_sups
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(chordal, "_region_sups", counted)
+        ladder, density = (10, 100), 25.0
+        report = zeta_chordal_convergence_check((-2.0, 2.0), ladder, 0.13, grid_per_unit=density)
+        assert report.n0 == _harmonic_threshold(0.13)
+        levels = round(math.log2(report.grid_per_unit / density)) + 1
+        cps = _checkpoints(ladder[-1], report.searched_to)
+        assert cps[-1] == report.searched_to
+        bracket = cps[-1] - cps[-2]
+        budget = (len(cps) - 1) + math.ceil(math.log2(bracket)) + 1
+        assert len(calls) - levels * len(ladder) <= budget
+        # a rescan of the bracket index by index would need more passes
+        assert report.n0 - cps[-2] > math.ceil(math.log2(bracket)) + 1

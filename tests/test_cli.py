@@ -358,6 +358,18 @@ UNIVERSAL_FAMILY = {
     ]
 }
 
+# a one-stage schedule for UNIVERSAL_FAMILY, as universal-build writes it
+ZERO_SCHEDULE = {
+    "schedule": {
+        "coefficients": [[0.0, 0.0]],
+        "cuts": [1],
+        "records": [{"label": "zero", "compact_index": 1, "tol": 0.1, "sigma": 0.5,
+                     "budget": 0.25, "cut": 1, "block_length": 1, "sup_error": 0.0,
+                     "block_seminorm": 0.0, "ladder": [], "converged": True}],
+    },
+    "family": UNIVERSAL_FAMILY["family"],
+}
+
 
 class TestUniversalCommands:
     def test_build_then_verify_round_trip(self, tmp_path):
@@ -513,13 +525,15 @@ class TestExitCodes:
         (["chordal-check", "--eps", "0.1", "--tol", "nan"], {"interval": [2, 3], "ladder": [10]}),
         (["laurent", "--tol", "nan"], {"set": ANNULUS, "function": {"kind": "named", "name": "identity"},
                                        "anchors": [[0, 0]]}),
+        (["universal-verify", "--tol", "nan"], ZERO_SCHEDULE),
+        (["universal-verify", "--tol", "inf"], ZERO_SCHEDULE),
     ])
     def test_non_finite_numeric_flags_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch, argv, doc):
         def solved(*args, **kw):
             raise AssertionError("a solve started")
 
         for target in ("dirapprox.fit._lawson", "dirapprox.laurent._build_pieces",
-                       "dirapprox.chordal._coefficient_block"):
+                       "dirapprox.chordal._coefficient_block", "dirapprox.universal.discretize"):
             monkeypatch.setattr(target, solved)
         src = write(tmp_path / "in.json", doc)
         assert main([*argv, "--input", src, "--output", str(tmp_path / "out.json")]) == 2

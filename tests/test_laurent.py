@@ -76,6 +76,22 @@ def test_hole_pieces_vanish_at_infinity(ring):
     assert abs(far) <= 1e-4
 
 
+def test_piece_at_its_own_nodes_returns_the_stored_datum(ring):
+    # the circle repeats its seam node at index 0 and m; the hit takes the
+    # datum of the last equal node there
+    piece = laurent_decompose(ring, lambda s: s + 1 / s, [0.0]).outer[0]
+    nodes = piece.contour.points
+    assert nodes[0] == nodes[-1] and piece.values[0] != piece.values[-1]
+    expected = piece.values.copy()
+    expected[0] = piece.values[-1]
+    got = evaluate_piece(piece, nodes)
+    assert np.array_equal(got, expected)
+    # hits mixed with ordinary targets in one chunk leave the others finite
+    mixed = evaluate_piece(piece, np.concatenate([nodes[5:9], ring_points(4)]))
+    assert np.array_equal(mixed[:4], piece.values[5:9])
+    assert np.all(np.isfinite(mixed))
+
+
 def test_nearby_singularity_forces_doubling(ring):
     # pole just beyond the outer circle: 512 nodes are not enough
     pieces = laurent_decompose(ring, lambda s: 1 / (s - 2.05) + 1 / s, [0.0])

@@ -184,7 +184,7 @@ def test_seminorm_dominates_on_halfplane(coeffs, sigma, depth, t):
 
 # --- sup norm ---------------------------------------------------------------
 
-@pytest.mark.parametrize("width", [1, 12])  # width 1: the n0 index scan's one-column calls
+@pytest.mark.parametrize("width", [1, 12])  # width 1: a one-index extend, as when the n0 bisection closes
 @pytest.mark.parametrize("x0, dx", [(-0.5, 1e-4), (0.25 - 1j, 1e-5 + 5e-5j)])
 def test_grid_sums_matches_direct_basis_rows(x0, dx, width):
     rng = np.random.default_rng(width)

@@ -219,6 +219,19 @@ def test_verify_rejects_misaligned_inputs():
         verify_schedule(sched, relabeled)
 
 
+@pytest.mark.parametrize("tol_factor", [0.0, -1.0, math.nan, math.inf])
+def test_verify_rejects_bad_tol_factor_before_any_check(tol_factor, monkeypatch):
+    fam = TargetFamily((FamilyEntry(TargetFunction.const(0.0), 1, 0.1),))
+    sched = build_universal(fam)
+
+    def checked(*args, **kw):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr("dirapprox.universal.discretize", checked)
+    with pytest.raises(InvalidInputError):
+        verify_schedule(sched, fam, tol_factor=tol_factor)
+
+
 def test_derivative_targets_checked_exactly():
     g = lambda s: 0.3 * 2.0 ** (-s)
     dg = lambda s: -0.3 * LN2 * 2.0 ** (-s)
