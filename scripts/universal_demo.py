@@ -7,7 +7,8 @@ flat family (0, 1, s): under the default cap 4^{-m} the constant-1 stage
 is infeasible — low-frequency mass on the unit rectangle cannot come from
 indices n >= 2 that cheaply — so the build halts with a failure record.
 A loosened --budget lets that stage through; the identity stage then hits
-its own support-driven floor, showing the cap is not the only obstacle.
+the floor of blocks that start past the cut, showing the cap is not the
+only obstacle.  --block-steps shortens the block ladder of every run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dirapprox import (
 )
 
 
-def show(title: str, fam: TargetFamily, options=None) -> None:
+def show(title: str, fam: TargetFamily, options: UniversalOptions) -> None:
     print(f"== {title} ==")
     sched = build_universal(fam, options)
     for rec in sched.records:
@@ -45,7 +46,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budget", type=float, default=10.0,
                     help="loosened per-block seminorm cap for the flat family rerun")
+    ap.add_argument("--block-steps", type=int, nargs="+",
+                    default=list(UniversalOptions().block_steps),
+                    help="block lengths each stage tries, ascending (default: %(default)s)")
     args = ap.parse_args()
+    steps = tuple(args.block_steps)
 
     chained = TargetFamily((
         FamilyEntry(TargetFunction.const(0.0), 1, 0.1, label="zero"),
@@ -53,16 +58,16 @@ def main() -> int:
         FamilyEntry(lambda s: 0.3 * 2.0 ** (-s) + 0.25 * 3.0 ** (-s), 1,
                     1e-6, label="three-term"),
     ))
-    show("chained family, default caps", chained)
+    show("chained family, default caps", chained, UniversalOptions(block_steps=steps))
 
     flat = TargetFamily((
         FamilyEntry(TargetFunction.const(0.0), 1, 0.1, label="zero"),
         FamilyEntry(TargetFunction.const(1.0), 1, 0.1, label="one"),
         FamilyEntry(TargetFunction.identity(), 1, 0.1, label="s"),
     ))
-    show("flat family (0, 1, s), default caps", flat)
+    show("flat family (0, 1, s), default caps", flat, UniversalOptions(block_steps=steps))
     show(f"flat family, cap loosened to {args.budget:g}", flat,
-         UniversalOptions(budget=args.budget))
+         UniversalOptions(budget=args.budget, block_steps=steps))
     return 0
 
 

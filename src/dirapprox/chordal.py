@@ -323,7 +323,7 @@ def chordal_convergence_check(
     target_eps, the search continues past the ladder on geometric (x1.08)
     checkpoints and bisects the bracket of the first qualifying one.  The
     coefficients are non-negative, so every region sup is non-increasing
-    in N and the reported n0 is the smallest qualifying index: n0
+    in N and a searched n0 is the smallest qualifying index: n0
     qualifies on the grid and n0 - 1 does not, hence (up to rounding) no
     smaller index meets the target on the whole interval either.  Inside
     an optional band the qualification tolerance is widened to

@@ -137,11 +137,16 @@ def _require(d: dict, key: str):
 
 
 def _number(raw, what: str, kind=float):
-    """kind(raw) for a JSON number; anything else is invalid input."""
-    try:
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} must be a number: {exc}") from exc
+    """kind(raw) for a JSON number; anything else is invalid input.
+
+    Booleans are not numbers here, and kind=int takes integral values only,
+    where int() would truncate 1.7 to 1.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise InvalidInputError(f"{what} must be a number, got {raw!r}")
+    if kind is int and not (isinstance(raw, numbers.Integral) or float(raw).is_integer()):
+        raise InvalidInputError(f"{what} must be an integer, got {raw!r}")
+    return kind(raw)
 
 
 def _numbers(raw, what: str, kind=int) -> list:

@@ -308,7 +308,6 @@ def minimax_fit_samples(
     values: np.ndarray,
     degree: int,
     options: FitOptions | None = None,
-    support: np.ndarray | None = None,
 ) -> FitResult:
     """minimax_fit on a bare point cloud with precomputed target values.
 
@@ -328,23 +327,10 @@ def minimax_fit_samples(
         raise InvalidInputError("target is not finite on all samples")
 
     with np.errstate(over="ignore"):  # overflow checked by the solver
-        A_full = _exp_basis(points, 1, degree)
-    if support is not None:
-        support = np.asarray(support, dtype=bool)
-        if support.shape != (degree,):
-            raise InvalidInputError("support mask must have one entry per coefficient")
-        if not support.any():
-            raise InvalidInputError("support mask excludes every coefficient")
-    A = A_full if support is None else A_full[:, support]
-
+        A = _exp_basis(points, 1, degree)
     c, err, bound, iters, rank, settled = _lawson(A, gvals, opts, stop_at=opts.target_error)
-    coeffs = np.zeros(degree, dtype=complex)
-    if support is not None:
-        coeffs[support] = c
-    else:
-        coeffs = c
     return FitResult(
-        polynomial=DirichletPolynomial(coeffs),
+        polynomial=DirichletPolynomial(c),
         minimax_error=err,
         lower_bound=bound,
         constraint_value=None,
@@ -355,7 +341,6 @@ def minimax_fit_samples(
             "column_normalized": True,
             "rank": rank,
             "samples": int(points.size),
-            "support": "all" if support is None else f"{int(support.sum())} of {degree}",
         },
     )
 
@@ -365,17 +350,13 @@ def minimax_fit(
     g,
     degree: int,
     options: FitOptions | None = None,
-    support: np.ndarray | None = None,
 ) -> FitResult:
-    """Best sampled-sup fit of a degree-`degree` Dirichlet polynomial to g.
-
-    `support`, if given, is a boolean mask over coefficient indices
-    1..degree restricting which basis elements may be used.
-    """
+    """Best sampled-sup fit of a degree-`degree` Dirichlet polynomial to g,
+    over every coefficient a_1..a_degree."""
     points = dset.all_samples()
     if points.size == 0:
         raise InvalidInputError("discretized set has no samples")
-    return minimax_fit_samples(points, _target_values(g, points), degree, options, support)
+    return minimax_fit_samples(points, _target_values(g, points), degree, options)
 
 
 # ---------------------------------------------------------------------------
@@ -478,22 +459,20 @@ def constrained_fit(
     eps: float,
     degree: int,
     options: FitOptions | None = None,
-    support: np.ndarray | None = None,
+    *,
+    lo: int = 1,
 ) -> FitResult:
     """min sampled-sup |h - g| over h subject to ||h - f||_sigma <= eps.
 
-    Strategy: write h = f + d and fit the deviation d.  When the
+    Strategy: write h = f + d and fit the deviation d on the free block of
+    indices lo..degree; f is reproduced exactly below lo.  When the
     unconstrained fit already sits inside the ball it is returned as-is
-    (identical to minimax_fit).  Otherwise each Lawson reweighting step
-    solves its weighted least-squares subproblem under the ball
-    constraint by accelerated projected proximal gradient, so every
-    iterate is exactly feasible; low-index deviations are expensive
+    (identical to minimax_fit on that block).  Otherwise each Lawson
+    reweighting step solves its weighted least-squares subproblem under
+    the ball constraint by accelerated projected proximal gradient, so
+    every iterate is exactly feasible; low-index deviations are expensive
     against the weight n^{-sigma}, which pins h near f there and pushes
     the fit into the tail, mirroring how such approximants are built.
-
-    `support`, if given, is a boolean mask over indices 1..degree
-    restricting where the deviation d may be nonzero; f is reproduced
-    exactly everywhere else.
     """
     opts = options or FitOptions()
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma > 0):
@@ -502,6 +481,8 @@ def constrained_fit(
         )
     if degree < f.degree:
         raise InvalidInputError("degree must be at least the degree of f")
+    if not 1 <= lo <= degree:
+        raise InvalidInputError(f"first free index must lie in 1..{degree}, got {lo!r}")
     waived = opts.allow_right_of_zero
     if not waived and max_real_part(dset.spec) > 1e-12:
         raise InvalidInputError(
@@ -517,40 +498,21 @@ def constrained_fit(
     with np.errstate(over="ignore"):  # overflow checked by the solver
         A_full = _exp_basis(points, 1, degree)
     dvals = gvals - A_full @ fpad  # target for the deviation d = h - f
-    u_full = _exp_basis(sigma, 1, degree)
-    if support is not None:
-        support = np.asarray(support, dtype=bool)
-        if support.shape != (degree,):
-            raise InvalidInputError("support mask must have one entry per coefficient")
-        if not support.any():
-            raise InvalidInputError("support mask excludes every coefficient")
-        A, u = A_full[:, support], u_full[support]
-    else:
-        A, u = A_full, u_full
-
-    def embed(dcoef: np.ndarray) -> np.ndarray:
-        if support is None:
-            return dcoef
-        full = np.zeros(degree, dtype=complex)
-        full[support] = dcoef
-        return full
-
-    def sup_of(dcoef: np.ndarray) -> float:
-        return float(np.abs(A @ dcoef - dvals).max())
-
-    total_iters = 0
+    # the free columns as a column-major copy: on a row-major slice of A_full
+    # the projected-gradient loop runs slower and its products round differently
+    A = np.asfortranarray(A_full[:, lo - 1 :])
+    u = _exp_basis(sigma, 1, degree)[lo - 1 :]
 
     # unconstrained shortcut; exact minimax_fit behavior when the ball
     # never binds
-    c, _, bound, iters, rank, _ = _lawson(A, dvals, opts)
-    total_iters += iters
+    c, _, bound, total_iters, rank, _ = _lawson(A, dvals, opts)
     if float(np.sum(u * np.abs(c))) <= eps:
         d, route = c, "unconstrained"
     else:
         route = "lawson+projected-gradient"
         w = np.full(points.size, 1.0 / points.size)
         d = np.zeros(A.shape[1], dtype=complex)
-        best_d, best_err = d, sup_of(d)
+        best_d, best_err = d, float(np.abs(dvals).max())  # the error of d = 0
         stall = 0
         for outer in range(opts.max_iterations):
             total_iters += 1
@@ -567,7 +529,8 @@ def constrained_fit(
             w = w * np.maximum(r, 1e-300)
             w /= w.sum()
         d = best_d
-    dfull = embed(d)
+    dfull = np.zeros(degree, dtype=complex)
+    dfull[lo - 1 :] = d
     h = DirichletPolynomial(fpad + dfull)
     constraint_value = seminorm_sigma(DirichletPolynomial(dfull), sigma)
     exact = float(np.abs(A_full @ (fpad + dfull) - gvals).max())
@@ -588,7 +551,7 @@ def constrained_fit(
             "eps": eps,
             "geometry_waiver": waived,
             "samples": int(points.size),
-            "support": "all" if support is None else f"{int(support.sum())} of {degree}",
+            "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
         },
     )
 

@@ -39,17 +39,22 @@ _MAX_DOUBLINGS = 4  # node doublings per loop in laurent_decompose
 class CauchyPiece:
     """Contour-sample Cauchy data for one split component.
 
-    `values` holds the piece's own boundary values on `contour.points`;
-    evaluation anywhere else re-applies the Cauchy kernel quadrature in
-    compensated (barycentric-ratio) form, which keeps its accuracy
-    arbitrarily close to the curve instead of degrading like the plain
-    kernel.  Hole pieces (anchor set) evaluate through u = 1/(s-anchor),
-    where the data becomes interior Cauchy data; subtracting the value
-    at u = 0 makes the piece vanish at infinity identically.
+    `values` holds the piece's own boundary values on `contour.points`,
+    seen from the set's side of the loop; evaluation on that side
+    re-applies the Cauchy kernel quadrature in compensated
+    (barycentric-ratio) form, which keeps its accuracy arbitrarily close
+    to the curve instead of degrading like the plain kernel.  Hole pieces
+    (anchor set) evaluate through u = 1/(s-anchor), where the data becomes
+    interior Cauchy data; subtracting the value at u = 0 makes the piece
+    vanish at infinity identically.  `loop_values` holds f itself on the
+    loop: on the far side (an outer loop's exterior, a hole's interior,
+    where another union member can sit) the piece is the plain Cauchy
+    integral of that data.
     """
 
     contour: Contour
     values: np.ndarray
+    loop_values: np.ndarray
     anchor: complex | None = None  # None marks the outer piece
 
     def __call__(self, s):
@@ -85,22 +90,24 @@ def _cauchy_transform(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray
 
 
 def evaluate_piece(piece: CauchyPiece, s) -> complex | np.ndarray:
-    """Apply the piece's compensated Cauchy kernel at s (scalar or array)."""
+    """The piece at s (scalar or array): the compensated kernel on the set's
+    side of its loop, the plain kernel on f's loop data beyond it."""
     pts = np.atleast_1d(np.asarray(s, dtype=complex))
-    z, w = piece.contour.points, piece.contour.weights
+    near = piece.contour.loop.contains(pts, 1e-9)
+    vals = np.empty(pts.shape, dtype=complex)
+    vals[~near] = _plain_transform(piece.contour, piece.loop_values, pts[~near])
+    z, w, t = piece.contour.points, piece.contour.weights, pts[near]
     if piece.anchor is None:
-        vals = _cauchy_transform(z, w, piece.values, pts)
+        vals[near] = _cauchy_transform(z, w, piece.values, t)
     else:
-        a = piece.anchor
-        if np.any(pts == a):
-            raise PoleError(f"hole piece is undefined at its anchor {a}")
         # v = 1/(zeta-a) maps the hole boundary to a loop around 0; the
-        # stored clockwise traverse comes out counterclockwise there.
+        # stored clockwise traverse comes out counterclockwise there.  The
+        # anchor itself lies beyond the loop, so u stays finite.
+        a = piece.anchor
         v = 1.0 / (z - a)
         wv = -w / (z - a) ** 2
-        u = 1.0 / (pts - a)
         at_zero = _cauchy_transform(v, wv, piece.values, np.zeros(1, dtype=complex))
-        vals = _cauchy_transform(v, wv, piece.values, u) - at_zero[0]
+        vals[near] = _cauchy_transform(v, wv, piece.values, 1.0 / (t - a)) - at_zero[0]
     return vals if np.ndim(s) else complex(vals[0])
 
 
@@ -197,9 +204,10 @@ def _build_pieces(
         own_values.append(own)
 
     k = len(outer_loops)
-    outer_pieces = [CauchyPiece(l, v) for l, v in zip(ordered[:k], own_values[:k])]
+    outer_pieces = [CauchyPiece(l, v, loop_vals[id(l)]) for l, v in zip(ordered[:k], own_values[:k])]
     hole_pieces = [
-        CauchyPiece(l, v, anchor=complex(a)) for l, v, a in zip(ordered[k:], own_values[k:], anchors)
+        CauchyPiece(l, v, loop_vals[id(l)], complex(a))
+        for l, v, a in zip(ordered[k:], own_values[k:], anchors)
     ]
     return outer_pieces, hole_pieces
 

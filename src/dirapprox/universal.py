@@ -18,7 +18,7 @@ returned for inspection rather than discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -168,40 +168,44 @@ class StageRecord:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "compact_index": self.compact_index,
-            "tol": self.tol,
-            "sigma": self.sigma,
-            "budget": self.budget,
-            "cut": self.cut,
-            "block_length": self.block_length,
-            "sup_error": self.sup_error,
-            "block_seminorm": self.block_seminorm,
-            "ladder": [[s, v] for s, v in self.ladder],
-            "converged": self.converged,
-            "detail": self.detail,
-        }
+        return {f.name: _FIELD_IO[f.type][1](getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "StageRecord":
+        """Strict inverse of to_json_dict; a field with a default may be absent."""
         try:
-            return StageRecord(
-                label=str(d["label"]),
-                compact_index=int(d["compact_index"]),
-                tol=float(d["tol"]),
-                sigma=float(d["sigma"]),
-                budget=float(d["budget"]),
-                cut=int(d["cut"]),
-                block_length=int(d["block_length"]),
-                sup_error=float(d["sup_error"]),
-                block_seminorm=float(d["block_seminorm"]),
-                ladder=tuple((float(s), float(v)) for s, v in d["ladder"]),
-                converged=bool(d["converged"]),
-                detail=str(d.get("detail", "")),
-            )
+            return StageRecord(**{
+                f.name: _FIELD_IO[f.type][0](d[f.name])
+                for f in fields(StageRecord)
+                if f.default is MISSING or f.name in d
+            })
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed stage record: {exc}") from exc
+
+
+def _typed(raw, *kinds: type):
+    """raw if its JSON type is one of kinds: no bool for an int, no 1.5 for
+    an int, no "false" for a bool."""
+    if type(raw) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {raw!r}")
+    return raw
+
+
+def _real(raw) -> float:
+    return float(_typed(raw, int, float))
+
+
+# (reader, writer) of the JSON form of each StageRecord field annotation
+_FIELD_IO = {
+    "str": (lambda raw: _typed(raw, str), str),
+    "int": (lambda raw: _typed(raw, int), int),
+    "float": (_real, float),
+    "bool": (lambda raw: _typed(raw, bool), bool),
+    "tuple[tuple[float, float], ...]": (
+        lambda raw: tuple((_real(s), _real(v)) for s, v in raw),
+        lambda pairs: [[s, v] for s, v in pairs],
+    ),
+}
 
 
 def _placed_block(coeffs: np.ndarray, prev: int) -> DirichletPolynomial:
@@ -267,7 +271,7 @@ class UniversalSchedule:
     def from_json_dict(d: dict) -> "UniversalSchedule":
         try:
             coeffs = np.array([complex(re, im) for re, im in d["coefficients"]], dtype=complex)
-            cuts = tuple(int(c) for c in d["cuts"])
+            cuts = tuple(_typed(c, int) for c in d["cuts"])
             records = tuple(StageRecord.from_json_dict(r) for r in d["records"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed schedule: {exc}") from exc
@@ -281,8 +285,8 @@ def build_universal(
 
     Stage k discretizes K_m for the entry's compact index m and runs
     constrained_fit with f = the already-built prefix, sigma = 1/(m+1),
-    seminorm cap 4^{-m} (or the options overrides), and the deviation
-    support restricted to indices beyond the previous cut.  Block lengths
+    seminorm cap 4^{-m} (or the options overrides), and the free block
+    lo = previous cut + 1 .. previous cut + block length.  Block lengths
     walk options.block_steps until the fit converges at the entry
     tolerance; the first convergent length becomes the next cut.
 
@@ -300,51 +304,21 @@ def build_universal(
         budget = opts.budget if opts.budget is not None else 4.0 ** (-m)
         dset = discretize(compact_rectangle(m))
         prev = cuts[-1] if cuts else 0
-        # an empty prefix is represented as the zero polynomial at n=1 with
-        # the support left open there, so stage 1 may still use n=1
+        # an empty prefix is the zero polynomial at n=1, and the free block
+        # starts at lo = 1, so stage 1 may still use n=1
         prefix = DirichletPolynomial(coeffs if prev else np.zeros(1, dtype=complex))
         fit_opts = FitOptions(target_error=entry.tol)
-        best: tuple[float, object, int] | None = None
-        chosen = None
+        best = None
         for step in opts.block_steps:
-            degree = prev + step
-            support = np.zeros(degree, dtype=bool)
-            support[prev:] = True
             result = constrained_fit(
-                dset, entry.target, prefix, sigma, budget, degree, fit_opts, support
+                dset, entry.target, prefix, sigma, budget, prev + step, fit_opts, lo=prev + 1
             )
-            if best is None or result.minimax_error < best[0]:
-                best = (result.minimax_error, result, degree)
+            if best is None or result.converged or result.minimax_error < best.minimax_error:
+                best = result
             if result.converged:
-                chosen = (result, degree)
                 break
-        if chosen is None:
-            err, result, degree = best
-            block = _placed_block(result.polynomial.coefficients, prev)
-            records.append(
-                StageRecord(
-                    label=entry.label,
-                    compact_index=m,
-                    tol=entry.tol,
-                    sigma=sigma,
-                    budget=budget,
-                    cut=0,
-                    block_length=degree - prev,
-                    sup_error=float(err),
-                    block_seminorm=float(result.constraint_value),
-                    ladder=tuple((s, seminorm_sigma(block, s)) for s in _LADDER_SIGMAS),
-                    converged=False,
-                    detail=(
-                        f"no block of length <= {opts.block_steps[-1]} reached "
-                        f"tol {entry.tol:g} under seminorm cap {budget:g} at sigma {sigma:g}"
-                    ),
-                )
-            )
-            break
-        result, degree = chosen
-        coeffs = np.array(result.polynomial.coefficients)
-        block = _placed_block(coeffs, prev)
-        cuts.append(degree)
+        degree = best.polynomial.degree
+        block = _placed_block(best.polynomial.coefficients, prev)
         records.append(
             StageRecord(
                 label=entry.label,
@@ -352,14 +326,22 @@ def build_universal(
                 tol=entry.tol,
                 sigma=sigma,
                 budget=budget,
-                cut=degree,
+                cut=degree if best.converged else 0,
                 block_length=degree - prev,
-                sup_error=float(result.minimax_error),
-                block_seminorm=float(result.constraint_value),
+                sup_error=float(best.minimax_error),
+                block_seminorm=float(best.constraint_value),
                 ladder=tuple((s, seminorm_sigma(block, s)) for s in _LADDER_SIGMAS),
-                converged=True,
+                converged=best.converged,
+                detail="" if best.converged else (
+                    f"no block of length <= {opts.block_steps[-1]} reached "
+                    f"tol {entry.tol:g} under seminorm cap {budget:g} at sigma {sigma:g}"
+                ),
             )
         )
+        if not best.converged:
+            break
+        coeffs = np.array(best.polynomial.coefficients)
+        cuts.append(degree)
     return UniversalSchedule(coeffs, tuple(cuts), tuple(records))
 
 
@@ -409,33 +391,22 @@ def verify_schedule(
     overall = True
     entries_report = []
     for k, entry in enumerate(targets.entries):
-        if k >= len(sched.cuts):
-            overall = False
-            entries_report.append(
-                {
-                    "index": k,
-                    "label": entry.label,
-                    "compact_index": entry.compact_index,
-                    "tol": entry.tol,
-                    "cut": None,
-                    "sup_error": None,
-                    "derivative_errors": {},
-                    "missing": True,
-                    "pass": False,
-                }
-            )
-            continue
-        cut = sched.cuts[k]
-        part = sched.partial_sum(cut)
-        pts = discretize(compact_rectangle(entry.compact_index), fine).all_samples()
-        err = float(np.abs(evaluate_many(part, pts) - _target_values(entry.target, pts)).max())
-        entry_pass = err <= tol_factor * entry.tol
+        missing = k >= len(sched.cuts)
+        cut = err = None
         deriv_errors: dict[str, float] = {}
-        for order, gd in enumerate(entry.derivative_targets, start=1):
-            dpart = _derivative(part, order)
-            derr = float(np.abs(evaluate_many(dpart, pts) - _target_values(gd, pts)).max())
-            deriv_errors[str(order)] = derr
-            entry_pass = entry_pass and derr <= tol_factor * entry.tol
+        if not missing:
+            cut = sched.cuts[k]
+            part = sched.partial_sum(cut)
+            pts = discretize(compact_rectangle(entry.compact_index), fine).all_samples()
+            err = float(np.abs(evaluate_many(part, pts) - _target_values(entry.target, pts)).max())
+            for order, gd in enumerate(entry.derivative_targets, start=1):
+                dpart = _derivative(part, order)
+                deriv_errors[str(order)] = float(
+                    np.abs(evaluate_many(dpart, pts) - _target_values(gd, pts)).max()
+                )
+        entry_pass = not missing and all(
+            e <= tol_factor * entry.tol for e in (err, *deriv_errors.values())
+        )
         overall = overall and entry_pass
         entries_report.append(
             {
@@ -446,8 +417,8 @@ def verify_schedule(
                 "cut": cut,
                 "sup_error": err,
                 "derivative_errors": deriv_errors,
-                "missing": False,
-                "pass": bool(entry_pass),
+                "missing": missing,
+                "pass": entry_pass,
             }
         )
 

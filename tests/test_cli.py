@@ -557,6 +557,41 @@ class TestExitCodes:
         assert main([*argv, "--input", write(tmp_path / "in.json", doc)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "compact_index": 1.7}]}),
+        (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "compact_index": True}]}),
+        (["universal-build"], {**UNIVERSAL_FAMILY, "options": {"block_steps": [1.9, 2.2]}}),
+        (["convergence-study"], {**DISC_EXP, "degrees": [5, 10.5]}),
+        (["chordal-check", "--eps", "0.1"], {"interval": [2, 3], "ladder": [10, True]}),
+        (["abscissa"], {"rule": {"kind": "all-ones"}, "truncation": 150.9}),
+    ])
+    def test_non_integral_or_boolean_integers_exit_2(self, tmp_path, capsys, argv, doc):
+        # int() would truncate 1.7 to 1 and read true as 1
+        src = write(tmp_path / "in.json", doc)
+        assert main([*argv, "--input", src, "--output", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert "must be an integer" in err or "must be a number" in err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        src = write(tmp_path / "in.json", {"rule": {"kind": "all-ones"}, "truncation": 150.0})
+        out = tmp_path / "a.json"
+        assert main(["abscissa", "--input", src, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["truncation_used"] == 150
+
+    @pytest.mark.parametrize("key, value", [("converged", "false"), ("cut", 1.5), ("tol", True)])
+    def test_stage_record_fields_load_strictly(self, tmp_path, capsys, key, value):
+        record = {**ZERO_SCHEDULE["schedule"]["records"][0], key: value}
+        doc = {**ZERO_SCHEDULE, "schedule": {**ZERO_SCHEDULE["schedule"], "records": [record]}}
+        src = write(tmp_path / "in.json", doc)
+        assert main(["universal-verify", "--input", src, "--output", str(tmp_path / "out.json")]) == 2
+        assert "malformed stage record" in capsys.readouterr().err
+
+    def test_schedule_cuts_load_strictly(self, tmp_path, capsys):
+        doc = {**ZERO_SCHEDULE, "schedule": {**ZERO_SCHEDULE["schedule"], "cuts": [1.0]}}
+        src = write(tmp_path / "in.json", doc)
+        assert main(["universal-verify", "--input", src, "--output", str(tmp_path / "out.json")]) == 2
+        assert "malformed schedule" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc", [KeyError("internal"), TypeError("internal")])
     def test_internal_errors_propagate(self, tmp_path, monkeypatch, exc):
         # a bug inside a handler is not bad input: it must not exit 2

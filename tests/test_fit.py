@@ -190,14 +190,6 @@ def test_lawson_restores_the_design_and_reports_its_coefficients_error():
     assert 0 < bound <= err <= 1.01 * bound
 
 
-def test_support_mask_restricts_basis():
-    mask = np.zeros(6, dtype=bool)
-    mask[3] = True  # only n=4 allowed
-    r = minimax_fit(DISC, lambda s: 4.0 ** (-s), 6, support=mask)
-    assert r.minimax_error <= 1e-8
-    assert abs(r.polynomial.coefficient(2)) == 0
-
-
 # --- convergence_study ---------------------------------------------------------
 
 
@@ -379,6 +371,19 @@ def test_infeasible_at_degree_reports_unconverged():
     )
     assert not r.converged
     assert r.minimax_error > 0.1
+
+
+def test_free_block_leaves_f_below_lo():
+    # only n = 4..6 may move: 4^{-s} is reached there, and a_1..a_3 stay f's
+    f = poly(0.5, 1, 0.25)
+    target = lambda s: evaluate_many(f, s) + 4.0 ** (-s)
+    r = constrained_fit(BOX, target, f, 1.0, 10.0, 6, lo=4)
+    assert np.array_equal(r.polynomial.coefficients[:3], f.coefficients)
+    assert r.minimax_error <= 1e-8
+    assert r.provenance["support"] == "3 of 6"
+    for lo in (0, 7):
+        with pytest.raises(InvalidInputError, match="first free index"):
+            constrained_fit(BOX, target, f, 1.0, 10.0, 6, lo=lo)
 
 
 def test_geometry_guard_and_waiver():

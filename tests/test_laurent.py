@@ -7,7 +7,7 @@ import pytest
 
 from dirapprox import laurent as laurent_mod
 from dirapprox.errors import InvalidAnchorError, InvalidInputError, PoleError
-from dirapprox.geometry import annulus, disc, discretize, union_of_disjoint
+from dirapprox.geometry import SampleDensity, annulus, disc, discretize, union_of_disjoint
 from dirapprox.laurent import (
     LaurentPieces,
     RationalDirichletFunction,
@@ -120,6 +120,22 @@ def test_union_of_discs_reconstructs():
     assert len(pieces.outer) == 2
     pts = np.concatenate([-2.5 + 0.6 * ring_points(30) / 2, 2.5 + 0.6 * ring_points(30, seed=9) / 2])
     assert np.abs(pieces.reconstruct(pts) - np.exp(pts)).max() <= 1e-8
+
+
+def test_union_with_an_annulus_beside_a_disc_reconstructs():
+    # the annulus's outer piece is 1/(2 - s) beyond its circle, where the disc sits
+    spec = union_of_disjoint([disc(-3, 0.5), annulus(2, 0.5, 1.0)])
+    dset = discretize(spec, SampleDensity(0.02, 0.1))
+    pieces = laurent_decompose(dset, lambda s: np.exp(s) + 1 / (s - 2), [2.0])
+    assert pieces.residual <= 1e-10 and not pieces.warning
+
+
+def test_union_with_a_disc_inside_an_annulus_hole_reconstructs():
+    # the hole piece is evaluated inside its own hole, on the inner disc
+    spec = union_of_disjoint([annulus(0, 1, 2), disc(0, 0.3)])
+    dset = discretize(spec, SampleDensity(0.02, 0.1))
+    pieces = laurent_decompose(dset, lambda s: np.exp(s) + 1 / (s - 0.6), [0.6])
+    assert pieces.residual <= 1e-10 and not pieces.warning
 
 
 # ---------------------------------------------------------------------------

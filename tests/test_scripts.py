@@ -1,8 +1,6 @@
 """Smoke test of the example scripts: each runs to exit 0 at a small size.
 
 Each script runs in a child Python with ``PYTHONPATH=src``.
-``universal_demo.py`` is left out: it has no size flag, and one run takes
-about 22 s.
 """
 
 import os
@@ -20,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["bohr_gap_study.py", "--lengths", "2", "8", "--trials", "1"],
         ["rational_annulus_demo.py", "--degrees", "4", "8"],
+        ["universal_demo.py", "--block-steps", "1", "2"],
         ["zeta_chordal_curve.py", "--ladder", "10", "100"],
     ],
     ids=lambda argv: argv[0],
