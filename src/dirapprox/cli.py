@@ -27,6 +27,7 @@ from .errors import (
     NumericalFailureError,
     PoleError,
     ResourceLimitError,
+    integral,
 )
 
 _THREAD_VARS = (
@@ -144,9 +145,7 @@ def _number(raw, what: str, kind=float):
     """
     if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
         raise InvalidInputError(f"{what} must be a number, got {raw!r}")
-    if kind is int and not (isinstance(raw, numbers.Integral) or float(raw).is_integer()):
-        raise InvalidInputError(f"{what} must be an integer, got {raw!r}")
-    return kind(raw)
+    return integral(raw, what) if kind is int else kind(raw)
 
 
 def _numbers(raw, what: str, kind=int) -> list:

@@ -1,4 +1,6 @@
-"""Exception vocabulary shared by all modules."""
+"""Exception vocabulary shared by all modules, and the integer check."""
+
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -35,3 +37,13 @@ class PoleError(ZeroDivisionError):
 
 class NumericalFailureError(RuntimeError):
     """An iterative procedure failed to reach its target (non-convergence)."""
+
+
+def integral(raw, what: str) -> int:
+    """int(raw) for an integral real number; a boolean, a string or 1.7 is
+    invalid input, where int() would accept True and truncate 1.7 to 1."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real) or not (
+        isinstance(raw, numbers.Integral) or float(raw).is_integer()
+    ):
+        raise InvalidInputError(f"{what} must be an integer, got {raw!r}")
+    return int(raw)

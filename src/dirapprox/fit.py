@@ -3,9 +3,9 @@
 minimax_fit solves min_a max_i |sum_n a_n n^{-s_i} - g(s_i)| by Lawson
 iteratively-reweighted least squares, whose weights also certify a lower
 bound on that minimum; constrained_fit adds the weighted coefficient-norm
-constraint ||h - f||_sigma <= eps on top of the same kernel.  All errors
-and bounds are of sampled sups over the discretized set, never certified
-continuous sups.
+constraint ||h - f||_sigma <= eps, solved by ADMM with its own dual
+certificate when the ball binds.  All errors and bounds are of sampled
+sups over the discretized set, never certified continuous sups.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidInputError
+from .errors import IllConditionedError, InvalidInputError, integral
 from .geometry import DiscretizedSet, max_real_part
 from .series import DirichletPolynomial, _exp_basis, seminorm_sigma
 
@@ -149,20 +149,27 @@ def _target_values(g, points: np.ndarray) -> np.ndarray:
 
 
 _RANK_CUT = 1e-13  # Lawson keeps singular directions above this times the largest
-_GAP = 1.01  # Lawson settles once its best error is within this factor of its bound
+_GAP = 1.01  # a solver settles once its best error is within this factor of its bound
 _NOISE = 1e-13  # ... or below this times max|y|, where both are rounding noise
-_SUP_TOL = 1e-10  # constrained_fit: a smaller gain in sup error counts as a stall
+_RHO = 0.01  # ADMM penalty on the ball copy z2 = c; the sup copy z1 = B c has penalty 1
+_ADMM_STEPS = 5000  # cap on ADMM steps
+_CHECK_EVERY = 10  # ADMM checks its best feasible point and its bound this often
 
 
 @dataclass(frozen=True)
 class FitOptions:
+    """max_iterations (an integer >= 0) caps Lawson's reweightings; the
+    ball route of constrained_fit takes at most 5,000 ADMM steps.  Lawson
+    in minimax_fit and ADMM stop once the sup error is <= target_error,
+    and converged then means the error got there.
+    """
+
     max_iterations: int = 200
-    # minimax_fit: Lawson stops once the sup error is <= this, and converged
-    # means it got there; constrained_fit: converged needs err <= this
     target_error: float | None = None
     allow_right_of_zero: bool = False  # geometry waiver for constrained_fit
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", integral(self.max_iterations, "max_iterations"))
         if self.max_iterations < 0:
             raise InvalidInputError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
         if self.target_error is not None and not (math.isfinite(self.target_error) and self.target_error >= 0):
@@ -179,9 +186,10 @@ class FitResult:
     directions cut from that range have singular values below 1e-13 of
     the largest.  minimax_fit's `converged` means minimax_error <= 1.01 *
     lower_bound, or, when a target_error is given, minimax_error <=
-    target_error.  constrained_fit reports the bound of the unconstrained
-    fit, which the ball can only raise the optimum above, and its
-    `converged` means feasible and, when given, within target_error.
+    target_error.  On its ball route constrained_fit reports the larger
+    of that bound and the ADMM certificate, which holds for every
+    coefficient vector in the ball; its `converged` means feasible and,
+    when given, within target_error.
     """
 
     polynomial: DirichletPolynomial
@@ -402,53 +410,61 @@ def project_weighted_l1(v: np.ndarray, weights: np.ndarray, radius: float) -> np
 # ---------------------------------------------------------------------------
 
 
-def _spectral_norm_sq(B: np.ndarray, iters: int = 30) -> float:
-    """Largest squared singular value by power iteration."""
-    v = np.ones(B.shape[1], dtype=complex) / math.sqrt(B.shape[1])
-    lam = 1.0
-    for _ in range(iters):
-        w = B.conj().T @ (B @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0:
-            return 1.0
-        v = w / lam
-    return lam
+def _admm_ball(A: np.ndarray, y: np.ndarray, u: np.ndarray, eps: float, stop_at: float | None):
+    """min_d max_i |A d - y|_i  s.t.  sum_n u_n |d_n| <= eps, by scaled ADMM.
 
+    Works on the unit-sup-column design B = A / s (s_n = max_i |A_in|,
+    c = s d, ball weights u / s) with y and eps divided by max|y|, and
+    splits off z1 = B c for the sup term and z2 = c for the ball (Boyd,
+    Parikh, Chu, Peleato & Eckstein 2011), with penalties 1 and _RHO:
+    z1 = w - P(w - y) for w = B c + v1 and P the projection onto the unit
+    l1 ball (the prox of the sup norm), z2 = the projection of c + v2 onto
+    the ball, and c = (B^H B + _RHO)^{-1} (B^H (z1 - v1) + _RHO (z2 - v2))
+    from one eigendecomposition B^H B = V diag(S^2) V^H.  Starting from
+    z1 = y makes the first c-step a ridge fit.
 
-def _fista_ball(
-    A: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
-    eps: float,
-    d0: np.ndarray,
-    iters: int,
-) -> np.ndarray:
-    """min_d sum_i w_i |A d - y|_i^2  s.t.  sum_n u_n |d_n| <= eps.
-
-    Accelerated projected proximal gradient; the projection keeps every
-    iterate exactly feasible.  The problem is reparameterized to
-    unit-sup columns (g_n = s_n d_n with s_n = max_i |A_in|), without
-    which the n^{-s} dynamic range makes the Lipschitz step vanish.
+    Every _CHECK_EVERY steps it keeps the best z2, feasible by
+    construction, and mu = v1 certifies, for every feasible c,
+      err >= (|mu^H y| - eps max_n |(B^H mu)_n| / (u_n / s_n)) / ||mu||_1
+    by Hoelder on mu^H y = mu^H (y - B c) + (B^H mu)^H c, over all columns.
+    It stops once the best error is within _GAP of the best bound, below
+    _NOISE or `stop_at`, or after _ADMM_STEPS steps.  Returns the best d,
+    its error, the bound and the steps taken.
     """
     s = np.abs(A).max(axis=0)
     s[s == 0] = 1.0
-    us = u / s
-    sw = np.sqrt(w)
-    B = (A / s[None, :]) * sw[:, None]
-    yb = y * sw
+    B = A / s
+    top = float(np.abs(y).max())
+    y, eps, us = y / top, eps / top, u / s
+    goal = _NOISE if stop_at is None else max(_NOISE, stop_at / top)
     BH = B.conj().T
-    L = 2.0 * _spectral_norm_sq(B) * 1.02
-    g = project_weighted_l1(d0 * s, us, eps)
-    z = g.copy()
-    t = 1.0
-    for _ in range(iters):
-        grad = 2.0 * (BH @ (B @ z - yb))
-        g_new = project_weighted_l1(z - grad / L, us, eps)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = g_new + ((t - 1.0) / t_new) * (g_new - g)
-        g, t = g_new, t_new
-    return g / s
+    S2, V = np.linalg.eigh(BH @ B)
+    M = (V / (S2 + _RHO)) @ V.conj().T  # (B^H B + _RHO)^{-1}
+    K = M @ BH
+    ones = np.ones(y.size)
+    z1, v1 = y, np.zeros_like(y)
+    z2 = v2 = np.zeros(B.shape[1], dtype=complex)
+    best, best_err, bound = z2, 1.0, 0.0  # the error of d = 0
+    for steps in range(1, _ADMM_STEPS + 1):
+        c = K @ (z1 - v1) + _RHO * (M @ (z2 - v2))
+        Bc = B @ c
+        w = Bc + v1
+        z1 = w - project_weighted_l1(w - y, ones, 1.0)
+        z2 = project_weighted_l1(c + v2, us, eps)
+        v1 = v1 + Bc - z1
+        v2 = v2 + c - z2
+        if steps % _CHECK_EVERY:
+            continue
+        err = float(np.abs(B @ z2 - y).max())
+        if err < best_err:
+            best, best_err = z2, err
+        l1 = float(np.abs(v1).sum())
+        if l1 > 0:
+            worst = float((np.abs(BH @ v1) / us).max())
+            bound = max(bound, (abs(np.vdot(v1, y)) - eps * worst) / l1)
+        if best_err <= max(_GAP * bound, goal):
+            break
+    return best * (top / s), best_err * top, bound * top, steps
 
 
 def constrained_fit(
@@ -467,12 +483,12 @@ def constrained_fit(
     Strategy: write h = f + d and fit the deviation d on the free block of
     indices lo..degree; f is reproduced exactly below lo.  When the
     unconstrained fit already sits inside the ball it is returned as-is
-    (identical to minimax_fit on that block).  Otherwise each Lawson
-    reweighting step solves its weighted least-squares subproblem under
-    the ball constraint by accelerated projected proximal gradient, so
-    every iterate is exactly feasible; low-index deviations are expensive
-    against the weight n^{-sigma}, which pins h near f there and pushes
-    the fit into the tail, mirroring how such approximants are built.
+    (identical to minimax_fit on that block).  Otherwise one ADMM loop
+    (_admm_ball) solves the ball-constrained minimax problem and
+    certifies a lower bound on it over every coefficient of the block;
+    low-index deviations are expensive against the weight n^{-sigma},
+    which pins h near f there and pushes the fit into the tail, mirroring
+    how such approximants are built.
     """
     opts = options or FitOptions()
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma > 0):
@@ -498,37 +514,17 @@ def constrained_fit(
     with np.errstate(over="ignore"):  # overflow checked by the solver
         A_full = _exp_basis(points, 1, degree)
     dvals = gvals - A_full @ fpad  # target for the deviation d = h - f
-    # the free columns as a column-major copy: on a row-major slice of A_full
-    # the projected-gradient loop runs slower and its products round differently
+    # the free columns as a copy, since _lawson scales its design in place
     A = np.asfortranarray(A_full[:, lo - 1 :])
     u = _exp_basis(sigma, 1, degree)[lo - 1 :]
 
     # unconstrained shortcut; exact minimax_fit behavior when the ball
     # never binds
-    c, _, bound, total_iters, rank, _ = _lawson(A, dvals, opts)
-    if float(np.sum(u * np.abs(c))) <= eps:
-        d, route = c, "unconstrained"
-    else:
-        route = "lawson+projected-gradient"
-        w = np.full(points.size, 1.0 / points.size)
-        d = np.zeros(A.shape[1], dtype=complex)
-        best_d, best_err = d, float(np.abs(dvals).max())  # the error of d = 0
-        stall = 0
-        for outer in range(opts.max_iterations):
-            total_iters += 1
-            inner = 400 if outer == 0 else 120  # warm starts need fewer steps
-            d = _fista_ball(A, dvals, w, u, eps, d, inner)
-            r = np.abs(A @ d - dvals)
-            e = float(r.max())
-            if e < best_err - _SUP_TOL:
-                best_err, best_d, stall = e, d.copy(), 0
-            else:
-                stall += 1
-                if stall >= 8:
-                    break
-            w = w * np.maximum(r, 1e-300)
-            w /= w.sum()
-        d = best_d
+    d, _, bound, iters, rank, _ = _lawson(A, dvals, opts)
+    route = "unconstrained"
+    if float(np.sum(u * np.abs(d))) > eps:
+        d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error)
+        bound, route = max(bound, cert), "lawson+admm"
     dfull = np.zeros(degree, dtype=complex)
     dfull[lo - 1 :] = d
     h = DirichletPolynomial(fpad + dfull)
@@ -541,7 +537,7 @@ def constrained_fit(
         minimax_error=exact,
         lower_bound=bound,
         constraint_value=constraint_value,
-        iterations=total_iters,
+        iterations=iters,
         converged=bool(feasible and hit_target),
         provenance={
             "method": "lawson-irls+seminorm-ball",

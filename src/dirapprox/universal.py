@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integral
 from .fit import FitOptions, TargetFunction, _target_values, constrained_fit
 from .geometry import CompactSetSpec, SampleDensity, discretize, rectangle
 from .series import DirichletPolynomial, _log_range, evaluate_many, seminorm_sigma
@@ -140,7 +140,7 @@ class UniversalOptions:
             raise InvalidInputError("sigma override must be positive and finite")
         if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
             raise InvalidInputError("budget override must be positive and finite")
-        steps = tuple(int(s) for s in self.block_steps)
+        steps = tuple(integral(s, "block_steps") for s in self.block_steps)
         if not steps or any(s < 1 for s in steps) or any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("block_steps must be strictly increasing positive integers")
         object.__setattr__(self, "block_steps", steps)
@@ -291,7 +291,8 @@ def build_universal(
     tolerance; the first convergent length becomes the next cut.
 
     A stage that exhausts the ladder appends a failure record describing
-    its best attempt and halts extension — the returned schedule keeps all
+    its best attempt, with the lower_bound of its largest-N fit and that N
+    in its detail, and halts extension — the returned schedule keeps all
     completed stages.
     """
     opts = options or UniversalOptions()
@@ -334,7 +335,8 @@ def build_universal(
                 converged=best.converged,
                 detail="" if best.converged else (
                     f"no block of length <= {opts.block_steps[-1]} reached "
-                    f"tol {entry.tol:g} under seminorm cap {budget:g} at sigma {sigma:g}"
+                    f"tol {entry.tol:g} under seminorm cap {budget:g} at sigma {sigma:g}; "
+                    f"sampled sup error >= {result.lower_bound:.4g} at N = {prev + step}"
                 ),
             )
         )

@@ -255,7 +255,7 @@ class TestFitCommands:
         assert main(["fit-constrained", "--input", write(tmp_path / "c_in.json", spec), "--degree",
                      "6", "--sigma", "1", "--eps", "0.5", "--density", "0.1", "--output", str(out)]) == 0
         rep = json.loads(out.read_text())
-        assert rep["provenance"]["route"] == "lawson+projected-gradient"
+        assert rep["provenance"]["route"] == "lawson+admm"
         assert 0 <= rep["lower_bound"] <= rep["minimax_error"]
 
     def test_constrained_fit_with_inactive_budget(self, tmp_path):

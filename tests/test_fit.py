@@ -373,6 +373,44 @@ def test_infeasible_at_degree_reports_unconverged():
     assert r.minimax_error > 0.1
 
 
+def test_ball_route_bound_holds_across_the_ball():
+    # the constant 1 from n = 2..6 under sum |a_n| n^{-1/2} <= 0.25: the
+    # ball binds, and the ADMM certificate bounds the sampled error of the
+    # fit and of random coefficient vectors projected into the ball
+    r = constrained_fit(BOX, TargetFunction.const(1), poly(0), 0.5, 0.25, 6, lo=2)
+    assert r.provenance["route"] == "lawson+admm" and r.converged
+    assert 0.6 <= r.lower_bound <= r.minimax_error <= 1.01 * r.lower_bound
+    A, u = _exp_basis(BOX.all_samples(), 2, 6), _exp_basis(0.5, 2, 6)
+    rng = np.random.default_rng(7)
+    for scale in (0.1, 1.0, 10.0):
+        for _ in range(20):
+            v = scale * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            d = project_weighted_l1(v, u, 0.25)
+            assert r.lower_bound <= float(np.abs(A @ d - 1).max())
+
+
+def test_target_error_stops_the_ball_route():
+    args = (BOX, TargetFunction.const(1), poly(0), 0.5, 0.25, 6)
+    plain = constrained_fit(*args, lo=2)
+    loose = constrained_fit(*args, FitOptions(target_error=0.7), lo=2)
+    assert loose.provenance["route"] == "lawson+admm"
+    assert loose.converged and loose.minimax_error <= 0.7
+    assert loose.iterations < plain.iterations
+    tight = constrained_fit(*args, FitOptions(target_error=0.1), lo=2)
+    assert not tight.converged and tight.lower_bound > 0.1
+
+
+def test_flat_stage_is_certified_out_of_reach():
+    # the universal stage "one" of the flat family (0, 1, s) at N = 3: the
+    # constant 1 on K_1 from n = 2, 3 under sum |a_n| n^{-1/2} <= 0.25
+    k1 = discretize(rectangle(-1 - 1j, 1j), SampleDensity())
+    r = constrained_fit(
+        k1, TargetFunction.const(1), poly(0), 0.5, 0.25, 3, FitOptions(target_error=0.1), lo=2
+    )
+    assert r.provenance["route"] == "lawson+admm" and not r.converged
+    assert r.lower_bound >= 0.7
+
+
 def test_free_block_leaves_f_below_lo():
     # only n = 4..6 may move: 4^{-s} is reached there, and a_1..a_3 stay f's
     f = poly(0.5, 1, 0.25)
@@ -417,9 +455,11 @@ def test_invalid_parameters_rejected():
 
 
 @pytest.mark.parametrize("bad", [{"target_error": math.nan}, {"target_error": math.inf},
-                                 {"target_error": -1.0}, {"max_iterations": -1}])
+                                 {"target_error": -1.0}, {"max_iterations": -1},
+                                 {"max_iterations": 2.5}, {"max_iterations": True}])
 def test_fit_options_rejects_bad_fields(bad):
     (field,) = bad
     with pytest.raises(InvalidInputError, match=field):
         FitOptions(**bad)
     assert FitOptions(target_error=0.0, max_iterations=0).max_iterations == 0
+    assert type(FitOptions(max_iterations=3.0).max_iterations) is int

@@ -108,6 +108,9 @@ def test_flat_target_past_the_cut_fails_with_record():
     assert failure.cut == 0
     assert failure.sup_error > 0.3
     assert "tol" in failure.detail and failure.detail
+    # ... and the lower bound at the ladder's largest N rules the cap out
+    head, _, n = failure.detail.rpartition(" at N = ")
+    assert n == "11" and 0.7 <= float(head.rpartition(">= ")[2]) <= failure.sup_error
     # the attempted block was still held inside the cap
     assert failure.block_seminorm <= failure.budget + 1e-9
 
@@ -312,6 +315,10 @@ def test_options_validation():
         UniversalOptions(budget=0.0)
     with pytest.raises(InvalidInputError):
         UniversalOptions(block_steps=(5, 5))
+    for steps in ((1.9, 2.2), (1, True)):
+        with pytest.raises(InvalidInputError, match="block_steps must be an integer"):
+            UniversalOptions(block_steps=steps)
+    assert UniversalOptions(block_steps=(1.0, 2)).block_steps == (1, 2)
 
 
 def test_compact_rectangle_shape():
