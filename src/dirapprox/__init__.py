@@ -24,7 +24,7 @@ from . import errors
 _EXPORTS = {
     "series": ("AbscissaReport", "CoefficientRule", "DirichletPolynomial", "Sentinel",
                "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma",
-               "shift_by_delta", "sup_norm_halfplane"),
+               "shift_by_delta"),
     "bohr": ("LiftedPolynomial", "bohr_gap_report", "lift", "unlift"),
     "geometry": ("SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
                  "translate", "union_of_disjoint"),

@@ -80,19 +80,7 @@ INFINITY = SpherePoint(None)
 
 def chi(a, b) -> float:
     """Chordal distance on C u {inf}; always in [0, 1]."""
-    pa, pb = SpherePoint.of(a), SpherePoint.of(b)
-    if pa.is_infinity and pb.is_infinity:
-        return 0.0
-    if pa.is_infinity or pb.is_infinity:
-        v = pb.value if pa.is_infinity else pa.value
-        return 1.0 / math.hypot(1.0, abs(v))
-    va, vb = pa.value, pb.value
-    if va == vb:
-        return 0.0
-    if min(abs(va), abs(vb)) > _INVERSION_CUTOFF:
-        return chi(1.0 / va, 1.0 / vb)
-    d = abs(va - vb) / (math.hypot(1.0, abs(va)) * math.hypot(1.0, abs(vb)))
-    return min(d, 1.0)
+    return chi_uniform_error([a], [b])
 
 
 def chi_many(
@@ -133,14 +121,19 @@ def chi_many(
 
 def chi_uniform_error(f_values: Sequence, g_values: Sequence) -> float:
     """max over aligned pairs of chi; the sup metric for sphere-valued data."""
-    f = list(f_values)
-    g = list(g_values)
+    f = [SpherePoint.of(x) for x in f_values]
+    g = [SpherePoint.of(y) for y in g_values]
     if len(f) != len(g):
         raise InvalidInputError(f"value lists differ in length: {len(f)} vs {len(g)}")
-    err = 0.0
-    for x, y in zip(f, g):
-        err = max(err, chi(x, y))
-    return err
+
+    def values(points):  # the tag's value is ignored under its mask
+        return np.array([0j if p.is_infinity else p.value for p in points], dtype=complex)
+
+    def tags(points):
+        return np.array([p.is_infinity for p in points], dtype=bool)
+
+    err = chi_many(values(f), values(g), a_infinite=tags(f), b_infinite=tags(g))
+    return float(err.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ import numbers
 import os
 import sys
 
+from . import _wire
 from .errors import (
     IllConditionedError,
     InvalidInputError,
     NumericalFailureError,
     PoleError,
     ResourceLimitError,
-    integral,
 )
 
 _THREAD_VARS = (
@@ -112,57 +112,17 @@ def _read_json(path: str | None) -> dict:
         raise InvalidInputError("this subcommand needs --input")
     try:
         with open(path) as fh:
-            return _object(json.load(fh), "input JSON")
+            return _wire.obj(json.load(fh), "input JSON")
     except FileNotFoundError:
         raise InvalidInputError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"input is not valid JSON: {exc}")
 
 
-def _object(raw, what: str) -> dict:
-    if not isinstance(raw, dict):
-        raise InvalidInputError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _list(raw, what: str) -> list:
-    if not isinstance(raw, list):
-        raise InvalidInputError(f"{what} must be a JSON list, got {type(raw).__name__}")
-    return raw
-
-
-def _require(d: dict, key: str):
-    if key not in _object(d, f"the object holding {key!r}"):
-        raise InvalidInputError(f"input JSON is missing the {key!r} field")
-    return d[key]
-
-
-def _number(raw, what: str, kind=float):
-    """kind(raw) for a JSON number; anything else is invalid input.
-
-    Booleans are not numbers here, and kind=int takes integral values only,
-    where int() would truncate 1.7 to 1.
-    """
-    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
-        raise InvalidInputError(f"{what} must be a number, got {raw!r}")
-    return integral(raw, what) if kind is int else kind(raw)
-
-
-def _numbers(raw, what: str, kind=int) -> list:
-    return [_number(x, what, kind) for x in _list(raw, what)]
-
-
-def _complex_pairs(raw, what: str):
-    try:
-        return [complex(re, im) for re, im in raw]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} must be [[re, im], ...] pairs: {exc}")
-
-
 def _poly_from(d: dict, key: str = "coefficients"):
     from .series import DirichletPolynomial
 
-    return DirichletPolynomial(_complex_pairs(_require(d, key), key))
+    return DirichletPolynomial.from_pairs(_wire.require(d, key))
 
 
 def _fmt_complex(v: complex) -> str:
@@ -183,13 +143,13 @@ def _density_from(args):
 def _dset_from(d: dict, args):
     from .geometry import discretize, spec_from_json_dict
 
-    return discretize(spec_from_json_dict(_require(d, "set")), _density_from(args))
+    return discretize(spec_from_json_dict(_wire.require(d, "set")), _density_from(args))
 
 
 def _target_from(d: dict, key: str = "target"):
     from .fit import TargetFunction
 
-    return TargetFunction.from_json_dict(_require(d, key))
+    return TargetFunction.from_json_dict(_wire.require(d, key))
 
 
 def _fit_options_from(args):
@@ -205,16 +165,16 @@ def _family_from(d: dict):
     from .universal import FamilyEntry, TargetFamily
 
     entries = []
-    for e in _list(_require(d, "family"), "family"):
-        target = TargetFunction.from_json_dict(_require(e, "target"))
-        derivs = _list(e.get("derivative_targets", []), "derivative_targets")
+    for e in _wire.require(d, "family", _wire.array):
+        target = TargetFunction.from_json_dict(_wire.require(e, "target"))
+        derivs = _wire.array(e.get("derivative_targets", []), "derivative_targets")
         entries.append(
             FamilyEntry(
                 target,
-                compact_index=_number(_require(e, "compact_index"), "compact_index", int),
-                tol=_number(_require(e, "tol"), "tol"),
+                compact_index=_wire.require(e, "compact_index", _wire.integer),
+                tol=_wire.require(e, "tol", _wire.number),
                 derivative_targets=tuple(TargetFunction.from_json_dict(t) for t in derivs),
-                label=e.get("label", ""),
+                label=_wire.string(e.get("label", ""), "label"),
             )
         )
     return TargetFamily(tuple(entries))
@@ -232,7 +192,7 @@ def _cmd_eval(args) -> int:
 
     d = _read_json(args.input)
     p = _poly_from(d)
-    points = np.array(_complex_pairs(_require(d, "points"), "points"))
+    points = np.array(_wire.require(d, "points", _wire.complexes))
     values = evaluate_many(p, points)
     for v in values:
         print(_fmt_complex(v))
@@ -274,17 +234,7 @@ def _cmd_supnorm(args) -> int:
 
     d = _read_json(args.input)
     p = _poly_from(d)
-    plan = None
-    if "plan" in d:
-        raw = dict(_object(d["plan"], "plan"))
-        known = {}
-        if "height" in raw:
-            known["height"] = _number(raw.pop("height"), "height")
-        if "edge_points" in raw:
-            known["edge_points"] = _number(raw.pop("edge_points"), "edge_points", int)
-        if raw:
-            raise InvalidInputError(f"unknown supnorm plan keys: {sorted(raw)}")
-        plan = SupNormPlan(**known)
+    plan = _wire.read_fields(SupNormPlan, d["plan"], "supnorm plan") if "plan" in d else None
     report = sup_norm_report(p, float(args.sigma), plan)
     artifact = dataclasses.asdict(report)
     artifact["sigma0"] = float(args.sigma)
@@ -296,15 +246,15 @@ def _cmd_abscissa(args) -> int:
     from .series import CoefficientRule, estimate_abscissas
 
     d = _read_json(args.input)
-    raw = _require(d, "rule")
-    kind = _require(raw, "kind")
+    raw = _wire.require(d, "rule")
+    kind = _wire.require(raw, "kind")
     if kind == "explicit-list":
-        rule = CoefficientRule(kind, data=_complex_pairs(_require(raw, "coefficients"), "coefficients"))
+        rule = CoefficientRule(kind, data=_wire.require(raw, "coefficients", _wire.complexes))
     elif kind in ("all-ones", "alternating"):
         rule = CoefficientRule(kind)
     else:
         raise InvalidInputError(f"rule kind {kind!r} is not file-representable")
-    report = estimate_abscissas(rule, _number(d.get("truncation", 100_000), "truncation", int))
+    report = estimate_abscissas(rule, _wire.integer(d.get("truncation", 100_000), "truncation"))
     artifact = report.to_json_dict()
     artifact["ordering_holds"] = report.ordering_holds()
     _emit(
@@ -390,7 +340,7 @@ def _cmd_laurent(args) -> int:
 
     d = _read_json(args.input)
     dset = _dset_from(d, args)
-    anchors = _complex_pairs(d.get("anchors", []), "anchors")
+    anchors = _wire.complexes(d.get("anchors", []), "anchors")
     pieces = laurent_decompose(
         dset, _target_from(d, "function"), anchors, residual_tol=float(args.tol)
     )
@@ -413,8 +363,8 @@ def _cmd_rational_fit(args) -> int:
 
     d = _read_json(args.input)
     dset = _dset_from(d, args)
-    anchors = _complex_pairs(d.get("anchors", []), "anchors")
-    degrees = _numbers(_require(d, "degrees"), "degrees")
+    anchors = _wire.complexes(d.get("anchors", []), "anchors")
+    degrees = _wire.require(d, "degrees", _wire.integers)
     r, err = rational_dirichlet_fit(
         dset,
         _target_from(d, "function"),
@@ -431,18 +381,7 @@ def _cmd_universal_build(args) -> int:
 
     d = _read_json(args.input)
     family = _family_from(d)
-    opts = None
-    if "options" in d:
-        raw = dict(_object(d["options"], "options"))
-        known = {}
-        for key in ("sigma", "budget"):
-            if key in raw:
-                known[key] = _number(raw.pop(key), key)
-        if "block_steps" in raw:
-            known["block_steps"] = tuple(_numbers(raw.pop("block_steps"), "block_steps"))
-        if raw:
-            raise InvalidInputError(f"unknown universal options: {sorted(raw)}")
-        opts = UniversalOptions(**known)
+    opts = _wire.read_fields(UniversalOptions, d["options"], "universal options") if "options" in d else None
     schedule = build_universal(family, opts)
     for rec in schedule.records:
         status = "ok" if rec.converged else "FAILED"
@@ -459,7 +398,7 @@ def _cmd_universal_verify(args) -> int:
     from .universal import UniversalSchedule, verify_schedule
 
     d = _read_json(args.input)
-    schedule = UniversalSchedule.from_json_dict(_require(d, "schedule"))
+    schedule = UniversalSchedule.from_json_dict(_wire.require(d, "schedule"))
     family = _family_from(d)
     report = verify_schedule(schedule, family, tol_factor=float(args.tol))
     _emit(args, report, f"verification {'passed' if report['pass'] else 'FAILED'}")
@@ -470,18 +409,14 @@ def _cmd_chordal_check(args) -> int:
     from .chordal import zeta_chordal_convergence_check
 
     d = _read_json(args.input)
-    interval = _require(d, "interval")
-    if not isinstance(interval, list) or len(interval) != 2:
-        raise InvalidInputError("interval must be [sigma_lo, sigma_hi]")
-    ladder = _numbers(_require(d, "ladder"), "ladder")
+    interval = _wire.require(d, "interval", _wire.pair)
+    ladder = _wire.require(d, "ladder", _wire.integers)
     if args.output is None:
         raise InvalidInputError("chordal-check needs --output for its JSON/CSV pair")
     kwargs = {"grid_tol": float(args.tol)}
     if args.density is not None:
         kwargs["grid_per_unit"] = float(args.density)
-    report = zeta_chordal_convergence_check(
-        tuple(_numbers(interval, "interval", float)), ladder, float(args.eps), **kwargs
-    )
+    report = zeta_chordal_convergence_check(interval, ladder, float(args.eps), **kwargs)
     _write_text(args.output, _canonical_json(report.to_json_dict()) + "\n")
     csv_path = os.path.splitext(args.output)[0] + ".csv"
     _write_text(csv_path, report.to_csv())
@@ -498,7 +433,7 @@ def _cmd_convergence_study(args) -> int:
 
     d = _read_json(args.input)
     dset = _dset_from(d, args)
-    degrees = _numbers(_require(d, "degrees"), "degrees")
+    degrees = _wire.require(d, "degrees", _wire.integers)
     rows = convergence_study(dset, _target_from(d), degrees, _fit_options_from(args))
     csv = "N,minimax_error\n" + "".join(f"{n},{_g17(e)}\n" for n, e in rows)
     if args.output:

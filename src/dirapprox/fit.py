@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _wire
 from .errors import IllConditionedError, InvalidInputError, integral
 from .geometry import DiscretizedSet, max_real_part
 from .series import DirichletPolynomial, _exp_basis, seminorm_sigma
@@ -117,17 +118,14 @@ class TargetFunction:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TargetFunction":
-        try:
-            if d["kind"] == "sampled":
-                return TargetFunction.sampled(np.array([complex(re, im) for re, im in d["values"]]))
-            name = d["name"]
-            if name == "constant":
-                return TargetFunction.const(complex(*d["constant"]))
-            if name == "polynomial":
-                return TargetFunction.polynomial([complex(re, im) for re, im in d["poly_coeffs"]])
-            return TargetFunction("named", name=name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed target description: {exc}") from exc
+        if _wire.require(d, "kind") == "sampled":
+            return TargetFunction.sampled(np.array(_wire.require(d, "values", _wire.complexes)))
+        name = _wire.require(d, "name")
+        if name == "constant":
+            return TargetFunction.const(_wire.require(d, "constant", _wire.complex_number))
+        if name == "polynomial":
+            return TargetFunction.polynomial(_wire.require(d, "poly_coeffs", _wire.complexes))
+        return TargetFunction("named", name=name)
 
 
 def _target_values(g, points: np.ndarray) -> np.ndarray:

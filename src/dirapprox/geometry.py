@@ -5,8 +5,6 @@ of those; each piece is stored as its boundary loops, outer first (a
 counterclockwise circle or polyline), then one clockwise circle per hole.
 Samples (`discretize`), membership, extents, translation and the Cauchy
 quadrature contours (`quadrature_contours`) all derive from the loops.
-Whether the complement is connected is declared, not computed: the stock
-constructors set the flag for single pieces, unions must say so.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import _wire
 from .errors import InvalidInputError
 
 __all__ = [
@@ -142,7 +141,6 @@ class CompactSetSpec:
     kind: str
     loops: tuple[Loop, ...] = ()
     members: tuple["CompactSetSpec", ...] = ()
-    declared_complement_connected: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -176,11 +174,7 @@ def annulus(center: complex, r_inner: float, r_outer: float) -> CompactSetSpec:
     _check_finite("annulus center and radii", c, r_inner, r_outer)
     if not (0 < r_inner < r_outer):
         raise InvalidInputError("annulus needs 0 < r_inner < r_outer")
-    return CompactSetSpec(
-        "annulus",
-        (Loop(c, float(r_outer)), Loop(c, float(r_inner), orientation=-1)),
-        declared_complement_connected=False,
-    )
+    return CompactSetSpec("annulus", (Loop(c, float(r_outer)), Loop(c, float(r_inner), orientation=-1)))
 
 
 def _segments_properly_intersect(a, b, c, d) -> bool:
@@ -220,9 +214,7 @@ def jordan_polygon(vertices: Sequence[complex]) -> CompactSetSpec:
     return CompactSetSpec("jordan_polygon", (Loop(corners=vs),))
 
 
-def union_of_disjoint(
-    members: Iterable[CompactSetSpec], declared_complement_connected: bool = False
-) -> CompactSetSpec:
+def union_of_disjoint(members: Iterable[CompactSetSpec]) -> CompactSetSpec:
     ms = tuple(members)
     if not ms:
         raise InvalidInputError("union needs at least one member")
@@ -238,11 +230,7 @@ def union_of_disjoint(
                 ms[i], ms[j].loops[0].points(1)[0], tol=-1e-9
             ):
                 raise InvalidInputError("union members are nested")
-    return CompactSetSpec(
-        "union-of-disjoint",
-        members=ms,
-        declared_complement_connected=declared_complement_connected,
-    )
+    return CompactSetSpec("union-of-disjoint", members=ms)
 
 
 def _loop_distance(p: Loop, q: Loop) -> float:
@@ -443,12 +431,6 @@ def _c2p(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _point(p) -> complex:
-    if isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p):
-        return complex(*p)
-    raise InvalidInputError(f"a point must be a list of two numbers, got {p!r}")
-
-
 def spec_to_json_dict(spec: CompactSetSpec) -> dict:
     out: dict = {"kind": spec.kind}
     loop = spec.loops[0] if spec.loops else None
@@ -462,27 +444,23 @@ def spec_to_json_dict(spec: CompactSetSpec) -> dict:
         out |= {"center": _c2p(loop.center), "r_inner": spec.loops[1].radius, "r_outer": loop.radius}
     else:
         out |= {"center": _c2p(loop.center), "radius": loop.radius}
-    out["declared_complement_connected"] = spec.declared_complement_connected
     return out
 
 
 def spec_from_json_dict(d: dict) -> CompactSetSpec:
-    try:
-        kind = d["kind"]
-        if kind == "disc":
-            out = disc(_point(d["center"]), d["radius"])
-        elif kind == "rectangle":
-            out = rectangle(_point(d["corner_lo"]), _point(d["corner_hi"]))
-        elif kind == "annulus":
-            out = annulus(_point(d["center"]), d["r_inner"], d["r_outer"])
-        elif kind == "jordan_polygon":
-            out = jordan_polygon([_point(v) for v in d["vertices"]])
-        elif kind == "union-of-disjoint":
-            out = union_of_disjoint(spec_from_json_dict(m) for m in d["members"])
-        else:
-            raise InvalidInputError(f"unknown set kind {kind!r}")
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed set description: {exc}") from exc
-    if "declared_complement_connected" in d:
-        out = replace(out, declared_complement_connected=bool(d["declared_complement_connected"]))
-    return out
+    kind = _wire.require(d, "kind")
+
+    def field(key: str, read=_wire.complex_number):
+        return _wire.require(d, key, read)
+
+    if kind == "disc":
+        return disc(field("center"), field("radius", _wire.number))
+    if kind == "rectangle":
+        return rectangle(field("corner_lo"), field("corner_hi"))
+    if kind == "annulus":
+        return annulus(field("center"), field("r_inner", _wire.number), field("r_outer", _wire.number))
+    if kind == "jordan_polygon":
+        return jordan_polygon(field("vertices", _wire.complexes))
+    if kind == "union-of-disjoint":
+        return union_of_disjoint(spec_from_json_dict(m) for m in field("members", _wire.array))
+    raise InvalidInputError(f"unknown set kind {kind!r}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _wire
 from .errors import InvalidAnchorError, InvalidInputError, PoleError
 from .fit import FitOptions, FitResult, _target_values, minimax_fit_samples
 from .geometry import CompactSetSpec, Contour, DiscretizedSet, quadrature_contours
@@ -373,12 +374,10 @@ def rational_to_json_dict(r: RationalDirichletFunction) -> dict:
 
 
 def rational_from_json_dict(d: dict) -> RationalDirichletFunction:
-    try:
-        p0 = DirichletPolynomial.from_pairs(d["p0"])
-        parts = tuple(
-            (complex(e["anchor"][0], e["anchor"][1]), DirichletPolynomial.from_pairs(e["coeffs"]))
-            for e in d["parts"]
-        )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InvalidInputError(f"malformed rational function JSON: {exc}") from exc
+    p0 = DirichletPolynomial.from_pairs(_wire.require(d, "p0"))
+    parts = tuple(
+        (_wire.require(e, "anchor", _wire.complex_number),
+         DirichletPolynomial.from_pairs(_wire.require(e, "coeffs")))
+        for e in _wire.require(d, "parts", _wire.array)
+    )
     return RationalDirichletFunction(p0, parts)

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _wire
 from .errors import InvalidInputError
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "evaluate_many",
     "shift_by_delta",
     "seminorm_sigma",
-    "sup_norm_halfplane",
     "sup_norm_report",
     "estimate_abscissas",
 ]
@@ -99,9 +99,7 @@ class DirichletPolynomial:
     @staticmethod
     def from_pairs(pairs: Sequence[Sequence[float]]) -> "DirichletPolynomial":
         """Build from JSON-style [[re, im], ...] coefficient pairs."""
-        return DirichletPolynomial(
-            np.array([complex(re, im) for re, im in pairs], dtype=complex)
-        )
+        return DirichletPolynomial(np.array(_wire.complexes(pairs, "coefficients"), dtype=complex))
 
     def to_pairs(self) -> list[list[float]]:
         return [[float(c.real), float(c.imag)] for c in self.coefficients]
@@ -300,13 +298,6 @@ def sup_norm_report(
         value=min(_edge_sweep_max(p, sigma0, plan.height, plan.edge_points), upper),
         upper_bound=upper,
     )
-
-
-def sup_norm_halfplane(
-    p: DirichletPolynomial, sigma0: float, plan: SupNormPlan | None = None
-) -> float:
-    """Lower bound for sup |P| over {Re s >= sigma0}: the edge sweep's value."""
-    return sup_norm_report(p, sigma0, plan).value
 
 
 # ---------------------------------------------------------------------------

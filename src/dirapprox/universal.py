@@ -18,10 +18,11 @@ returned for inspection rather than discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _wire
 from .errors import InvalidInputError, integral
 from .fit import FitOptions, TargetFunction, _target_values, constrained_fit
 from .geometry import CompactSetSpec, SampleDensity, discretize, rectangle
@@ -168,44 +169,12 @@ class StageRecord:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {f.name: _FIELD_IO[f.type][1](getattr(self, f.name)) for f in fields(self)}
+        return _wire.write_fields(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "StageRecord":
         """Strict inverse of to_json_dict; a field with a default may be absent."""
-        try:
-            return StageRecord(**{
-                f.name: _FIELD_IO[f.type][0](d[f.name])
-                for f in fields(StageRecord)
-                if f.default is MISSING or f.name in d
-            })
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed stage record: {exc}") from exc
-
-
-def _typed(raw, *kinds: type):
-    """raw if its JSON type is one of kinds: no bool for an int, no 1.5 for
-    an int, no "false" for a bool."""
-    if type(raw) not in kinds:
-        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {raw!r}")
-    return raw
-
-
-def _real(raw) -> float:
-    return float(_typed(raw, int, float))
-
-
-# (reader, writer) of the JSON form of each StageRecord field annotation
-_FIELD_IO = {
-    "str": (lambda raw: _typed(raw, str), str),
-    "int": (lambda raw: _typed(raw, int), int),
-    "float": (_real, float),
-    "bool": (lambda raw: _typed(raw, bool), bool),
-    "tuple[tuple[float, float], ...]": (
-        lambda raw: tuple((_real(s), _real(v)) for s, v in raw),
-        lambda pairs: [[s, v] for s, v in pairs],
-    ),
-}
+        return _wire.read_fields(StageRecord, d, "malformed stage record", written=True)
 
 
 def _placed_block(coeffs: np.ndarray, prev: int) -> DirichletPolynomial:
@@ -269,13 +238,15 @@ class UniversalSchedule:
 
     @staticmethod
     def from_json_dict(d: dict) -> "UniversalSchedule":
-        try:
-            coeffs = np.array([complex(re, im) for re, im in d["coefficients"]], dtype=complex)
-            cuts = tuple(_typed(c, int) for c in d["cuts"])
-            records = tuple(StageRecord.from_json_dict(r) for r in d["records"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed schedule: {exc}") from exc
-        return UniversalSchedule(coeffs, cuts, records)
+        what = "malformed schedule: "
+        coeffs = _wire.complexes(_wire.require(d, "coefficients"), what + "coefficients")
+        cuts = _wire.array(_wire.require(d, "cuts"), what + "cuts")
+        records = _wire.array(_wire.require(d, "records"), what + "records")
+        return UniversalSchedule(
+            np.array(coeffs, dtype=complex),
+            tuple(_wire.written_integer(c, what + "cuts") for c in cuts),
+            tuple(StageRecord.from_json_dict(r) for r in records),
+        )
 
 
 def build_universal(

@@ -552,6 +552,7 @@ class TestExitCodes:
         (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "compact_index": "one"}]}),
         (["universal-build"], {"family": [3]}),
         (["chordal-check", "--eps", "0.1"], {"interval": [2, 3], "ladder": 10}),
+        (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "label": 5}]}),
     ])
     def test_malformed_json_shapes_are_invalid_input(self, tmp_path, capsys, argv, doc):
         assert main([*argv, "--input", write(tmp_path / "in.json", doc)]) == 2
@@ -564,6 +565,15 @@ class TestExitCodes:
         (["convergence-study"], {**DISC_EXP, "degrees": [5, 10.5]}),
         (["chordal-check", "--eps", "0.1"], {"interval": [2, 3], "ladder": [10, True]}),
         (["abscissa"], {"rule": {"kind": "all-ones"}, "truncation": 150.9}),
+        # nor is a boolean a number, which float() and complex() would read as 0 or 1
+        (["fit", "--degree", "3"], {**DISC_EXP, "set": {**DISC_EXP["set"], "radius": True}}),
+        (["laurent"], {"set": {**ANNULUS, "r_inner": True}, "anchors": [[0, 0]],
+                       "function": {"kind": "named", "name": "identity"}}),
+        (["eval"], {"coefficients": [[True, False]], "points": [[1, 0]]}),
+        (["fit", "--degree", "3"],
+         {**DISC_EXP, "target": {"kind": "named", "name": "constant", "constant": [True, False]}}),
+        (["universal-verify"],
+         {**ZERO_SCHEDULE, "schedule": {**ZERO_SCHEDULE["schedule"], "coefficients": [[True, False]]}}),
     ])
     def test_non_integral_or_boolean_integers_exit_2(self, tmp_path, capsys, argv, doc):
         # int() would truncate 1.7 to 1 and read true as 1
@@ -604,6 +614,18 @@ class TestExitCodes:
         src = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0]]})
         with pytest.raises(type(exc)):
             main(["eval", "--input", src])
+
+    def test_internal_errors_inside_a_reader_propagate(self, tmp_path, monkeypatch):
+        # the set reader checks its JSON, then lets the constructor's own errors through
+        import dirapprox.geometry as geometry_mod
+
+        def broken(*args):
+            raise TypeError("internal")
+
+        monkeypatch.setattr(geometry_mod, "disc", broken)
+        src = write(tmp_path / "in.json", DISC_EXP)
+        with pytest.raises(TypeError, match="internal"):
+            main(["fit", "--input", src, "--degree", "3"])
 
 
 class TestThreadCap:
@@ -694,7 +716,7 @@ class TestConsoleScript:
 PUBLIC_NAMES = (
     "errors", "AbscissaReport", "CoefficientRule", "DirichletPolynomial", "Sentinel",
     "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma", "shift_by_delta",
-    "sup_norm_halfplane", "LiftedPolynomial", "bohr_gap_report", "lift", "unlift",
+    "LiftedPolynomial", "bohr_gap_report", "lift", "unlift",
     "SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
     "translate", "union_of_disjoint", "FitOptions", "FitResult", "TargetFunction",
     "constrained_fit", "convergence_study", "minimax_fit", "LaurentPieces",

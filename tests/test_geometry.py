@@ -96,7 +96,6 @@ def test_union_screens_overlap_and_nesting():
         union_of_disjoint([jordan_polygon([0, 2, 1 + 2j]), jordan_polygon([1 + 1j, 3 + 1j, 3 + 3j])])
     u = union_of_disjoint([disc(0, 1), rectangle(3 - 1j, 4 + 1j)])
     assert len(u.members) == 2
-    assert not u.declared_complement_connected
     assert len(union_of_disjoint([annulus(0, 1, 2), disc(0, 0.5)]).members) == 2  # in the hole
     assert len(union_of_disjoint([rectangle(0, 1 + 1j), rectangle(1 + 1e-8, 2 + 1j)]).members) == 2
 
