@@ -90,9 +90,14 @@ def chi_many(
     a_infinite: np.ndarray | None = None,
     b_infinite: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized chi; entries under an infinity mask ignore the value array."""
-    av = np.asarray(a, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
+    """Vectorized chi; entries under an infinity mask ignore the value array.
+
+    Real input is measured in real arithmetic, which gives the same values
+    as its complex embedding without the complex moduli.
+    """
+    av, bv = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(av, bv, 1.0)
+    av, bv = av.astype(dtype, copy=False), bv.astype(dtype, copy=False)
     if av.shape != bv.shape:
         raise InvalidInputError("chi_many needs aligned arrays")
     ainf = np.zeros(av.shape, dtype=bool) if a_infinite is None else np.asarray(a_infinite, bool)
@@ -100,22 +105,23 @@ def chi_many(
     if ainf.shape != av.shape or binf.shape != bv.shape:
         raise InvalidInputError("infinity masks must match the value arrays")
     fin = ~(ainf | binf)
-    if np.any(np.isnan(av[fin])) or np.any(np.isnan(bv[fin])):
+    fa, fb = av[fin], bv[fin]
+    if np.any(np.isnan(fa)) or np.any(np.isnan(fb)):
         raise InvalidInputError("nan is not a point of the sphere")
-    fa = np.hypot(1.0, np.abs(av))
-    fb = np.hypot(1.0, np.abs(bv))
-    out = np.zeros(av.shape, dtype=float)
+    # each modulus and hypot only where its entry is used
+    ma, mb = np.abs(fa), np.abs(fb)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(np.abs(av - bv), fa * fb, out=out, where=fin)
-        big = fin & (np.abs(av) > _INVERSION_CUTOFF) & (np.abs(bv) > _INVERSION_CUTOFF)
+        d = np.abs(fa - fb) / (np.hypot(1.0, ma) * np.hypot(1.0, mb))
+        big = (ma > _INVERSION_CUTOFF) & (mb > _INVERSION_CUTOFF)
         if np.any(big):
-            ia, ib = 1.0 / av[big], 1.0 / bv[big]
-            out[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
+            ia, ib = 1.0 / fa[big], 1.0 / fb[big]
+            d[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
+    out = np.zeros(av.shape, dtype=float)  # 0 where both are the tag
+    out[fin] = d
     only_a = ainf & ~binf
     only_b = binf & ~ainf
-    out[only_a] = 1.0 / fb[only_a]
-    out[only_b] = 1.0 / fa[only_b]
-    out[ainf & binf] = 0.0
+    out[only_a] = 1.0 / np.hypot(1.0, np.abs(bv[only_a]))
+    out[only_b] = 1.0 / np.hypot(1.0, np.abs(av[only_b]))
     return np.minimum(out, 1.0)
 
 
@@ -262,36 +268,6 @@ class _PartialSums:
         return twin
 
 
-@dataclass
-class _RegionSups:
-    plain: float
-    core: float  # everything outside the widened band
-    band: float
-
-
-def _region_sups(
-    s_vals: np.ndarray,
-    finite_mask: np.ndarray,
-    limit_vals: np.ndarray,
-    band_mask: np.ndarray | None,
-) -> _RegionSups:
-    with np.errstate(over="ignore", invalid="ignore"):
-        inf_part = 1.0 / np.hypot(1.0, s_vals[~finite_mask])
-        f = s_vals[finite_mask]
-        fin_part = np.abs(f - limit_vals) / (np.hypot(1.0, f) * np.hypot(1.0, limit_vals))
-    sup_inf = float(inf_part.max()) if inf_part.size else 0.0
-    if band_mask is None:
-        sup_fin = float(fin_part.max()) if fin_part.size else 0.0
-        total = max(sup_inf, sup_fin)
-        return _RegionSups(plain=total, core=total, band=0.0)
-    in_band = band_mask[finite_mask]
-    sup_band = float(fin_part[in_band].max()) if np.any(in_band) else 0.0
-    sup_out = float(fin_part[~in_band].max()) if np.any(~in_band) else 0.0
-    return _RegionSups(
-        plain=max(sup_inf, sup_band, sup_out), core=max(sup_inf, sup_out), band=sup_band
-    )
-
-
 def chordal_convergence_check(
     rule: Callable,
     divergence_abscissa: float,
@@ -315,13 +291,14 @@ def chordal_convergence_check(
     from below; nothing here is certified.  If no ladder entry reaches
     target_eps, the search continues past the ladder on geometric (x1.08)
     checkpoints and bisects the bracket of the first qualifying one.  The
-    coefficients are non-negative, so every region sup is non-increasing
-    in N and a searched n0 is the smallest qualifying index: n0
-    qualifies on the grid and n0 - 1 does not, hence (up to rounding) no
-    smaller index meets the target on the whole interval either.  Inside
-    an optional band the qualification tolerance is widened to
-    _BAND_FACTOR * target_eps (the limit is steepest there); the reported
-    error column is always the plain sup.
+    coefficients are non-negative, so every point's chordal error is
+    non-increasing in N and a searched n0 is the smallest qualifying
+    index: n0 qualifies on the grid and n0 - 1 does not, hence (up to
+    rounding) no smaller index meets the target on the whole interval
+    either.  N qualifies when every grid point is within its own
+    tolerance: target_eps, or _BAND_FACTOR * target_eps at the finite
+    points of an optional band (the limit is steepest there).  The
+    reported error column is always the plain sup.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -337,13 +314,13 @@ def chordal_convergence_check(
         raise InvalidInputError("grid parameters must be finite and positive")
     _coefficient_block(rule, 1, 64)  # spot-validate the rule up front
 
-    def qualifies(sups: _RegionSups) -> bool:
-        if band is None:
-            return sups.plain <= target_eps
-        return sups.core <= target_eps and sups.band <= _BAND_FACTOR * target_eps
+    def measure(sums: _PartialSums) -> tuple[float, bool]:
+        """Sup of chi(S_N, limit) over the grid, and whether N qualifies."""
+        err = chi_many(sums.values, limit_vals, b_infinite=~finite_mask)
+        return float(err.max(initial=0.0)), bool(np.all(err <= tolerance))
 
     density = float(grid_per_unit)
-    prev_column: list[_RegionSups] | None = None
+    prev_errors: list[float] | None = None
     grid_converged = False
     for _ in range(_MAX_GRID_DOUBLINGS + 1):
         used_density = density
@@ -351,31 +328,31 @@ def chordal_convergence_check(
         grid = np.linspace(lo, hi, npts)
         step = (hi - lo) / max(1, npts - 1)  # linspace's own step
         finite_mask = grid > divergence_abscissa
-        limit_vals = limit(grid[finite_mask]) if np.any(finite_mask) else np.zeros(0)
-        band_mask = None
-        if band is not None:
-            band_mask = (grid > band[0]) & (grid <= band[1])
+        finite_limit = np.asarray(limit(grid[finite_mask]) if np.any(finite_mask) else [])
+        limit_vals = np.zeros(npts, dtype=np.result_type(finite_limit, 1.0))  # 0 under the tag
+        limit_vals[finite_mask] = finite_limit
+        band_mask = np.zeros(npts, dtype=bool) if band is None else (grid > band[0]) & (grid <= band[1])
+        tolerance = np.where(band_mask & finite_mask, _BAND_FACTOR * target_eps, target_eps)
         sums = _PartialSums(lo, step, npts, rule)
-        column: list[_RegionSups] = []
+        column: list[tuple[float, bool]] = []
         for n in ladder:
             sums.extend(n)
-            column.append(_region_sups(sums.values, finite_mask, limit_vals, band_mask))
-        if prev_column is not None:
-            drift = max(abs(a.plain - b.plain) for a, b in zip(column, prev_column))
-            if drift < grid_tol:
+            column.append(measure(sums))
+        errors = [sup for sup, _ in column]
+        if prev_errors is not None:
+            if max(abs(a - b) for a, b in zip(errors, prev_errors)) < grid_tol:
                 grid_converged = True
                 break
-        prev_column = column
+        prev_errors = errors
         density *= 2.0
-    errors = tuple(s.plain for s in column)
 
     n0 = None
     n0_error = None
     n0_source = None
     searched_to = ladder[-1]
-    for n, sups in zip(ladder, column):
-        if qualifies(sups):
-            n0, n0_error, n0_source = n, sups.plain, "ladder"
+    for n, (sup, ok) in zip(ladder, column):
+        if ok:
+            n0, n0_error, n0_source = n, sup, "ladder"
             break
     if n0 is None:
         # geometric checkpoints past the ladder, then a bisection of the
@@ -387,15 +364,15 @@ def chordal_convergence_check(
             below = sums.copy()
             sums.extend(n_next)
             searched_to = n_next
-            sups = _region_sups(sums.values, finite_mask, limit_vals, band_mask)
-            if qualifies(sups):
-                n0, n0_error, n0_source = n_next, sups.plain, "search"
+            sup, ok = measure(sums)
+            if ok:
+                n0, n0_error, n0_source = n_next, sup, "search"
                 while n0 - below.upto > 1:
                     trial = below.copy()
                     trial.extend((below.upto + n0) // 2)
-                    trial_sups = _region_sups(trial.values, finite_mask, limit_vals, band_mask)
-                    if qualifies(trial_sups):
-                        n0, n0_error = trial.upto, trial_sups.plain
+                    trial_sup, trial_ok = measure(trial)
+                    if trial_ok:
+                        n0, n0_error = trial.upto, trial_sup
                     else:
                         below = trial
                 break
@@ -416,7 +393,7 @@ def chordal_convergence_check(
         interval=(lo, hi),
         target_eps=float(target_eps),
         ladder=ladder,
-        errors=errors,
+        errors=tuple(errors),
         n0=n0,
         n0_error=n0_error,
         n0_source=n0_source,

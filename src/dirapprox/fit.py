@@ -118,14 +118,16 @@ class TargetFunction:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TargetFunction":
-        if _wire.require(d, "kind") == "sampled":
+        kind = _wire.require(d, "kind")
+        if kind == "sampled":
             return TargetFunction.sampled(np.array(_wire.require(d, "values", _wire.complexes)))
         name = _wire.require(d, "name")
         if name == "constant":
-            return TargetFunction.const(_wire.require(d, "constant", _wire.complex_number))
+            return TargetFunction(kind, name, constant=_wire.require(d, "constant", _wire.complex_number))
         if name == "polynomial":
-            return TargetFunction.polynomial(_wire.require(d, "poly_coeffs", _wire.complexes))
-        return TargetFunction("named", name=name)
+            coeffs = _wire.require(d, "poly_coeffs", _wire.complexes)
+            return TargetFunction(kind, name, poly_coeffs=tuple(coeffs))
+        return TargetFunction(kind, name=name)
 
 
 def _target_values(g, points: np.ndarray) -> np.ndarray:
@@ -577,7 +579,7 @@ def convergence_study(
     carried: np.ndarray | None = None
     carried_err = math.inf
     for n in degrees:
-        res = minimax_fit(dset, g, n, options)
+        res = minimax_fit_samples(points, gvals, n, options)
         err, coeffs = res.minimax_error, res.polynomial.coefficients
         if carried is not None and carried_err < err:
             padded = np.zeros(n, dtype=complex)

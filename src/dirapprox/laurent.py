@@ -62,15 +62,19 @@ class CauchyPiece:
         return evaluate_piece(self, s)
 
 
-def _cauchy_transform(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Cauchy integral of the node data, chunked; node hits return the datum.
+def _cauchy_sum(
+    nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, targets: np.ndarray, *, compensated: bool
+) -> np.ndarray:
+    """Cauchy quadrature sum(w v/(node-t)) of the node data, chunked.
 
-    Where the loop winds around t the compensated ratio
-    sum(w v/(node-t)) / sum(w/(node-t)) is the interpolant of the data and
-    stays accurate up to and on the curve.  The denominator approximates
-    2*pi*i*winding(t), so it also serves as the dispatch: away from the loop
-    (winding 0) the ratio is 0/0 noise and the plain kernel num/(2*pi*i) is
-    the integral's value.
+    Plain, the sum over 2*pi*i is the Cauchy integral itself: the loop's
+    own split piece wherever t lies off the loop's closure (the stored
+    weights carry the boundary orientation, holes clockwise, so the same
+    formula yields f_0 on outer loops and f_j on hole loops).  Compensated,
+    it is divided by sum(w/(node-t)) instead: the barycentric interpolant
+    of the data, accurate up to and on the curve, but only where the loop
+    winds around t (on the curve, at a corner too).  The caller chooses by
+    geometry.  A node hit returns the datum.
     """
     out = np.empty(targets.size, dtype=complex)
     wv = weights * values
@@ -79,9 +83,8 @@ def _cauchy_transform(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray
         diff = nodes[None, :] - t[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             inv = np.divide(1.0, diff, out=diff)  # a node hit poisons its row
-            num = inv @ wv
-            den = inv @ weights
-            block = np.where(np.abs(den) >= math.pi, num / den, num / (2j * math.pi))
+            block = inv @ wv
+            block /= (inv @ weights) if compensated else 2j * math.pi
         for row in np.flatnonzero(~np.isfinite(block)):
             hits = np.flatnonzero(nodes == t[row])
             if hits.size:  # the last equal node, as on a seam repeated at 0 and m
@@ -91,15 +94,15 @@ def _cauchy_transform(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray
 
 
 def evaluate_piece(piece: CauchyPiece, s) -> complex | np.ndarray:
-    """The piece at s (scalar or array): the compensated kernel on the set's
-    side of its loop, the plain kernel on f's loop data beyond it."""
+    """The piece at s (scalar or array): the compensated sum on the set's
+    side of its loop, the plain sum of f's loop data beyond it."""
     pts = np.atleast_1d(np.asarray(s, dtype=complex))
     near = piece.contour.loop.contains(pts, 1e-9)
-    vals = np.empty(pts.shape, dtype=complex)
-    vals[~near] = _plain_transform(piece.contour, piece.loop_values, pts[~near])
     z, w, t = piece.contour.points, piece.contour.weights, pts[near]
+    vals = np.empty(pts.shape, dtype=complex)
+    vals[~near] = _cauchy_sum(z, w, piece.loop_values, pts[~near], compensated=False)
     if piece.anchor is None:
-        vals[near] = _cauchy_transform(z, w, piece.values, t)
+        vals[near] = _cauchy_sum(z, w, piece.values, t, compensated=True)
     else:
         # v = 1/(zeta-a) maps the hole boundary to a loop around 0; the
         # stored clockwise traverse comes out counterclockwise there.  The
@@ -107,23 +110,9 @@ def evaluate_piece(piece: CauchyPiece, s) -> complex | np.ndarray:
         a = piece.anchor
         v = 1.0 / (z - a)
         wv = -w / (z - a) ** 2
-        at_zero = _cauchy_transform(v, wv, piece.values, np.zeros(1, dtype=complex))
-        vals[near] = _cauchy_transform(v, wv, piece.values, 1.0 / (t - a)) - at_zero[0]
+        at_zero = _cauchy_sum(v, wv, piece.values, np.zeros(1, dtype=complex), compensated=True)
+        vals[near] = _cauchy_sum(v, wv, piece.values, 1.0 / (t - a), compensated=True) - at_zero[0]
     return vals if np.ndim(s) else complex(vals[0])
-
-
-def _plain_transform(contour: Contour, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(1/2*pi*i) sum(w v/(node-t)): the loop's own split piece, away from it.
-
-    The stored weights carry the boundary orientation (holes clockwise),
-    so the same formula yields f_0 on outer loops and f_j on hole loops.
-    """
-    out = np.empty(targets.size, dtype=complex)
-    wv = contour.weights * values
-    for start in range(0, targets.size, _EVAL_CHUNK):
-        t = targets[start : start + _EVAL_CHUNK]
-        out[start : start + _EVAL_CHUNK] = (1.0 / (contour.points[None, :] - t[:, None])) @ wv
-    return out / (2j * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +190,9 @@ def _build_pieces(
         for other in ordered:
             if other is loop:
                 continue
-            own -= _plain_transform(other, loop_vals[id(other)], loop.points)
+            own -= _cauchy_sum(
+                other.points, other.weights, loop_vals[id(other)], loop.points, compensated=False
+            )
         own_values.append(own)
 
     k = len(outer_loops)

@@ -210,7 +210,7 @@ class UniversalSchedule:
                 f"coefficients length {arr.size} does not match final cut {expected}"
             )
         records = tuple(self.records)
-        if sum(1 for r in records if r.converged) != len(cuts):
+        if tuple(r.cut for r in records if r.converged) != cuts:
             raise InvalidInputError("records disagree with cuts about completed stages")
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)

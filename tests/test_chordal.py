@@ -81,6 +81,15 @@ class TestChi:
         assert chi(1e200, 1e200 * (1 + 1e-10)) <= 1e-209
         assert 0.0 <= chi(-1e308, 1e308) <= 1.0
 
+    def test_real_input_matches_its_complex_embedding_exactly(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=200) * 10.0 ** rng.uniform(-3, 300, 200)
+        b = np.concatenate([-a[:50], a[50:100] * (1 + 1e-9), rng.normal(size=100)])
+        ainf, binf = rng.random(200) < 0.2, rng.random(200) < 0.2
+        got = chi_many(a, b, a_infinite=ainf, b_infinite=binf)
+        want = chi_many(a.astype(complex), b.astype(complex), a_infinite=ainf, b_infinite=binf)
+        assert got.tobytes() == want.tobytes()
+
     @given(_point, _point)
     @settings(max_examples=300, deadline=None)
     def test_symmetry_exact(self, a, b):
@@ -514,13 +523,13 @@ class TestSearchPastTheLadder:
         from dirapprox import chordal
 
         calls = []
-        real = chordal._region_sups
+        real = chordal.chi_many
 
-        def counted(*args):
+        def counted(*args, **kwargs):  # one chordal measurement per pass
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(chordal, "_region_sups", counted)
+        monkeypatch.setattr(chordal, "chi_many", counted)
         ladder, density = (10, 100), 25.0
         report = zeta_chordal_convergence_check((-2.0, 2.0), ladder, 0.13, grid_per_unit=density)
         assert report.n0 == _harmonic_threshold(0.13)

@@ -339,6 +339,14 @@ class TestLaurentCommands:
         assert rep["warning"] is False
         assert rep["hole_pieces"] == 1
 
+    def test_exp_on_a_rectangle_splits_cleanly(self, tmp_path):
+        # probe points at the corners, where the loop winds only a quarter turn
+        spec = {"set": BUDGET_FIT["set"], "function": {"kind": "named", "name": "exp"}, "anchors": []}
+        out = tmp_path / "l.json"
+        assert main(["laurent", "--input", write(tmp_path / "in.json", spec), "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["residual"] <= 1e-12 and rep["warning"] is False
+
     def test_rational_fit_artifact_round_trips(self, tmp_path):
         spec = {"set": ANNULUS, "function": {"kind": "named", "name": "exp"},
                 "anchors": [[0, 0]], "degrees": [8, 8]}
@@ -553,6 +561,10 @@ class TestExitCodes:
         (["universal-build"], {"family": [3]}),
         (["chordal-check", "--eps", "0.1"], {"interval": [2, 3], "ladder": 10}),
         (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "label": 5}]}),
+        (["fit", "--degree", "3"], {**DISC_EXP, "target": {"kind": "bogus", "name": "exp"}}),
+        (["universal-verify"],
+         {**ZERO_SCHEDULE, "schedule": {**ZERO_SCHEDULE["schedule"],
+                                        "records": [{**ZERO_SCHEDULE["schedule"]["records"][0], "cut": 7}]}}),
     ])
     def test_malformed_json_shapes_are_invalid_input(self, tmp_path, capsys, argv, doc):
         assert main([*argv, "--input", write(tmp_path / "in.json", doc)]) == 2

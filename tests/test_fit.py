@@ -80,6 +80,14 @@ def test_target_json_round_trip():
         assert back.kind == t.kind and back.name == t.name
 
 
+@pytest.mark.parametrize("name", ["exp", "constant", "polynomial"])
+def test_target_json_unknown_kind_rejected(name):
+    # the kind is checked, not read as "anything but sampled is named"
+    doc = {"kind": "bogus", "name": name, "constant": [1, 0], "poly_coeffs": [[0, 1]]}
+    with pytest.raises(InvalidInputError, match="unknown target kind 'bogus'"):
+        TargetFunction.from_json_dict(doc)
+
+
 # --- minimax_fit ----------------------------------------------------------------
 
 

@@ -7,7 +7,15 @@ import pytest
 
 from dirapprox import laurent as laurent_mod
 from dirapprox.errors import InvalidAnchorError, InvalidInputError, PoleError
-from dirapprox.geometry import SampleDensity, annulus, disc, discretize, union_of_disjoint
+from dirapprox.geometry import (
+    SampleDensity,
+    annulus,
+    disc,
+    discretize,
+    jordan_polygon,
+    rectangle,
+    union_of_disjoint,
+)
 from dirapprox.laurent import (
     LaurentPieces,
     RationalDirichletFunction,
@@ -136,6 +144,20 @@ def test_union_with_a_disc_inside_an_annulus_hole_reconstructs():
     dset = discretize(spec, SampleDensity(0.02, 0.1))
     pieces = laurent_decompose(dset, lambda s: np.exp(s) + 1 / (s - 0.6), [0.6])
     assert pieces.residual <= 1e-10 and not pieces.warning
+
+
+@pytest.mark.parametrize("spec, f, anchors", [
+    (rectangle(-2 - 1j, -0.5 + 1j), np.exp, []),
+    (jordan_polygon([0, 2, 1 + 1.5j]), lambda s: s * s, []),
+    (union_of_disjoint([rectangle(-4 - 1j, -2 + 1j), annulus(2, 0.5, 1.0)]),
+     lambda s: np.exp(s) + 1 / (s - 2), [2.0]),
+], ids=["rectangle", "triangle", "rectangle-and-annulus"])
+def test_polygon_split_reconstructs_up_to_the_corners(spec, f, anchors):
+    # the boundary samples include the corners, where the loop winds only
+    # a quarter (or a fraction) of a turn: the set's side is still the
+    # compensated form's side
+    pieces = laurent_decompose(discretize(spec), f, anchors)
+    assert pieces.residual <= 1e-12 and not pieces.warning
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,15 @@ def test_schedule_invariants_validated():
         UniversalSchedule(np.zeros(1, dtype=complex), (1,), (rec, rec))
 
 
+def test_converged_records_must_name_their_cuts():
+    sched = build_universal(TargetFamily((FamilyEntry(TargetFunction.const(0.0), 1, 0.1),)))
+    assert sched.cuts == (1,) and sched.records[0].cut == 1
+    doc = sched.to_json_dict()
+    doc["records"][0]["cut"] = 7
+    with pytest.raises(InvalidInputError, match="records disagree with cuts"):
+        UniversalSchedule.from_json_dict(doc)
+
+
 def test_options_validation():
     with pytest.raises(InvalidInputError):
         UniversalOptions(sigma=-1.0)
