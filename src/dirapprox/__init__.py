@@ -22,7 +22,7 @@ import sys
 from . import errors
 
 _EXPORTS = {
-    "series": ("AbscissaReport", "CoefficientRule", "DirichletPolynomial", "Sentinel",
+    "series": ("AbscissaReport", "CoefficientRule", "DirichletPolynomial",
                "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma",
                "shift_by_delta"),
     "bohr": ("LiftedPolynomial", "bohr_gap_report", "lift", "unlift"),
@@ -34,8 +34,8 @@ _EXPORTS = {
                 "rational_dirichlet_fit"),
     "universal": ("FamilyEntry", "TargetFamily", "UniversalOptions", "UniversalSchedule",
                   "build_universal", "compact_rectangle", "verify_schedule"),
-    "chordal": ("INFINITY", "ConvergenceReport", "SpherePoint", "chi", "chi_many",
-                "chi_uniform_error", "chordal_convergence_check", "zeta_chordal_convergence_check"),
+    "chordal": ("ConvergenceReport", "chi", "chi_many", "chi_uniform_error",
+                "chordal_convergence_check", "zeta_chordal_convergence_check"),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 

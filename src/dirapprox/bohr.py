@@ -25,6 +25,7 @@ from .errors import (
     NeedsLargerTableError,
     OutOfRangeError,
     ResourceLimitError,
+    integral,
 )
 from .series import DirichletPolynomial
 
@@ -277,12 +278,13 @@ class PolydiscPlan:
     polish_starts: int = 16
     seed: int = 0
 
-    def validated(self) -> "PolydiscPlan":
+    def __post_init__(self):
+        for name in ("max_vars", "polish_starts", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if self.polish_starts < 0:
             raise InvalidInputError(f"polydisc plan needs polish_starts >= 0, got {self.polish_starts!r}")
         if self.seed < 0:
             raise InvalidInputError(f"polydisc plan needs seed >= 0, got {self.seed!r}")
-        return self
 
 
 _SAMPLES = 8192  # random torus points drawn by one estimate
@@ -340,7 +342,7 @@ def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None)
     the estimate at every k; for k <= 3 the polished maxima agree to
     rounding.  Every value returned is |q| at a point of the torus.
     """
-    return _polydisc_best(q, (plan or PolydiscPlan()).validated())[0]
+    return _polydisc_best(q, plan or PolydiscPlan())[0]
 
 
 def _polydisc_best(q: LiftedPolynomial, plan: PolydiscPlan) -> tuple[float, np.ndarray]:
@@ -569,7 +571,7 @@ def bohr_gap_report(
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {tolerance!r}")
-    polydisc_plan = (polydisc_plan or PolydiscPlan()).validated()
+    polydisc_plan = polydisc_plan or PolydiscPlan()
     q = lift(p)
     pd, theta = _polydisc_best(q, polydisc_plan)
     hp, t = _kronecker_witness(p.coefficients, PrimeTable.up_to(max(p.degree, 1)).primes, theta)

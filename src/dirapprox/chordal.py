@@ -1,11 +1,11 @@
 """Riemann-sphere (chordal) metric and chi-uniform convergence checks.
 
-chi(a, b) = |a-b| / (sqrt(1+|a|^2) sqrt(1+|b|^2)) for finite points, with
-the one-point compactification handled by an explicit infinity tag:
-chi(a, inf) = 1/sqrt(1+|a|^2) and chi(inf, inf) = 0.  The convergence
-checker measures sup-over-a-grid chordal error between partial sums of a
-non-negative Dirichlet series and its limit function, which is finite
-right of the divergence abscissa and the infinity tag at or left of it.
+chi(a, b) = |a-b| / (sqrt(1+|a|^2) sqrt(1+|b|^2)) for finite points.  The
+point at infinity is IEEE inf: a value with an infinite component is that
+point, chi(a, inf) = 1/sqrt(1+|a|^2) and chi(inf, inf) = 0, and nan is
+rejected.  The convergence checker measures sup-over-a-grid chordal error
+between partial sums of a non-negative Dirichlet series and its limit
+function, which is inf at or left of the divergence abscissa.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integral
 from .series import _exp_basis, _grid_sums
 
 __all__ = [
-    "SpherePoint",
-    "INFINITY",
     "chi",
     "chi_many",
     "chi_uniform_error",
@@ -41,46 +39,37 @@ _BAND_FACTOR = 2.0  # tolerance widening inside its band
 _INDEX_CHUNK = 1024  # indices per _PartialSums kernel call
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of C u {inf}: a finite complex value or the infinity tag (None)."""
-
-    value: complex | None = None
-
-    def __post_init__(self):
-        if self.value is not None:
-            v = complex(self.value)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise InvalidInputError(
-                    "finite sphere points need finite components; use INFINITY for the tag"
-                )
-            object.__setattr__(self, "value", v)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    @staticmethod
-    def of(x) -> "SpherePoint":
-        """Coerce: SpherePoint passes through; infinite floats map to the tag."""
-        if isinstance(x, SpherePoint):
-            return x
-        if x is None:
-            return INFINITY
-        v = complex(x)
-        if math.isnan(v.real) or math.isnan(v.imag):
-            raise InvalidInputError("nan is not a point of the sphere")
-        if math.isinf(v.real) or math.isinf(v.imag):
-            return INFINITY
-        return SpherePoint(v)
-
-
-INFINITY = SpherePoint(None)
-
-
 def chi(a, b) -> float:
     """Chordal distance on C u {inf}; always in [0, 1]."""
     return chi_uniform_error([a], [b])
+
+
+def _infinity_tags(v: np.ndarray, mask) -> np.ndarray:
+    """Where v is the point at infinity: an infinite component, or set in mask.
+
+    nan is rejected wherever it is not tagged.
+    """
+    tags = np.zeros(v.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if tags.shape != v.shape:
+        raise InvalidInputError("infinity masks must match the value arrays")
+    if not np.isfinite(v).all():
+        tags = tags | np.isinf(v)
+        if (np.isnan(v) & ~tags).any():
+            raise InvalidInputError("nan is not a point of the sphere")
+    return tags
+
+
+def _finite_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chi of aligned 1-d arrays of finite points, clamped to 1 against rounding."""
+    # each modulus and hypot only where its entry is used
+    ma, mb = np.abs(a), np.abs(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(a - b) / (np.hypot(1.0, ma) * np.hypot(1.0, mb))
+        big = (ma > _INVERSION_CUTOFF) & (mb > _INVERSION_CUTOFF)
+        if np.any(big):
+            ia, ib = 1.0 / a[big], 1.0 / b[big]
+            d[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
+    return np.minimum(d, 1.0, out=d)
 
 
 def chi_many(
@@ -90,7 +79,8 @@ def chi_many(
     a_infinite: np.ndarray | None = None,
     b_infinite: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized chi; entries under an infinity mask ignore the value array.
+    """Vectorized chi.  An entry is infinity where it has an infinite
+    component or its mask is set; a masked entry's value is ignored.
 
     Real input is measured in real arithmetic, which gives the same values
     as its complex embedding without the complex moduli.
@@ -99,46 +89,24 @@ def chi_many(
     dtype = np.result_type(av, bv, 1.0)
     av, bv = av.astype(dtype, copy=False), bv.astype(dtype, copy=False)
     if av.shape != bv.shape:
-        raise InvalidInputError("chi_many needs aligned arrays")
-    ainf = np.zeros(av.shape, dtype=bool) if a_infinite is None else np.asarray(a_infinite, bool)
-    binf = np.zeros(bv.shape, dtype=bool) if b_infinite is None else np.asarray(b_infinite, bool)
-    if ainf.shape != av.shape or binf.shape != bv.shape:
-        raise InvalidInputError("infinity masks must match the value arrays")
-    fin = ~(ainf | binf)
-    fa, fb = av[fin], bv[fin]
-    if np.any(np.isnan(fa)) or np.any(np.isnan(fb)):
-        raise InvalidInputError("nan is not a point of the sphere")
-    # each modulus and hypot only where its entry is used
-    ma, mb = np.abs(fa), np.abs(fb)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.abs(fa - fb) / (np.hypot(1.0, ma) * np.hypot(1.0, mb))
-        big = (ma > _INVERSION_CUTOFF) & (mb > _INVERSION_CUTOFF)
-        if np.any(big):
-            ia, ib = 1.0 / fa[big], 1.0 / fb[big]
-            d[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
-    out = np.zeros(av.shape, dtype=float)  # 0 where both are the tag
-    out[fin] = d
-    only_a = ainf & ~binf
-    only_b = binf & ~ainf
-    out[only_a] = 1.0 / np.hypot(1.0, np.abs(bv[only_a]))
-    out[only_b] = 1.0 / np.hypot(1.0, np.abs(av[only_b]))
-    return np.minimum(out, 1.0)
+        raise InvalidInputError(f"chi needs aligned values, got shapes {av.shape} and {bv.shape}")
+    ainf, binf = _infinity_tags(av, a_infinite), _infinity_tags(bv, b_infinite)
+    tagged = ainf | binf
+    if not tagged.any():
+        return _finite_chi(av.ravel(), bv.ravel()).reshape(av.shape)
+    fin = ~tagged
+    out = np.zeros(av.shape, dtype=float)  # 0 where both are infinity
+    out[fin] = _finite_chi(av[fin], bv[fin])
+    for tags, other_tags, other in ((ainf, binf, bv), (binf, ainf, av)):
+        if tags.any():  # chi(inf, x) = 1/sqrt(1+|x|^2) at a finite x
+            one = tags & ~other_tags
+            out[one] = 1.0 / np.hypot(1.0, np.abs(other[one]))
+    return out
 
 
 def chi_uniform_error(f_values: Sequence, g_values: Sequence) -> float:
     """max over aligned pairs of chi; the sup metric for sphere-valued data."""
-    f = [SpherePoint.of(x) for x in f_values]
-    g = [SpherePoint.of(y) for y in g_values]
-    if len(f) != len(g):
-        raise InvalidInputError(f"value lists differ in length: {len(f)} vs {len(g)}")
-
-    def values(points):  # the tag's value is ignored under its mask
-        return np.array([0j if p.is_infinity else p.value for p in points], dtype=complex)
-
-    def tags(points):
-        return np.array([p.is_infinity for p in points], dtype=bool)
-
-    err = chi_many(values(f), values(g), a_infinite=tags(f), b_infinite=tags(g))
+    err = chi_many(np.asarray(f_values, dtype=complex), np.asarray(g_values, dtype=complex))
     return float(err.max(initial=0.0))
 
 
@@ -283,8 +251,8 @@ def chordal_convergence_check(
 ) -> ConvergenceReport:
     """Sup-chordal error of partial sums against the series limit on a real interval.
 
-    The limit is `limit(sigma)` right of the divergence abscissa and the
-    infinity tag at or left of it.  The sigma grid starts at grid_per_unit
+    The limit is `limit(sigma)` right of the divergence abscissa and inf
+    at or left of it; an infinite limit value is the point at infinity.  The sigma grid starts at grid_per_unit
     points per unit and doubles, at most _MAX_GRID_DOUBLINGS times, until
     the ladder's sup column moves less than grid_tol.  Every error is a
     sampled sup over that grid, so it bounds the sup over the interval
@@ -303,7 +271,7 @@ def chordal_convergence_check(
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidInputError("interval must be finite with lo < hi")
-    ladder = tuple(int(n) for n in n_ladder)
+    ladder = tuple(integral(n, "ladder entry") for n in n_ladder)
     if not ladder:
         raise InvalidInputError("ladder must be non-empty")
     if any(n < 1 for n in ladder) or any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -312,11 +280,12 @@ def chordal_convergence_check(
         raise InvalidInputError("target_eps must be positive")
     if not all(math.isfinite(x) and x > 0 for x in (grid_per_unit, grid_tol)):
         raise InvalidInputError("grid parameters must be finite and positive")
+    search_cap = integral(search_cap, "search_cap")
     _coefficient_block(rule, 1, 64)  # spot-validate the rule up front
 
     def measure(sums: _PartialSums) -> tuple[float, bool]:
         """Sup of chi(S_N, limit) over the grid, and whether N qualifies."""
-        err = chi_many(sums.values, limit_vals, b_infinite=~finite_mask)
+        err = chi_many(sums.values, limit_vals)
         return float(err.max(initial=0.0)), bool(np.all(err <= tolerance))
 
     density = float(grid_per_unit)
@@ -327,12 +296,12 @@ def chordal_convergence_check(
         npts = int(round((hi - lo) * density)) + 1
         grid = np.linspace(lo, hi, npts)
         step = (hi - lo) / max(1, npts - 1)  # linspace's own step
-        finite_mask = grid > divergence_abscissa
-        finite_limit = np.asarray(limit(grid[finite_mask]) if np.any(finite_mask) else [])
-        limit_vals = np.zeros(npts, dtype=np.result_type(finite_limit, 1.0))  # 0 under the tag
-        limit_vals[finite_mask] = finite_limit
+        right = grid > divergence_abscissa
+        right_limit = np.asarray(limit(grid[right]) if np.any(right) else [])
+        limit_vals = np.full(npts, np.inf, dtype=np.result_type(right_limit, 1.0))
+        limit_vals[right] = right_limit
         band_mask = np.zeros(npts, dtype=bool) if band is None else (grid > band[0]) & (grid <= band[1])
-        tolerance = np.where(band_mask & finite_mask, _BAND_FACTOR * target_eps, target_eps)
+        tolerance = np.where(band_mask & np.isfinite(limit_vals), _BAND_FACTOR * target_eps, target_eps)
         sums = _PartialSums(lo, step, npts, rule)
         column: list[tuple[float, bool]] = []
         for n in ladder:

@@ -316,10 +316,9 @@ class SampleDensity:
     boundary_spacing: float = 0.01
     interior_spacing: float = 0.05
 
-    def validated(self) -> "SampleDensity":
+    def __post_init__(self):
         if not (0 < self.boundary_spacing < math.inf and 0 < self.interior_spacing < math.inf):
             raise InvalidInputError("sampling density must be positive and finite")
-        return self
 
 
 @dataclass(frozen=True)
@@ -394,7 +393,7 @@ def _interior_grid(spec: CompactSetSpec, lo: complex, hi: complex, spacing: floa
 
 def discretize(spec: CompactSetSpec, density: SampleDensity | None = None) -> DiscretizedSet:
     """Samples on every boundary loop at spacing ≤ requested, grid interior."""
-    d = (density or SampleDensity()).validated()
+    d = density or SampleDensity()
     boundary, interior = [], []
     for piece in _pieces(spec):
         for loop in piece.loops:

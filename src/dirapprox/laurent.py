@@ -23,7 +23,7 @@ from . import _wire
 from .errors import InvalidAnchorError, InvalidInputError, PoleError
 from .fit import FitOptions, FitResult, _target_values, minimax_fit_samples
 from .geometry import CompactSetSpec, Contour, DiscretizedSet, quadrature_contours
-from .series import DirichletPolynomial, evaluate, evaluate_many
+from .series import DirichletPolynomial, evaluate_many
 
 _FAR_DIRECTION = 0.6 + 0.8j  # unit vector for the vanishing-at-infinity probe
 _EVAL_CHUNK = 256
@@ -279,29 +279,20 @@ class RationalDirichletFunction:
             raise InvalidInputError("pole anchors must be pairwise distinct")
         object.__setattr__(self, "parts", tuple((complex(z), p) for z, p in self.parts))
 
-    def __call__(self, s: complex) -> complex:
+    def __call__(self, s):
         return evaluate_rational(self, s)
 
 
-def evaluate_rational(r: RationalDirichletFunction, s: complex) -> complex:
-    s = complex(s)
+def evaluate_rational(r: RationalDirichletFunction, s) -> complex | np.ndarray:
+    """r at s, a scalar or an array of points."""
+    points = np.asarray(s, dtype=complex)
     for z, _ in r.parts:
-        if s == z:
-            raise PoleError(f"evaluation point coincides with the anchor {z}")
-    total = evaluate(r.p0, s)
-    for z, p in r.parts:
-        total += evaluate(p, 1.0 / (s - z))
-    return total
-
-
-def _evaluate_rational_many(r: RationalDirichletFunction, points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=complex)
-    total = evaluate_many(r.p0, points)
-    for z, p in r.parts:
         if np.any(points == z):
             raise PoleError(f"evaluation point coincides with the anchor {z}")
+    total = evaluate_many(r.p0, points)
+    for z, p in r.parts:
         total = total + evaluate_many(p, 1.0 / (points - z))
-    return total
+    return total if np.ndim(s) else complex(total)
 
 
 def rational_dirichlet_fit(
@@ -348,7 +339,7 @@ def rational_dirichlet_fit(
     fit0 = minimax_fit_samples(samples, y0, degrees[0], options)
 
     assembled = RationalDirichletFunction(fit0.polynomial, tuple(parts))
-    sup_error = float(np.abs(_evaluate_rational_many(assembled, samples) - _target_values(f, samples)).max())
+    sup_error = float(np.abs(evaluate_rational(assembled, samples) - _target_values(f, samples)).max())
     return assembled, sup_error
 
 

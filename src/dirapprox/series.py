@@ -7,7 +7,6 @@ bound, not a minimality claim (trailing zeros are allowed).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -15,12 +14,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _wire
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integral
 
 __all__ = [
     "DirichletPolynomial",
     "CoefficientRule",
-    "Sentinel",
     "AbscissaReport",
     "SupNormPlan",
     "SupNormReport",
@@ -199,12 +197,12 @@ class SupNormPlan:
     height: float = 2.0 * math.pi / math.log(2.0) * 16.0
     edge_points: int = 200_000
 
-    def validated(self) -> "SupNormPlan":
+    def __post_init__(self):
         if not (math.isfinite(self.height) and self.height > 0):
             raise InvalidInputError(f"sup-norm plan height must be finite and positive, got {self.height!r}")
+        object.__setattr__(self, "edge_points", integral(self.edge_points, "edge_points"))
         if self.edge_points < 1:
             raise InvalidInputError(f"sup-norm plan needs edge_points >= 1, got {self.edge_points!r}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,7 @@ def sup_norm_report(
     exact arithmetic, but where it reaches the bound (for a monomial, at
     every t) the computed modulus can round above it.
     """
-    plan = (plan or SupNormPlan()).validated()
+    plan = plan or SupNormPlan()
     if not math.isfinite(sigma0):
         raise InvalidInputError("sigma0 must be finite")
     upper = seminorm_sigma(p, sigma0)
@@ -342,70 +340,38 @@ class CoefficientRule:
         return np.array([complex(self.fn(int(k))) for k in n], dtype=complex)
 
 
-class Sentinel(enum.Enum):
-    """Signed-infinity tags kept out of floating arithmetic."""
-
-    NEG_INF = "neg_inf"
-    POS_INF = "pos_inf"
-
-    def __repr__(self):
-        return self.value
-
-
-ExtendedReal = float | Sentinel
-
-
-def ext_leq(a: ExtendedReal, b: ExtendedReal, tol: float = 0.0) -> bool:
-    """a <= b + tol in the extended order."""
-    if a is Sentinel.NEG_INF or b is Sentinel.POS_INF:
-        return True
-    if a is Sentinel.POS_INF:
-        return b is Sentinel.POS_INF
-    if b is Sentinel.NEG_INF:
-        return a is Sentinel.NEG_INF
-    return float(a) <= float(b) + tol
-
-
-def ext_to_json(x: ExtendedReal):
-    return x.value if isinstance(x, Sentinel) else float(x)
-
-
 @dataclass(frozen=True)
 class AbscissaReport:
     """Estimated convergence / absolute-convergence abscissas.
 
     The uniform-convergence abscissa is only bracketed: it always lies
-    between the plain and the absolute abscissa.
+    between the plain and the absolute abscissa.  An abscissa may be
+    -inf (a finitely supported rule converges everywhere); JSON has no
+    infinity, so to_json_dict writes "neg_inf" / "pos_inf".
     """
 
-    sigma_c_estimate: ExtendedReal
-    sigma_a_estimate: ExtendedReal
-    sigma_u_bracket: tuple[ExtendedReal, ExtendedReal]
+    sigma_c_estimate: float
+    sigma_a_estimate: float
+    sigma_u_bracket: tuple[float, float]
     truncation_used: int
 
     ORDERING_TOL = 0.05
 
     def ordering_holds(self, tol: float | None = None) -> bool:
+        """c <= lo <= hi <= a <= c + 1, each up to tol."""
         t = self.ORDERING_TOL if tol is None else tol
+        c, a = self.sigma_c_estimate, self.sigma_a_estimate
         lo, hi = self.sigma_u_bracket
-        chain = (
-            ext_leq(self.sigma_c_estimate, lo, t)
-            and ext_leq(lo, hi, t)
-            and ext_leq(hi, self.sigma_a_estimate, t)
-        )
-        if isinstance(self.sigma_a_estimate, Sentinel) or isinstance(
-            self.sigma_c_estimate, Sentinel
-        ):
-            gap = self.sigma_a_estimate is self.sigma_c_estimate
-        else:
-            gap = self.sigma_a_estimate <= self.sigma_c_estimate + 1.0 + t
-        return chain and gap
+        return c <= lo + t and lo <= hi + t and hi <= a + t and a <= c + 1.0 + t
 
     def to_json_dict(self) -> dict:
+        def extended(x: float):
+            return float(x) if math.isfinite(x) else ("pos_inf" if x > 0 else "neg_inf")
+
         return {
-            "sigma_c_estimate": ext_to_json(self.sigma_c_estimate),
-            "sigma_a_estimate": ext_to_json(self.sigma_a_estimate),
-            "sigma_u_bracket": [ext_to_json(x) for x in self.sigma_u_bracket],
+            "sigma_c_estimate": extended(self.sigma_c_estimate),
+            "sigma_a_estimate": extended(self.sigma_a_estimate),
+            "sigma_u_bracket": [extended(x) for x in self.sigma_u_bracket],
             "truncation_used": self.truncation_used,
         }
 
@@ -429,19 +395,14 @@ def estimate_abscissas(rule: CoefficientRule, truncation: int) -> AbscissaReport
     rather than endpoint values keep oscillating partial sums (which may
     vanish at block ends) from derailing the fit.
     """
+    truncation = integral(truncation, "truncation")
     if truncation < 100:
         raise InvalidInputError("abscissa estimation needs truncation >= 100")
-    if rule.finitely_supported:
-        lo = Sentinel.NEG_INF
-        return AbscissaReport(lo, lo, (lo, lo), truncation)
-
     coeffs = rule.coefficients(truncation)
+    if rule.finitely_supported or not np.any(np.abs(coeffs) > 0):
+        return AbscissaReport(-math.inf, -math.inf, (-math.inf, -math.inf), truncation)
     partial = np.cumsum(coeffs)
     partial_abs = np.cumsum(np.abs(coeffs))
-
-    if not np.any(np.abs(coeffs) > 0):
-        lo = Sentinel.NEG_INF
-        return AbscissaReport(lo, lo, (lo, lo), truncation)
 
     ends = []
     m = truncation

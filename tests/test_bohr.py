@@ -254,11 +254,12 @@ def test_polydisc_zero_polish_starts_keeps_the_best_sample():
         polydisc_sup_estimate(q, PolydiscPlan(polish_starts=-1))
 
 
-@pytest.mark.parametrize("bad", [{"seed": -1}, {"polish_starts": -1}])
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"polish_starts": -1}, {"seed": 1.5}, {"polish_starts": 2.5},
+                                 {"polish_starts": True}, {"max_vars": 2.5}])
 def test_polydisc_plan_rejects_bad_fields(bad):
     (field,) = bad
     with pytest.raises(InvalidInputError, match=field):
-        PolydiscPlan(**bad).validated()
+        PolydiscPlan(**bad)
 
 
 def forbid_sampling(monkeypatch):
@@ -272,8 +273,7 @@ def forbid_sampling(monkeypatch):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"tolerance": -1.0}, {"tolerance": float("nan")}, {"tolerance": float("inf")},
-     {"polydisc_plan": PolydiscPlan(seed=-1)}],
+    [{"tolerance": -1.0}, {"tolerance": float("nan")}, {"tolerance": float("inf")}],
 )
 def test_gap_report_rejects_bad_input_before_the_sweep(kwargs, monkeypatch):
     forbid_sampling(monkeypatch)

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 import mpmath
 
 from dirapprox.chordal import (
-    INFINITY,
     ConvergenceReport,
-    SpherePoint,
     chi,
     chi_many,
     chi_uniform_error,
@@ -36,17 +34,17 @@ _finite = st.builds(
     st.floats(-1e6, 1e6, allow_nan=False),
     st.floats(-1e6, 1e6, allow_nan=False),
 )
-_point = st.one_of(st.just(INFINITY), _finite.map(SpherePoint))
+_point = st.one_of(st.just(math.inf), _finite)
 
 
 class TestChi:
     def test_identical_points_are_at_distance_zero(self):
-        for a in (0, 1.5, 3 + 4j, -2j, 1e140, INFINITY):
+        for a in (0, 1.5, 3 + 4j, -2j, 1e140, math.inf):
             assert chi(a, a) == 0.0
 
     def test_origin_to_infinity_is_one(self):
-        assert chi(0, INFINITY) == 1.0
-        assert chi(INFINITY, 0) == 1.0
+        assert chi(0, math.inf) == 1.0
+        assert chi(math.inf, 0) == 1.0
 
     def test_antipodal_unit_points(self):
         assert abs(chi(1, -1) - 1.0) <= 1e-15
@@ -58,22 +56,25 @@ class TestChi:
 
     def test_distance_to_infinity_formula(self):
         for a in (0.5, -2 + 1j, 30):
-            assert abs(chi(a, INFINITY) - 1.0 / math.hypot(1, abs(a))) <= 1e-16
+            assert abs(chi(a, math.inf) - 1.0 / math.hypot(1, abs(a))) <= 1e-16
 
     def test_infinite_floats_coerce_to_the_tag(self):
-        assert chi(float("inf"), 0) == 1.0
-        assert chi(complex(0, math.inf), INFINITY) == 0.0
-        assert SpherePoint.of(float("-inf")).is_infinity
+        # every infinity, of either sign or component, is the one point at infinity
+        for inf in (math.inf, -math.inf, complex(0, math.inf), complex(-math.inf, 2)):
+            assert chi(inf, 0) == 1.0
+            assert chi(inf, math.inf) == 0.0
 
     def test_nan_rejected(self):
-        with pytest.raises(InvalidInputError):
-            chi(float("nan"), 0)
-        with pytest.raises(InvalidInputError):
-            SpherePoint(complex(math.nan, 0))
+        for nan in (math.nan, complex(0, math.nan)):
+            with pytest.raises(InvalidInputError):
+                chi(nan, 0)
+            with pytest.raises(InvalidInputError):
+                chi(math.inf, nan)
 
-    def test_explicit_sphere_point_requires_finite_components(self):
-        with pytest.raises(InvalidInputError):
-            SpherePoint(complex(math.inf, 0))
+    def test_any_infinite_component_is_the_point_at_infinity(self):
+        # an infinite component wins over a nan in the other one
+        assert chi(complex(math.inf, math.nan), 0) == 1.0
+        assert chi(complex(math.nan, -math.inf), math.inf) == 0.0
 
     def test_huge_moduli_route_through_inversion(self):
         # both points near the pole: the chordal distance is tiny, not inf
@@ -126,9 +127,22 @@ class TestChiMany:
         binf = rng.random(200) < 0.15
         got = chi_many(a, b, a_infinite=ainf, b_infinite=binf)
         for k in range(200):
-            pa = INFINITY if ainf[k] else a[k]
-            pb = INFINITY if binf[k] else b[k]
+            pa = math.inf if ainf[k] else a[k]
+            pb = math.inf if binf[k] else b[k]
             assert abs(got[k] - chi(pa, pb)) <= 1e-14
+
+    def test_infinite_values_need_no_mask(self):
+        # an inf value is infinity with or without a mask, never a nan distance
+        a = np.array([np.inf, -np.inf, np.inf, 3.0, complex(0, -np.inf)])
+        b = np.array([0.0, 2.0, -np.inf, np.inf, 1 + 1j])
+        got = chi_many(a, b)
+        want = [1.0, 1.0 / math.hypot(1, 2), 0.0, 1.0 / math.hypot(1, 3), 1.0 / math.hypot(1, abs(1 + 1j))]
+        assert got.tolist() == want
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=100), rng.normal(size=100)
+        ainf, binf = rng.random(100) < 0.3, rng.random(100) < 0.3
+        masked = chi_many(a, b, a_infinite=ainf, b_infinite=binf)
+        assert chi_many(np.where(ainf, np.inf, a), np.where(binf, -np.inf, b)).tobytes() == masked.tobytes()
 
     def test_huge_pairs_vectorized(self):
         a = np.array([1e300, 1e200, 5.0])
@@ -151,6 +165,8 @@ class TestChiMany:
             chi_many(np.zeros(3), np.zeros(3), a_infinite=np.zeros(2, bool))
         with pytest.raises(InvalidInputError):
             chi_many(np.array([np.nan]), np.zeros(1))
+        with pytest.raises(InvalidInputError):  # nan is rejected opposite infinity too
+            chi_many(np.array([np.nan]), np.zeros(1), b_infinite=np.array([True]))
 
 
 class TestChiUniformError:
@@ -159,14 +175,14 @@ class TestChiUniformError:
             chi_uniform_error([0, 1], [0])
 
     def test_identical_lists_have_zero_error(self):
-        vals = [0, 1 + 2j, INFINITY, -5]
+        vals = [0, 1 + 2j, math.inf, -5]
         assert chi_uniform_error(vals, vals) == 0.0
         assert chi_uniform_error([], []) == 0.0
 
     def test_is_the_max_of_pairwise_distances(self):
-        f = [0, 3, INFINITY]
+        f = [0, 3, math.inf]
         g = [1, 3, 2j]
-        expected = max(chi(0, 1), chi(3, 3), chi(INFINITY, 2j))
+        expected = max(chi(0, 1), chi(3, 3), chi(math.inf, 2j))
         assert chi_uniform_error(f, g) == expected
 
     def test_never_exceeds_euclidean_sup_error(self):
@@ -359,6 +375,13 @@ class TestZetaChordalCheck:
                 zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, grid_per_unit=bad)
             with pytest.raises(InvalidInputError):
                 zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, grid_tol=bad)
+        # int() would run the ladder (10, 100) and read True as 1
+        for ladder in ((10.7, 100), (True, 100)):
+            with pytest.raises(InvalidInputError, match="integer"):
+                zeta_chordal_convergence_check((2.0, 3.0), ladder, 0.01)
+        for cap in (2.5, True):
+            with pytest.raises(InvalidInputError, match="integer"):
+                zeta_chordal_convergence_check((2.0, 3.0), (10,), 0.01, search_cap=cap)
 
     def test_search_cap_reached_reports_failure(self):
         report = zeta_chordal_convergence_check(
@@ -433,6 +456,22 @@ class TestGenericRuleCheck:
                 (10,),
                 0.1,
             )
+
+    def test_infinite_limit_values_are_the_point_at_infinity(self):
+        # zeta's limit written out as inf at and left of its pole, with no
+        # divergence abscissa, gives the zeta check's report: an inf limit
+        # value must not make the errors nan and send the search to its cap
+        def limit(s):
+            pole = s <= 1.0
+            return np.where(pole, np.inf, zeta_values(np.where(pole, 2.0, s)))
+
+        kw = {"grid_per_unit": 25.0, "search_cap": 5_000}
+        got = chordal_convergence_check(lambda ns: np.ones_like(ns), -math.inf, limit, (-2.0, 2.0),
+                                        (10, 100), 0.13, band=(1.0, 1.05), **kw)
+        assert all(math.isfinite(e) for e in got.errors)
+        assert got.n0 == _harmonic_threshold(0.13)
+        want = zeta_chordal_convergence_check((-2.0, 2.0), (10, 100), 0.13, **kw)
+        assert got.to_json_dict() == want.to_json_dict()
 
     def test_no_band_for_generic_rules(self):
         report = chordal_convergence_check(

@@ -724,9 +724,9 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "0.5"
 
 
-# the package namespace as it stood when every name was imported eagerly
+# every public name of the package, each loaded on first access
 PUBLIC_NAMES = (
-    "errors", "AbscissaReport", "CoefficientRule", "DirichletPolynomial", "Sentinel",
+    "errors", "AbscissaReport", "CoefficientRule", "DirichletPolynomial",
     "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma", "shift_by_delta",
     "LiftedPolynomial", "bohr_gap_report", "lift", "unlift",
     "SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
@@ -734,7 +734,7 @@ PUBLIC_NAMES = (
     "constrained_fit", "convergence_study", "minimax_fit", "LaurentPieces",
     "RationalDirichletFunction", "laurent_decompose", "rational_dirichlet_fit", "FamilyEntry",
     "TargetFamily", "UniversalOptions", "UniversalSchedule", "build_universal",
-    "compact_rectangle", "verify_schedule", "INFINITY", "ConvergenceReport", "SpherePoint",
+    "compact_rectangle", "verify_schedule", "ConvergenceReport",
     "chi", "chi_many", "chi_uniform_error", "chordal_convergence_check",
     "zeta_chordal_convergence_check", "__version__",
 )

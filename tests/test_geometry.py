@@ -301,9 +301,9 @@ def test_json_points_must_be_two_numbers(bad):
 @pytest.mark.parametrize("spacing", [math.nan, math.inf])
 def test_sample_density_needs_finite_positive_spacings(spacing):
     with pytest.raises(InvalidInputError):
-        SampleDensity(boundary_spacing=spacing).validated()
+        SampleDensity(boundary_spacing=spacing)
     with pytest.raises(InvalidInputError):
-        SampleDensity(interior_spacing=spacing).validated()
+        SampleDensity(interior_spacing=spacing)
 
 
 def test_csv_export_has_all_roles():

@@ -229,10 +229,24 @@ def test_rational_matches_termwise_oracle():
         assert abs(evaluate_rational(r, s) - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
+def test_rational_evaluates_arrays_pointwise():
+    p0 = DirichletPolynomial([1.0, -0.5j, 0.25])
+    r = RationalDirichletFunction(p0, ((0j, DirichletPolynomial([0.0, 0.5, -0.25])),
+                                       (1 + 1j, DirichletPolynomial([0.0, 1j]))))
+    pts = np.array([[0.3 + 0.4j, -1.0], [2.0 - 1.0j, 3.0j]])
+    got = evaluate_rational(r, pts)
+    assert got.shape == pts.shape
+    assert got.tolist() == [[evaluate_rational(r, s) for s in row] for row in pts]
+    assert r(pts).tolist() == got.tolist()
+    assert isinstance(evaluate_rational(r, 2.0), complex)
+
+
 def test_evaluation_at_anchor_is_a_pole():
     r = RationalDirichletFunction(DirichletPolynomial([1.0]), ((0.5 + 0j, DirichletPolynomial([0, 1.0])),))
     with pytest.raises(PoleError):
         evaluate_rational(r, 0.5)
+    with pytest.raises(PoleError):
+        evaluate_rational(r, np.array([1.0, 0.5]))
 
 
 def test_duplicate_anchors_rejected():

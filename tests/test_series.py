@@ -10,7 +10,6 @@ from dirapprox.series import (
     AbscissaReport,
     CoefficientRule,
     DirichletPolynomial,
-    Sentinel,
     SupNormPlan,
     _exp_basis,
     _grid_sums,
@@ -239,16 +238,18 @@ def test_sup_norm_value_never_exceeds_the_upper_bound_on_monomials(sigma0):
 
 
 def test_sup_norm_empty_plan_rejected():
-    for plan in (
-        SupNormPlan(edge_points=0),
-        SupNormPlan(edge_points=-5),
-        SupNormPlan(height=0.0),
-        SupNormPlan(height=-1.0),
-        SupNormPlan(height=math.inf),
-        SupNormPlan(height=math.nan),
+    for bad in (
+        {"edge_points": 0},
+        {"edge_points": -5},
+        {"edge_points": 2.5},
+        {"edge_points": True},
+        {"height": 0.0},
+        {"height": -1.0},
+        {"height": math.inf},
+        {"height": math.nan},
     ):
         with pytest.raises(InvalidInputError):
-            sup_norm_report(poly(1), 0.0, plan)
+            SupNormPlan(**bad)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -327,9 +328,22 @@ def test_alternating_abscissas():
 def test_finitely_supported_rule_gives_sentinels():
     rule = CoefficientRule("explicit-list", data=np.array([1, 0, 2j]))
     rep = estimate_abscissas(rule, 500)
-    assert rep.sigma_c_estimate is Sentinel.NEG_INF
-    assert rep.sigma_a_estimate is Sentinel.NEG_INF
+    assert rep.sigma_c_estimate == rep.sigma_a_estimate == -math.inf
+    assert rep.sigma_u_bracket == (-math.inf, -math.inf)
     assert rep.ordering_holds()
+    assert rep.to_json_dict()["sigma_u_bracket"] == ["neg_inf", "neg_inf"]
+    zeros = CoefficientRule("named-custom", fn=lambda n: 0.0, name="zero")
+    assert estimate_abscissas(zeros, 500) == rep
+
+
+def test_ordering_with_infinite_estimates():
+    inf = math.inf
+    assert AbscissaReport(inf, inf, (inf, inf), 100).ordering_holds()
+    assert AbscissaReport(0.0, 0.5, (0.0, 0.5), 100).ordering_holds()
+    assert not AbscissaReport(-inf, 0.5, (-inf, 0.5), 100).ordering_holds()  # a > c + 1
+    assert not AbscissaReport(0.5, -inf, (0.5, -inf), 100).ordering_holds()  # a < c
+    assert not AbscissaReport(-inf, inf, (-inf, inf), 100).ordering_holds()
+    assert AbscissaReport(inf, inf, (inf, inf), 100).to_json_dict()["sigma_c_estimate"] == "pos_inf"
 
 
 def test_named_custom_rule():
@@ -344,6 +358,10 @@ def test_named_custom_rule():
 def test_truncation_floor_enforced():
     with pytest.raises(InvalidInputError):
         estimate_abscissas(CoefficientRule("all-ones"), 99)
+    for bad in (150.5, True):
+        with pytest.raises(InvalidInputError, match="integer"):
+            estimate_abscissas(CoefficientRule("all-ones"), bad)
+    assert estimate_abscissas(CoefficientRule("all-ones"), 150.0).truncation_used == 150
 
 
 @given(st.integers(0, 2**32 - 1))
