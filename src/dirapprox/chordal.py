@@ -60,16 +60,38 @@ def _infinity_tags(v: np.ndarray, mask) -> np.ndarray:
 
 
 def _finite_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """chi of aligned 1-d arrays of finite points, clamped to 1 against rounding."""
+    """chi of aligned 1-d arrays of finite points, clamped to 1 against rounding.
+
+    A modulus that overflows (1.5e308 + 1.5e308j) opposite one of at most
+    _INVERSION_CUTOFF makes the quotient inf/inf; only such nan entries
+    are redone, with the components scaled.
+    """
     # each modulus and hypot only where its entry is used
     ma, mb = np.abs(a), np.abs(b)
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.abs(a - b) / (np.hypot(1.0, ma) * np.hypot(1.0, mb))
         big = (ma > _INVERSION_CUTOFF) & (mb > _INVERSION_CUTOFF)
-        if np.any(big):
+        if big.any():
             ia, ib = 1.0 / a[big], 1.0 / b[big]
             d[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
+        lost = np.isnan(d)
+        if lost.any():
+            d[lost] = _scaled_chi(a[lost], b[lost])
     return np.minimum(d, 1.0, out=d)
+
+
+def _scaled_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chi = |q a - q b| / (min(sa, sb) hypot(1/sa, |a|/sa) hypot(1/sb, |b|/sb))
+    with sa = max(1, |Re a|, |Im a|), sb likewise and q = 1/max(sa, sb):
+    no factor overflows.  Scaling by products rounds real input and its
+    complex embedding alike."""
+    sa = np.maximum(1.0, np.maximum(np.abs(a.real), np.abs(a.imag)))
+    sb = np.maximum(1.0, np.maximum(np.abs(b.real), np.abs(b.imag)))
+    ra, rb = 1.0 / sa, 1.0 / sb
+    q = np.minimum(ra, rb)
+    return np.abs(a * q - b * q) / (
+        np.minimum(sa, sb) * np.hypot(ra, np.abs(a * ra)) * np.hypot(rb, np.abs(b * rb))
+    )
 
 
 def chi_many(
@@ -129,6 +151,7 @@ def zeta_values(sigmas: np.ndarray, *, terms: int = 20) -> np.ndarray:
     ...(sigma+14) M^{-sigma-15}: below 1e-21 for every sigma > 1 at the
     default M = 20, so the error is rounding, a few 1e-16 relative.
     """
+    terms = integral(terms, "terms")
     s = np.asarray(sigmas, dtype=float)
     if s.size == 0:
         return np.zeros(0)

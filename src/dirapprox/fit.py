@@ -376,33 +376,71 @@ def project_weighted_l1(v: np.ndarray, weights: np.ndarray, radius: float) -> np
     """Euclidean projection of v onto {d : sum_n weights_n |d_n| <= radius}.
 
     Phase-preserving soft threshold d_n = e^{i arg v_n} max(|v_n| -
-    lam*w_n, 0), with lam exact in O(N log N) (Duchi, Shalev-Shwartz,
-    Singer & Chandra 2008; Condat 2016): sort the breakpoints
-    t_n = |v_n|/w_n in descending order and take
+    lam*w_n, 0), with lam exact (Duchi, Shalev-Shwartz, Singer & Chandra
+    2008; Condat 2016): order the breakpoints t_n = |v_n|/w_n descending
+    (ties by index) and take
     lam_k = (sum_{j<=k} w_j |v_j| - radius) / sum_{j<=k} w_j^2
     for the largest k with lam_k < t_k.  Entries of zero weight are not
     shrunk; radius 0 zeroes every entry of positive weight.
+
+    Only the top of that order is needed: `_threshold` selects the k
+    largest breakpoints instead of sorting all of them, and gives the
+    same lam, bit for bit, as the full sort.
     """
     if radius < 0:
         raise InvalidInputError("projection radius must be >= 0")
     v = np.asarray(v, dtype=complex)
     w = np.asarray(weights, dtype=float)
     mags = np.abs(v)
-    if float(np.sum(w * mags)) <= radius:
+    total = float(np.sum(w * mags))
+    if total <= radius:
         return v.copy()
     pos = w > 0
     if radius == 0:
         return np.where(pos, 0, v)
     phases = np.where(mags > 0, v / np.where(mags > 0, mags, 1.0), 0)
-    wp, mp = w[pos], mags[pos]
-    t = mp / wp
-    order = np.argsort(-t, kind="stable")
-    ws = wp[order]
-    lams = (np.cumsum(ws * mp[order]) - radius) / np.cumsum(ws * ws)
-    # k = 1 qualifies whenever radius/w_1 is not lost to rounding in t_1
-    ks = np.flatnonzero(lams < t[order])
-    lam = lams[ks[-1] if ks.size else 0]
+    lam = _threshold(w[pos], mags[pos], radius, total)
     return phases * np.maximum(mags - lam * w, 0.0)
+
+
+_SELECT_FIRST = 32  # breakpoints selected first; fewer than 32 times as many entries are sorted whole
+
+
+def _threshold(w: np.ndarray, m: np.ndarray, radius: float, total: float) -> float:
+    """lam of `project_weighted_l1` for positive weights w and moduli m.
+
+    On 1,024 or more entries it selects the k largest breakpoints
+    (argpartition, then a stable sort of those k taken in index order)
+    and doubles k until the end of the selection fails lam_k < t_k by a
+    margin beyond rounding.  Q_k (lam_k - t_k) = sum_{j<=k} w_j^2 (t_j -
+    t_k) - radius, Q_k = sum_{j<=k} w_j^2, does not decrease in k and
+    does not depend on the order among equal breakpoints; rounding moves
+    Q_j lam_j, Q_j t_j and that product by less than 4 (n + 2) eps
+    (total + radius).  So twice that margin at the end rules out every
+    later k and every k among breakpoints equal to the last selected
+    one, and the k taken lies among larger breakpoints, all of them
+    selected and in their full-sort order.
+    """
+    t = m / w
+    n = t.size
+    margin = 8 * (n + 2) * np.finfo(float).eps * (total + radius)
+    k = _SELECT_FIRST if n >= 32 * _SELECT_FIRST else n
+    while True:
+        if k < n:
+            part = np.argpartition(-t, k)
+            top = np.sort(part[:k])
+            order = top[np.argsort(-t[top], kind="stable")]
+        else:
+            order = np.argsort(-t, kind="stable")
+        ws, ts = w[order], t[order]
+        cq = np.cumsum(ws * ws)
+        lams = (np.cumsum(ws * m[order]) - radius) / cq
+        # k = 1 qualifies whenever radius/w_1 is not lost to rounding in t_1
+        ks = np.flatnonzero(lams < ts)
+        last = ks[-1] if ks.size else 0
+        if k == n or (lams[-1] - ts[-1]) * cq[-1] > margin:
+            return lams[last]
+        k = min(n, 2 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +608,7 @@ def convergence_study(
     the smaller degree's; the best smaller-degree solution is carried
     forward and whichever is better is reported at each N.
     """
-    degrees = [int(n) for n in degrees]
+    degrees = [integral(n, "degree") for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise InvalidInputError("degrees must be strictly ascending")
     points = dset.all_samples()

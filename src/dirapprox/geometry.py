@@ -10,6 +10,7 @@ quadrature contours (`quadrature_contours`) all derive from the loops.
 from __future__ import annotations
 
 import cmath
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
@@ -84,8 +85,8 @@ class Loop:
         total, pts = self.perimeter, []
         for a, b in self.edges:
             k = max(1, int(round(m * abs(b - a) / total)))
-            pts.extend(a + t * (b - a) for t in np.arange(k) / k)
-        return np.array(pts, dtype=complex)
+            pts.append(a + (np.arange(k) / k) * (b - a))
+        return np.concatenate(pts)
 
     def contains(self, z: np.ndarray, tol: float) -> np.ndarray:
         """Whether z is on the set's side of this loop, with `tol` of slack."""
@@ -119,7 +120,7 @@ class Loop:
             w[0] *= 0.5
             w[-1] *= 0.5
             return Contour(pts, w, self)
-        x, wx = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+        x, wx = _gauss_legendre()
         panel = self.perimeter / max(1, nodes // _GAUSS_ORDER)
         c = self.corners
         pts, wts = [[c[0]]], [[0j]]  # zero-weight anchors close the loop
@@ -130,8 +131,18 @@ class Loop:
                 zb = a + (b - a) * (k + 1) / panels
                 mid, half = 0.5 * (za + zb), 0.5 * (zb - za)
                 pts.append(mid + half * x)
-                wts.append(half * wx.astype(complex))
+                wts.append(half * wx)
         return Contour(np.concatenate(pts + [[c[0]]]), np.concatenate(wts + [[0j]]), self)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and (complex) weights of the order-_GAUSS_ORDER rule on [-1, 1],
+    read-only since every contour shares them."""
+    x, wx = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    wx = wx.astype(complex)
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
 
 
 @dataclass(frozen=True)

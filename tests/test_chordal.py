@@ -152,6 +152,34 @@ class TestChiMany:
         assert got[1] <= 1e-209
         assert got[2] == 0.0
 
+    def test_one_overflowing_modulus_gives_the_limit_not_nan(self):
+        # |a| overflows to inf while a itself is finite
+        a = np.array([1.5e308 + 1.5e308j, 2.0, 1.2e308 + 1.7e308j, -1.7e308 + 0j, 3.0])
+        b = np.array([2.0, -1.5e308 + 1.5e308j, 0.5j, 0.0, 4.0])
+        got = chi_many(a, b)
+        want = [1 / math.sqrt(5), 1 / math.sqrt(5), 1 / math.sqrt(1.25), 1.0, 1 / (math.hypot(1, 3) * math.hypot(1, 4))]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        assert chi(1.5e308 + 1.5e308j, 2) == got[0]
+        assert chi_many(a.real, b.real).tobytes() == chi_many(a.real.astype(complex), b.real.astype(complex)).tobytes()
+
+    def test_byte_identical_to_the_plain_quotient_without_overflow(self):
+        # entries with both moduli <= 1e150 (and pairs of huge moduli,
+        # inverted) keep the plain quotient's bits
+        rng = np.random.default_rng(11)
+        n = 4000
+        scale = np.where(rng.random(n) < 0.1, 10.0 ** rng.uniform(151, 300, n), 10.0 ** rng.uniform(-5, 149, n))
+        a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+        b = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.where(scale > 1e150, scale, 1.0)
+        for x, y in ((a, b), (a.real, b.real)):
+            mx, my = np.abs(x), np.abs(y)
+            both = (mx > 1e150) & (my > 1e150)
+            with np.errstate(over="ignore"):
+                want = np.abs(x - y) / (np.hypot(1.0, mx) * np.hypot(1.0, my))
+            ix, iy = 1.0 / x[both], 1.0 / y[both]
+            want[both] = np.abs(ix - iy) / (np.hypot(1.0, np.abs(ix)) * np.hypot(1.0, np.abs(iy)))
+            assert both.sum() > 100
+            assert chi_many(x, y).tobytes() == np.minimum(want, 1.0).tobytes()
+
     def test_masked_entries_ignore_values(self):
         a = np.array([complex(np.nan, 0), 2.0])
         got = chi_many(a, np.zeros(2), a_infinite=np.array([True, False]))
@@ -252,8 +280,13 @@ class TestZetaValues:
             zeta_values(np.array([0.5, 2.0]))
         with pytest.raises(InvalidInputError):
             zeta_values(np.array([np.inf]))
-        with pytest.raises(InvalidInputError):
-            zeta_values(np.array([2.0]), terms=1)
+        for bad in (1, 2.5, True, "20"):
+            with pytest.raises(InvalidInputError):
+                zeta_values(np.array([2.0]), terms=bad)
+
+    def test_integral_float_terms_are_accepted(self):
+        sig = np.array([1.5, 2.0, 4.0])
+        assert zeta_values(sig, terms=30.0).tobytes() == zeta_values(sig, terms=30).tobytes()
 
 
 # ---------------------------------------------------------------------------

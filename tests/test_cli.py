@@ -347,6 +347,21 @@ class TestLaurentCommands:
         rep = json.loads(out.read_text())
         assert rep["residual"] <= 1e-12 and rep["warning"] is False
 
+    @pytest.mark.parametrize("command, extra", [
+        ("laurent", {}),
+        ("rational-fit", {"degrees": [8, 8]}),
+    ])
+    def test_rerun_is_byte_identical(self, tmp_path, command, extra):
+        spec = {"set": ANNULUS, "function": {"kind": "named", "name": "exp"},
+                "anchors": [[0, 0]], **extra}
+        src = write(tmp_path / "in.json", spec)
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main([command, "--input", src, "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_rational_fit_artifact_round_trips(self, tmp_path):
         spec = {"set": ANNULUS, "function": {"kind": "named", "name": "exp"},
                 "anchors": [[0, 0]], "degrees": [8, 8]}

@@ -223,6 +223,18 @@ def test_study_requires_ascending_degrees():
         convergence_study(DISC, TargetFunction.exp(), [10, 10])
 
 
+@pytest.mark.parametrize("bad", [[2.7, 3], [True, 3], [2, "3"]])
+def test_study_rejects_non_integral_degrees(bad):
+    with pytest.raises(InvalidInputError):
+        convergence_study(DISC, TargetFunction.exp(), bad)
+
+
+def test_study_accepts_integral_floats():
+    rows = convergence_study(DISC, TargetFunction.exp(), [3.0, np.int64(5)])
+    assert rows == convergence_study(DISC, TargetFunction.exp(), [3, 5])
+    assert [type(n) for n, _ in rows] == [int, int]
+
+
 # --- weighted-l1 projection ------------------------------------------------------
 
 
@@ -310,6 +322,77 @@ def test_projection_zero_entries_and_empty_input():
         out = project_weighted_l1(np.array([0.0, 1.0, 0.0, 2.0j]), np.ones(4), 1.0)
         np.testing.assert_allclose(out, [0, 0, 0, 1j], atol=1e-15)
         assert project_weighted_l1(np.zeros(0, dtype=complex), np.zeros(0), 1.0).size == 0
+
+
+def _sorted_projection(v, w, radius):
+    """The projection with every breakpoint sorted, as it was once computed."""
+    mags = np.abs(v)
+    if float(np.sum(w * mags)) <= radius:
+        return v.copy()
+    pos = w > 0
+    if radius == 0:
+        return np.where(pos, 0, v)
+    phases = np.where(mags > 0, v / np.where(mags > 0, mags, 1.0), 0)
+    wp, mp = w[pos], mags[pos]
+    t = mp / wp
+    order = np.argsort(-t, kind="stable")
+    ws = wp[order]
+    lams = (np.cumsum(ws * mp[order]) - radius) / np.cumsum(ws * ws)
+    ks = np.flatnonzero(lams < t[order])
+    lam = lams[ks[-1] if ks.size else 0]
+    return phases * np.maximum(mags - lam * w, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_projection_by_selection_matches_the_full_sort_bytewise(seed):
+    # sizes on both sides of the selection cut-off, ties, zero entries,
+    # zero weights, near-equal moduli, radii from tiny to nearly the total
+    rng = np.random.default_rng(seed)
+    for trial in range(25):
+        n = int(rng.choice([1, 7, 900, 1024, 1461, 3000]))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kind = (seed + trial) % 4
+        if kind == 1:
+            v = np.round(2 * v) / 2
+        elif kind == 2:
+            v = np.exp(1j * rng.uniform(0, 2 * math.pi, n)) * (1 + 1e-15 * rng.integers(0, 3, n))
+        v[rng.random(n) < 0.1] = 0
+        w = np.ones(n) if trial % 2 else np.exp(rng.uniform(-3, 1, n))
+        if kind == 3:
+            w[rng.random(n) < 0.2] = 0
+        total = float(np.sum(w * np.abs(v)))
+        radius = total * float(rng.choice([1e-6, rng.uniform(0, 0.1), rng.uniform(0, 1), 0.999]))
+        got = project_weighted_l1(v, w, radius)
+        assert got.tobytes() == _sorted_projection(v, w, radius).tobytes()
+
+
+def test_projection_by_selection_on_tied_and_rounding_level_breakpoints():
+    rng = np.random.default_rng(0)
+    # equal breakpoints |v|/w from different weights, exact in powers of two
+    for _ in range(40):
+        w = 2.0 ** rng.integers(-3, 3, 1500)
+        v = w * (np.round(2 * rng.standard_normal(1500)) + 1j * np.round(2 * rng.standard_normal(1500))) / 2
+        radius = float(np.sum(w * np.abs(v))) * rng.uniform(0, 0.2)
+        assert project_weighted_l1(v, w, radius).tobytes() == _sorted_projection(v, w, radius).tobytes()
+    # a radius at the rounding level of a breakpoint: lam_k < t_k fails at
+    # the end of a selection (k = 32 * 2^i) and holds again for a later k,
+    # which the full sort takes
+    ends = [fit._SELECT_FIRST * 2**i - 1 for i in range(6)]
+    for trial in range(3000):
+        v = np.exp(1j * rng.uniform(0, 2 * math.pi, 2000))
+        big = int(rng.integers(1, 40))
+        v[:big] *= 2
+        m = np.abs(v)
+        order = np.argsort(-m, kind="stable")
+        radius = float(np.sum(m[order[:big]] - m[order[big:]].max())) * (1 + rng.uniform(-1e-13, 1e-13))
+        lams = (np.cumsum(m[order]) - radius) / np.arange(1, 2001)
+        holds = np.flatnonzero(lams < m[order])
+        if holds.size and any(e < holds[-1] and lams[e] >= m[order][e] for e in ends):
+            break
+    else:
+        pytest.fail("no rounding-level case drawn")
+    w = np.ones(2000)
+    assert project_weighted_l1(v, w, radius).tobytes() == _sorted_projection(v, w, radius).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -134,6 +134,23 @@ def test_rectangle_boundary_traces_perimeter():
     assert np.isclose(b.imag, -1).any() and np.isclose(b.imag, 1).any()
 
 
+@pytest.mark.parametrize("spec", [
+    rectangle(-1 - 1j, 0 + 1j),  # K_1
+    rectangle(-3 - 3j, 0 + 3j),  # K_3
+    rectangle(-2 - 1j, -0.5 + 1j),
+    jordan_polygon([0, 2, 1 + 1.5j]),
+    jordan_polygon([0, 2, 2 + 1j, 1 + 0.3j, 1j]),
+], ids=["K1", "K3", "rectangle", "triangle", "pentagon"])
+@pytest.mark.parametrize("m", [16, 600, 1234])
+def test_polyline_points_match_the_per_sample_formula_bytewise(spec, m):
+    loop = spec.loops[0]
+    pts = []
+    for a, b in loop.edges:
+        k = max(1, int(round(m * abs(b - a) / loop.perimeter)))
+        pts.extend(a + t * (b - a) for t in np.arange(k) / k)
+    assert loop.points(m).tobytes() == np.array(pts, dtype=complex).tobytes()
+
+
 def test_annulus_two_contours_opposite_orientation():
     contours = quadrature_contours(annulus(0, 1, 2), 512)
     assert len(contours) == 2

@@ -17,6 +17,7 @@ from dirapprox.geometry import (
     union_of_disjoint,
 )
 from dirapprox.laurent import (
+    CauchyPiece,
     LaurentPieces,
     RationalDirichletFunction,
     evaluate_piece,
@@ -86,9 +87,13 @@ def test_hole_pieces_vanish_at_infinity(ring):
 
 def test_piece_at_its_own_nodes_returns_the_stored_datum(ring):
     # the circle repeats its seam node at index 0 and m; the hit takes the
-    # datum of the last equal node there
-    piece = laurent_decompose(ring, lambda s: s + 1 / s, [0.0]).outer[0]
-    nodes = piece.contour.points
+    # datum of the last equal node there.  The piece is built by hand so
+    # that the seam data differ, as rounding makes them at some node counts
+    contour = ring.spec.loops[0].contour(64)
+    nodes = contour.points
+    values = nodes + 1 / nodes
+    values[-1] += 1e-12
+    piece = CauchyPiece(contour, values, values.copy())
     assert nodes[0] == nodes[-1] and piece.values[0] != piece.values[-1]
     expected = piece.values.copy()
     expected[0] = piece.values[-1]
@@ -105,6 +110,31 @@ def test_nearby_singularity_forces_doubling(ring):
     pieces = laurent_decompose(ring, lambda s: 1 / (s - 2.05) + 1 / s, [0.0])
     assert pieces.nodes_per_contour > 512
     assert pieces.residual <= 1e-8
+
+
+def test_pole_near_a_polygon_edge_forces_doubling():
+    # pole 0.05 below the triangle's bottom edge: the ladder goes past 512
+    dset = discretize(jordan_polygon([0, 2, 1 + 1.5j]))
+    pieces = laurent_decompose(dset, lambda s: 1 / (s - (1 - 0.05j)), [])
+    assert pieces.nodes_per_contour > 512
+    assert pieces.residual <= 1e-8 and not pieces.warning
+
+
+@pytest.mark.parametrize("spec, f, anchors", [
+    (annulus(0, 1.0, 2.0), lambda s: np.exp(s) + np.exp(1 / s), [0.0]),
+    (rectangle(-2 - 1j, -0.5 + 1j), np.exp, []),
+    (jordan_polygon([0, 2, 1 + 1.5j]), lambda s: s * s, []),
+    (union_of_disjoint([rectangle(-4 - 1j, -2 + 1j), annulus(2, 0.5, 1.0)]),
+     lambda s: np.exp(s) + 1 / (s - 2), [2.0]),
+], ids=["ring", "rectangle", "triangle", "union"])
+def test_smooth_input_stops_early_at_the_rounding_floor(spec, f, anchors):
+    # the trapezoid and Gauss rules converge geometrically on analytic data:
+    # the ladder stops long before 512 nodes, at the rounding floor
+    dset = discretize(spec)
+    pieces = laurent_decompose(dset, f, anchors)
+    scale = max(1.0, float(np.abs(f(dset.all_samples())).max()))
+    assert pieces.nodes_per_contour <= 128
+    assert pieces.residual <= 1e-13 * scale and not pieces.warning
 
 
 def test_nonholomorphic_input_sets_warning(ring):
@@ -320,6 +350,15 @@ def test_degree_list_validation(ring):
         rational_dirichlet_fit(ring, lambda s: 1 / s, [0.0], (10,))
     with pytest.raises(InvalidInputError):
         rational_dirichlet_fit(ring, lambda s: 1 / s, [0.0], (10, 1))
+    for bad in [(2.7, 3), (True, 3), (3, 2.5)]:  # int() would truncate these
+        with pytest.raises(InvalidInputError):
+            rational_dirichlet_fit(ring, lambda s: 1 / s, [0.0], bad)
+
+
+def test_integral_float_degrees_are_accepted(ring):
+    f = lambda s: s + 1 / s
+    r, err = rational_dirichlet_fit(ring, f, [0.0], (3.0, 3.0))
+    assert (r, err) == rational_dirichlet_fit(ring, f, [0.0], (3, 3))
 
 
 def test_json_round_trip():
