@@ -6,6 +6,12 @@ bound on that minimum; constrained_fit adds the weighted coefficient-norm
 constraint ||h - f||_sigma <= eps, solved by ADMM with its own dual
 certificate when the ball binds.  All errors and bounds are of sampled
 sups over the discretized set, never certified continuous sups.
+
+Lawson runs as an exchange: it solves on the set's boundary samples,
+where the error of a fit to holomorphic data peaks (maximum modulus),
+measures the error on every sample, and adds the worst samples and
+solves again only when they exceed the stopping level.  Reported errors
+are always those on every sample; ADMM runs on every sample.
 """
 
 from __future__ import annotations
@@ -154,14 +160,16 @@ _NOISE = 1e-13  # ... or below this times max|y|, where both are rounding noise
 _RHO = 0.01  # ADMM penalty on the ball copy z2 = c; the sup copy z1 = B c has penalty 1
 _ADMM_STEPS = 5000  # cap on ADMM steps
 _CHECK_EVERY = 10  # ADMM checks its best feasible point and its bound this often
+_EXCHANGE_ROWS = 64  # rows the Lawson exchange adds per round at most
+_EXCHANGE_ROUNDS = 8  # the exchange solves on all rows by this round at the latest
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """max_iterations (an integer >= 0) caps Lawson's reweightings; the
-    ball route of constrained_fit takes at most 5,000 ADMM steps.  Lawson
-    in minimax_fit and ADMM stop once the sup error is <= target_error,
-    and converged then means the error got there.
+    """max_iterations (an integer >= 0) caps Lawson's reweightings in each
+    exchange round; the ball route of constrained_fit takes at most 5,000
+    ADMM steps.  Lawson in minimax_fit and ADMM stop once the sup error
+    is <= target_error, and converged then means the error got there.
     """
 
     max_iterations: int = 200
@@ -180,16 +188,21 @@ class FitOptions:
 class FitResult:
     """A fit, its sampled sup error and a lower bound on the best one.
 
-    lower_bound bounds from below the sampled sup error of every
-    coefficient vector whose design-matrix image lies in the rank-r range
-    of the column-scaled design (provenance "rank"), up to rounding; the
-    directions cut from that range have singular values below 1e-13 of
-    the largest.  minimax_fit's `converged` means minimax_error <= 1.01 *
-    lower_bound, or, when a target_error is given, minimax_error <=
-    target_error.  On its ball route constrained_fit reports the larger
-    of that bound and the ADMM certificate, which holds for every
-    coefficient vector in the ball; its `converged` means feasible and,
-    when given, within target_error.
+    minimax_error is the sup error on every sample.  lower_bound comes
+    from the Lawson round reported, solved on that round's rows
+    (provenance "rows" of "samples", after "rounds" exchange rounds): it
+    bounds from below the sup error over those rows, and so over every
+    sample, of every coefficient vector whose design-matrix image lies in
+    the rank-r range of those rows' column-scaled design (provenance
+    "rank"), up to rounding; the directions cut from that range have
+    singular values below 1e-13 of the largest.  iterations sums the
+    reweightings of all rounds.  minimax_fit's `converged` means
+    minimax_error <= 1.01 * lower_bound, or, when a target_error is given,
+    minimax_error <= target_error.  On its ball route constrained_fit
+    reports the larger of that bound and the ADMM certificate, which
+    holds for every coefficient vector in the ball and comes from every
+    sample (rank, rows and rounds describe its Lawson stage); its
+    `converged` means feasible and, when given, within target_error.
     """
 
     polynomial: DirichletPolynomial
@@ -217,12 +230,27 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _lawson(
+def _weighted_solve(Q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """argmin_d sum_i w_i |y_i - (Q d)_i|^2 over the live rows, w_i > 1e-24;
+    None when the weights sit on fewer than r rows or d is not finite."""
+    live = w > 1e-24
+    Ql, wl, yl = (Q, w, y) if live.all() else (Q[live], w[live], y[live])
+    WQh = Ql.conj().T * wl  # (W Q)^H over the live rows
+    try:
+        d = np.linalg.solve(WQh @ Ql, WQh @ yl)
+    except np.linalg.LinAlgError:
+        return None
+    return d if np.all(np.isfinite(d)) else None
+
+
+def _lawson_round(
     A: np.ndarray,
     y: np.ndarray,
     opts: FitOptions,
-    stop_at: float | None = None,
-) -> tuple[np.ndarray, float, float, int, int, bool]:
+    stop_at: float | None,
+    floor: float,
+    w: np.ndarray | None,
+) -> tuple[np.ndarray, float, float, int, int, np.ndarray]:
     """Lawson IRLS for min_c sup_i |A c - y| on an orthonormal basis.
 
     A's columns are scaled by powers of two, B = A / scale, in place and
@@ -231,28 +259,24 @@ def _lawson(
     coefficient directions V_r, and Q R_Q = B V_r S_r^{-1} is an
     orthonormal basis of their image, so coordinates d stand for the
     coefficients X d with X = V_r S_r^{-1} R_Q^{-1} / scale.  From the
-    least-squares seed d = Q^H y, each reweighting w <- w |y - Q d|
-    solves an r x r weighted Gram over the live rows, w_i > 1e-24.
-    Errors are those of the coefficients themselves, max |y - A X d|.
+    least-squares seed d = Q^H y, or from the weighted solve when weights
+    w (summing to 1) carry over from an earlier round, each reweighting w <- w |y - Q d| solves
+    an r x r weighted Gram over the live rows, w_i > 1e-24.  Errors are
+    those of the coefficients themselves, max |y - A X d|.
 
     After each solve, mu = w (y - Q d), projected onto range(Q)^perp,
     certifies |mu^H y| / ||mu||_1 as a lower bound on the error of every
     d': |mu^H y| = |mu^H (y - Q d')| <= ||mu||_1 ||y - Q d'||_inf (Lawson
     1961; Nakatsukasa & Trefethen 2020).  The bound reported pairs the
     best mu with the best residual, which keeps it below the best error
-    under rounding too.  Lawson stops, settled, once the best error is
-    within _GAP of the bound or below _NOISE max|y|; it also stops at
-    `stop_at` or after opts.max_iterations reweightings.
+    under rounding too.  Lawson stops once the best error is within _GAP
+    of the bound or at most `floor`; it also stops at `stop_at` or after
+    opts.max_iterations reweightings.
 
-    Returns the best coefficients, their error, the bound, the
-    reweightings used, r and whether Lawson settled.
+    Returns the best coefficients, their error on A's rows, the bound,
+    the reweightings used, r and the last weights.
     """
     m, n = A.shape
-    if not np.all(np.isfinite(A)):
-        raise IllConditionedError(
-            "design matrix overflows (samples too deep in the left half-plane)",
-            diagnostic={"degree": n, "samples": m, "iteration": 0},
-        )
     scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=0))[1])  # 0 -> 1
     A /= scale
     try:
@@ -269,9 +293,10 @@ def _lawson(
     finally:
         A *= scale
 
-    floor = _NOISE * float(np.abs(y).max())
-    w = np.full(m, 1.0 / m)
-    d = Q.conj().T @ y
+    d = None if w is None else _weighted_solve(Q, w, y)
+    if d is None:
+        w = np.full(m, 1.0 / m)
+        d = Q.conj().T @ y
     best_err, bound, top, cert = math.inf, 0.0, 0.0, None
     iterations = 0
     while True:
@@ -293,22 +318,90 @@ def _lawson(
         reached = stop_at is not None and best_err <= stop_at
         if settled or reached or iterations == opts.max_iterations:
             break
-        w *= np.abs(rq)
-        total = w.sum()
+        reweighted = w * np.abs(rq)
+        total = reweighted.sum()
         if not math.isfinite(total) or total <= 0:
             break
-        w /= total
-        live = w > 1e-24
-        Ql, wl, yl = (Q, w, y) if live.all() else (Q[live], w[live], y[live])
-        WQh = Ql.conj().T * wl  # (W Q)^H over the live rows
-        try:
-            d = np.linalg.solve(WQh @ Ql, WQh @ yl)
-        except np.linalg.LinAlgError:
-            break  # the weights sit on fewer than r rows
-        if not np.all(np.isfinite(d)):
+        w = reweighted / total
+        d = _weighted_solve(Q, w, y)
+        if d is None:
             break
         iterations += 1
-    return best_c, best_err, bound, iterations, rank, settled
+    return best_c, best_err, bound, iterations, rank, w
+
+
+def _lawson(
+    A: np.ndarray,
+    y: np.ndarray,
+    opts: FitOptions,
+    stop_at: float | None = None,
+    boundary: int = 0,
+) -> tuple[np.ndarray, float, float, int, int, bool, int, int]:
+    """Lawson fit of A c ~ y on a row subset, certified on every row.
+
+    An exchange (Remez 1934; Lawson 1961): the first `boundary` rows, the
+    boundary samples of a set, are solved first by `_lawson_round`; 0
+    means all rows in one round.  By the maximum modulus principle the
+    error of a fit to holomorphic data peaks on the boundary, so one round
+    is the rule.  Each round's error is then measured on every row.  It
+    stops once that error is at most max(_GAP * bound, floor, stop_at),
+    the round's bound and the rounding floor _NOISE max|y|; otherwise the
+    rows above that level, worst first and at most _EXCHANGE_ROWS of them,
+    join the subset, which keeps its last weights and gives the new rows
+    its largest.  Round _EXCHANGE_ROUNDS, or a round with no new row above
+    the level, solves on all rows, so the exchange ends at the latest with
+    the all-row solve.  A bound from a subset bounds the subset's error,
+    and so the full error, of every coefficient vector in that round's
+    rank-r range.
+
+    Reports the round that met the level, else the round with the least
+    error on all rows, with that round's own bound and rank.  Returns its
+    coefficients, error and bound, the reweightings of all rounds, its
+    rank, whether it settled (error within _GAP of the bound or at most
+    the floor), its row count and the rounds solved.
+    """
+    m, n = A.shape
+    if not np.all(np.isfinite(A)):
+        raise IllConditionedError(
+            "design matrix overflows (samples too deep in the left half-plane)",
+            diagnostic={"degree": n, "samples": m, "iteration": 0},
+        )
+    floor = _NOISE * float(np.abs(y).max())
+    rows = np.arange(boundary if 0 < boundary < m else m)
+    w = None
+    iterations, rounds = 0, []
+    while True:
+        if rows.size == m:  # the kernel's error is already over every row
+            c, err, bound, its, rank, w = _lawson_round(A, y, opts, stop_at, floor, w)
+        else:
+            c, _, bound, its, rank, w = _lawson_round(A[rows], y[rows], opts, stop_at, floor, w)
+            r = np.abs(y - A @ c)
+            err = float(r.max())
+        iterations += its
+        rounds.append((err, c, bound, rank, rows.size))
+        level = max(_GAP * bound, floor, 0.0 if stop_at is None else stop_at)
+        if err <= level:
+            best = rounds[-1]
+            break
+        if rows.size == m:
+            best = min(rounds, key=lambda t: t[0])
+            break
+        fresh = np.ones(m, dtype=bool)
+        fresh[rows] = False
+        above = np.flatnonzero(fresh & (r > level))
+        if len(rounds) + 1 >= _EXCHANGE_ROUNDS or above.size == 0:
+            # all rows in their own order
+            grown = np.full(m, w.max())
+            grown[rows] = w
+            rows = np.arange(m)
+        else:
+            worst = above[np.argsort(-r[above], kind="stable")[:_EXCHANGE_ROWS]]
+            rows = np.concatenate([rows, worst])
+            grown = np.concatenate([w, np.full(worst.size, w.max())])
+        w = grown / grown.sum()
+    err, c, bound, rank, used = best
+    settled = err <= max(_GAP * bound, floor)
+    return c, err, bound, iterations, rank, settled, used, len(rounds)
 
 
 def minimax_fit_samples(
@@ -316,13 +409,21 @@ def minimax_fit_samples(
     values: np.ndarray,
     degree: int,
     options: FitOptions | None = None,
+    *,
+    boundary: int = 0,
 ) -> FitResult:
     """minimax_fit on a bare point cloud with precomputed target values.
 
     Used directly when the sample set is not a DiscretizedSet (e.g. the
-    1/(s-z) image of one).
+    1/(s-z) image of one).  `boundary` counts the leading points that
+    lie on the set's boundary (the first rows of `all_samples()`; the
+    map w = 1/(s - z) keeps them on the image's boundary): the Lawson
+    exchange solves on them first and adds other rows only where the
+    error on all rows asks for them.  With boundary = 0, a bare cloud,
+    it solves on all rows in one round.
     """
     opts = options or FitOptions()
+    degree = integral(degree, "degree")
     if degree < 1:
         raise InvalidInputError("degree must be >= 1")
     points = np.asarray(points, dtype=complex).ravel()
@@ -333,10 +434,15 @@ def minimax_fit_samples(
         raise InvalidInputError("one target value per sample point required")
     if not np.all(np.isfinite(gvals)):
         raise InvalidInputError("target is not finite on all samples")
+    boundary = integral(boundary, "boundary")
+    if not 0 <= boundary <= points.size:
+        raise InvalidInputError(f"boundary must lie in 0..{points.size}, got {boundary!r}")
 
     with np.errstate(over="ignore"):  # overflow checked by the solver
         A = _exp_basis(points, 1, degree)
-    c, err, bound, iters, rank, settled = _lawson(A, gvals, opts, stop_at=opts.target_error)
+    c, err, bound, iters, rank, settled, rows, rounds = _lawson(
+        A, gvals, opts, stop_at=opts.target_error, boundary=boundary
+    )
     return FitResult(
         polynomial=DirichletPolynomial(c),
         minimax_error=err,
@@ -349,6 +455,8 @@ def minimax_fit_samples(
             "column_normalized": True,
             "rank": rank,
             "samples": int(points.size),
+            "rows": rows,
+            "rounds": rounds,
         },
     )
 
@@ -360,11 +468,14 @@ def minimax_fit(
     options: FitOptions | None = None,
 ) -> FitResult:
     """Best sampled-sup fit of a degree-`degree` Dirichlet polynomial to g,
-    over every coefficient a_1..a_degree."""
+    over every coefficient a_1..a_degree, solved from the set's boundary
+    samples and certified on all of them."""
     points = dset.all_samples()
     if points.size == 0:
         raise InvalidInputError("discretized set has no samples")
-    return minimax_fit_samples(points, _target_values(g, points), degree, options)
+    return minimax_fit_samples(
+        points, _target_values(g, points), degree, options, boundary=dset.boundary_samples.size
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +644,7 @@ def constrained_fit(
         raise InvalidInputError(
             f"constrained fit needs finite eps > 0 and sigma > 0, got eps={eps!r}, sigma={sigma!r}"
         )
+    degree, lo = integral(degree, "degree"), integral(lo, "lo")
     if degree < f.degree:
         raise InvalidInputError("degree must be at least the degree of f")
     if not 1 <= lo <= degree:
@@ -558,7 +670,7 @@ def constrained_fit(
 
     # unconstrained shortcut; exact minimax_fit behavior when the ball
     # never binds
-    d, _, bound, iters, rank, _ = _lawson(A, dvals, opts)
+    d, _, bound, iters, rank, _, rows, rounds = _lawson(A, dvals, opts, boundary=dset.boundary_samples.size)
     route = "unconstrained"
     if float(np.sum(u * np.abs(d))) > eps:
         d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error)
@@ -585,6 +697,8 @@ def constrained_fit(
             "eps": eps,
             "geometry_waiver": waived,
             "samples": int(points.size),
+            "rows": rows,
+            "rounds": rounds,
             "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
         },
     )
@@ -617,7 +731,7 @@ def convergence_study(
     carried: np.ndarray | None = None
     carried_err = math.inf
     for n in degrees:
-        res = minimax_fit_samples(points, gvals, n, options)
+        res = minimax_fit_samples(points, gvals, n, options, boundary=dset.boundary_samples.size)
         err, coeffs = res.minimax_error, res.polynomial.coefficients
         if carried is not None and carried_err < err:
             padded = np.zeros(n, dtype=complex)

@@ -381,6 +381,9 @@ class DiscretizedSet:
     boundary_samples: np.ndarray
 
     def all_samples(self) -> np.ndarray:
+        """Every sample, boundary samples first: the first
+        boundary_samples.size entries are the boundary, in their order,
+        and the fits start their Lawson exchange on those rows."""
         return np.concatenate([self.boundary_samples, self.interior_samples])
 
     def to_csv(self) -> str:

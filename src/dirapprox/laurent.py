@@ -31,7 +31,7 @@ import numpy as np
 from . import _wire
 from .errors import InvalidAnchorError, InvalidInputError, PoleError, integral
 from .fit import FitOptions, FitResult, _target_values, minimax_fit_samples
-from .geometry import CompactSetSpec, Contour, DiscretizedSet, quadrature_contours
+from .geometry import Contour, DiscretizedSet, quadrature_contours
 from .series import DirichletPolynomial, evaluate_many
 
 _FAR_DIRECTION = 0.6 + 0.8j  # unit vector for the vanishing-at-infinity probe
@@ -172,9 +172,8 @@ class LaurentPieces:
 
 
 def _build_pieces(
-    spec: CompactSetSpec, f, anchors: list[complex], nodes: int
+    loops: list[Contour], f, anchors: list[complex]
 ) -> tuple[list[CauchyPiece], list[CauchyPiece]]:
-    loops = quadrature_contours(spec, nodes)
     outer_loops = [c for c in loops if c.role == "outer"]
     hole_loops = [c for c in loops if c.role == "hole"]
 
@@ -253,8 +252,11 @@ def laurent_decompose(
     the five rounds below 512, each screened on a strided subset of about
     256 probes: about 2 % for a pole 0.05 outside the annulus (2,048
     nodes, about 270 ms), 10-20 % for a pole 0.05 off a rectangle or
-    triangle edge (1,024 nodes, 20-25 ms).  A residual still above
-    `residual_tol` sets the warning flag rather than raising.
+    triangle edge (1,024 nodes, 20-25 ms).  A round below 512 whose
+    contours have the sizes of the last round's is skipped: it would
+    repeat that round (a rectangle's contours at 16 and 32 nodes are the
+    same 50 points).  A residual still above `residual_tol` sets the
+    warning flag rather than raising.
     """
     if not (math.isfinite(residual_tol) and residual_tol >= 0):
         raise InvalidInputError(f"residual_tol must be finite and >= 0, got {residual_tol!r}")
@@ -271,8 +273,17 @@ def laurent_decompose(
     best: tuple[float, list[CauchyPiece], list[CauchyPiece], int] | None = None
     n = _START_NODES
     prev_residual = math.inf
+    sizes = None
     for _ in range(_MAX_DOUBLINGS + 1):
-        outer_pieces, hole_pieces = _build_pieces(dset.spec, f, anchors, n)
+        loops = quadrature_contours(dset.spec, n)
+        # a polyline's panels per edge never decrease with n, so contours
+        # of the last round's sizes are its contours again; below
+        # _FULL_NODES that round already missed the floor
+        last, sizes = sizes, [c.points.size for c in loops]
+        if n < _FULL_NODES and sizes == last:
+            n *= 2
+            continue
+        outer_pieces, hole_pieces = _build_pieces(loops, f, anchors)
         pieces = outer_pieces + hole_pieces
         # below _FULL_NODES only the floor can stop, and a strided subset
         # of the probes above it already rules that out
@@ -370,20 +381,23 @@ def rational_dirichlet_fit(
 
     pieces = laurent_decompose(dset, f, anchors, residual_tol=residual_tol)
     samples = dset.all_samples()
+    # w = 1/(s - z) takes the set's boundary onto the image's boundary, so
+    # the leading boundary rows start the exchange in w as well
+    boundary = dset.boundary_samples.size
 
     parts: list[tuple[complex, DirichletPolynomial]] = []
     relocated = 0j
     for j, (z, deg) in enumerate(zip(pieces.anchors, degrees[1:])):
         w = 1.0 / (samples - z)
         yj = evaluate_piece(pieces.holes[j], samples)
-        fitj = minimax_fit_samples(w, yj, deg, options)
+        fitj = minimax_fit_samples(w, yj, deg, options, boundary=boundary)
         coeffs = fitj.polynomial.coefficients.copy()
         relocated += coeffs[0]
         coeffs[0] = 0.0
         parts.append((z, DirichletPolynomial(coeffs)))
 
     y0 = pieces.f0(samples) + relocated
-    fit0 = minimax_fit_samples(samples, y0, degrees[0], options)
+    fit0 = minimax_fit_samples(samples, y0, degrees[0], options, boundary=boundary)
 
     assembled = RationalDirichletFunction(fit0.polynomial, tuple(parts))
     sup_error = float(np.abs(evaluate_rational(assembled, samples) - _target_values(f, samples)).max())

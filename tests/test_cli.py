@@ -258,6 +258,28 @@ class TestFitCommands:
         assert rep["provenance"]["route"] == "lawson+admm"
         assert 0 <= rep["lower_bound"] <= rep["minimax_error"]
 
+    def test_sampled_fit_that_needs_a_second_round_reruns_byte_identically(self, tmp_path):
+        # exp plus a spike at one interior sample: the boundary round misses
+        # the spike, and the second round adds its row
+        from dirapprox.geometry import disc, discretize
+
+        dset = discretize(disc(-1, 0.5))
+        y = np.exp(dset.all_samples())
+        y[dset.boundary_samples.size + 158] += 0.01
+        spec = {"set": DISC_EXP["set"], "target": {"kind": "sampled", "values": [[v.real, v.imag] for v in y]}}
+        src = write(tmp_path / "in.json", spec)
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.json"
+            assert main(["fit", "--input", src, "--degree", "10", "--output", str(out)]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+        rep = json.loads(runs[0])
+        assert rep["provenance"]["rounds"] == 2
+        assert rep["provenance"]["rows"] == dset.boundary_samples.size + 1
+        assert rep["provenance"]["samples"] == y.size
+        assert 0 < rep["lower_bound"] <= rep["minimax_error"] <= 1.01 * rep["lower_bound"]
+
     def test_constrained_fit_with_inactive_budget(self, tmp_path):
         spec = {
             "set": {"kind": "rectangle", "corner_lo": [-2, -1], "corner_hi": [-0.5, 1]},

@@ -198,6 +198,97 @@ def test_lawson_restores_the_design_and_reports_its_coefficients_error():
     assert 0 < bound <= err <= 1.01 * bound
 
 
+# --- the Lawson exchange: solved on boundary rows, certified on all rows ---------
+
+
+def _error_on_every_sample(r, y, pts):
+    """max |A c - y| over all samples, for the fit's coefficients c."""
+    return float(np.abs(y - _exp_basis(pts, 1, r.polynomial.degree) @ r.polynomial.coefficients).max())
+
+
+def _spiked_exp(dset, k=158, height=0.01):
+    """exp on the set's samples, plus a spike at its k-th interior sample."""
+    y = np.exp(dset.all_samples())
+    y[dset.boundary_samples.size + k] += height
+    return TargetFunction.sampled(y)
+
+
+def test_holomorphic_fit_is_solved_on_the_boundary_and_measured_on_every_sample():
+    pts = DISC_DEFAULT.all_samples()
+    for n in (10, 30):
+        r = minimax_fit(DISC_DEFAULT, TargetFunction.exp(), n)
+        assert r.provenance["rows"] == DISC_DEFAULT.boundary_samples.size < pts.size
+        assert r.provenance["rounds"] == 1 and r.converged
+        assert r.minimax_error == _error_on_every_sample(r, np.exp(pts), pts)
+
+
+def test_interior_spike_joins_the_rows_and_stays_within_the_gap_of_the_all_row_solve():
+    pts = DISC_DEFAULT.all_samples()
+    target = _spiked_exp(DISC_DEFAULT)
+    for n in (5, 10):
+        r = minimax_fit(DISC_DEFAULT, target, n)
+        every = minimax_fit_samples(pts, target.values, n)
+        assert r.provenance["rounds"] == 2 and r.converged
+        assert r.provenance["rows"] == DISC_DEFAULT.boundary_samples.size + 1
+        assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
+        assert r.minimax_error <= fit._GAP * every.minimax_error
+        assert r.iterations > 0
+
+
+@pytest.mark.parametrize("target", ["exp", "spike"])
+def test_exchange_bound_holds_for_perturbed_coefficients_on_every_sample(target):
+    # the bound of a subset round bounds the error on all rows of every
+    # coefficient vector (near the fit, where its rank-r range is all
+    # that matters)
+    pts = DISC_DEFAULT.all_samples()
+    g = TargetFunction.exp() if target == "exp" else _spiked_exp(DISC_DEFAULT)
+    y = g.values_on(pts)
+    r = minimax_fit(DISC_DEFAULT, g, 8)
+    A, c = _exp_basis(pts, 1, 8), r.polynomial.coefficients
+    rng = np.random.default_rng(11)
+    for size in (1e-3, 1e-2, 0.1, 1.0, 10.0):
+        for _ in range(20):
+            dc = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            dc *= size * r.minimax_error / float(np.abs(A @ dc).max())
+            assert r.lower_bound <= float(np.abs(A @ (c + dc) - y).max())
+
+
+def test_bare_clouds_solve_on_all_rows_in_one_round():
+    pts = DISC.all_samples()
+    r = minimax_fit_samples(pts, np.exp(pts), 12)
+    assert r.provenance["rounds"] == 1 and r.provenance["rows"] == pts.size
+    # with its boundary rows named, the same cloud starts from them
+    b = minimax_fit_samples(pts, np.exp(pts), 12, boundary=DISC.boundary_samples.size)
+    assert b.provenance["rows"] == DISC.boundary_samples.size
+    for bad in (-1, pts.size + 1, 2.5, True):
+        with pytest.raises(InvalidInputError, match="boundary"):
+            minimax_fit_samples(pts, np.exp(pts), 12, boundary=bad)
+
+
+def test_exchange_adds_rows_until_the_error_on_every_row_meets_the_level():
+    # a target that is zero on the boundary and not inside: the boundary
+    # round fits zero with bound zero, so rows join until the level is met
+    pts = DISC.all_samples()
+    y = np.zeros(pts.size, dtype=complex)
+    y[DISC.boundary_samples.size :] = np.exp(1j * np.arange(pts.size - DISC.boundary_samples.size))
+    r = minimax_fit(DISC, TargetFunction.sampled(y), 3)
+    every = minimax_fit_samples(pts, y, 3)
+    assert r.converged and r.provenance["rounds"] >= 2
+    assert DISC.boundary_samples.size < r.provenance["rows"] < pts.size
+    assert r.minimax_error == _error_on_every_sample(r, y, pts)
+    assert r.minimax_error <= fit._GAP * every.minimax_error
+
+
+def test_exchange_ends_on_all_rows_when_no_new_row_is_above_the_level():
+    # without reweightings the spike's round stays above its level while
+    # every row above it is already in: the next round takes all rows
+    pts = DISC_DEFAULT.all_samples()
+    target = _spiked_exp(DISC_DEFAULT)
+    r = minimax_fit(DISC_DEFAULT, target, 10, FitOptions(max_iterations=0))
+    assert r.provenance["rounds"] == 3 and not r.converged and r.iterations == 0
+    assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
+
+
 # --- convergence_study ---------------------------------------------------------
 
 
@@ -543,6 +634,18 @@ def test_invalid_parameters_rejected():
             constrained_fit(BOX, TargetFunction.const(1), poly(1), bad, 0.5, 4)
         with pytest.raises(InvalidInputError):
             constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, bad, 4)
+    # degrees and the first free index are integers: no truncation, no booleans
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidInputError, match="degree"):
+            minimax_fit(DISC, TargetFunction.exp(), bad)
+        with pytest.raises(InvalidInputError, match="degree"):
+            minimax_fit_samples(DISC.all_samples(), np.exp(DISC.all_samples()), bad)
+    with pytest.raises(InvalidInputError, match="degree"):
+        constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 3.5)
+    with pytest.raises(InvalidInputError, match="lo"):
+        constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 4, lo=1.5)
+    assert minimax_fit(DISC, TargetFunction.exp(), 3.0).polynomial.degree == 3
+    assert constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 3.0, lo=2.0).polynomial.degree == 3
 
 
 @pytest.mark.parametrize("bad", [{"target_error": math.nan}, {"target_error": math.inf},

@@ -13,6 +13,7 @@ from dirapprox.geometry import (
     disc,
     discretize,
     jordan_polygon,
+    quadrature_contours,
     rectangle,
     union_of_disjoint,
 )
@@ -118,6 +119,31 @@ def test_pole_near_a_polygon_edge_forces_doubling():
     pieces = laurent_decompose(dset, lambda s: 1 / (s - (1 - 0.05j)), [])
     assert pieces.nodes_per_contour > 512
     assert pieces.residual <= 1e-8 and not pieces.warning
+
+
+def test_a_round_that_repeats_the_last_contours_is_skipped(monkeypatch):
+    # a rectangle's contours at 16 and 32 nodes are the same 50 points: the
+    # 32-node round is skipped, and the ladder ends where it did, with the
+    # pieces and residual of that round built directly
+    dset = discretize(rectangle(-1 - 1j, 1 + 1j), SampleDensity(0.05, 0.2))
+    f = lambda s: 1 / (s - 1.05)  # pole 0.05 right of the right edge
+    sizes = {n: [c.points.size for c in quadrature_contours(dset.spec, n)] for n in (16, 32)}
+    assert sizes == {16: [50], 32: [50]}
+    built = []
+    build = laurent_mod._build_pieces
+
+    def counted(loops, *args):
+        built.append(loops[0].points.size)
+        return build(loops, *args)
+
+    monkeypatch.setattr(laurent_mod, "_build_pieces", counted)
+    pieces = laurent_decompose(dset, f, [])
+    assert built == [50, 98, 146, 290, 530, 1058]  # 16, 64, ..., 1024 nodes: six builds, not seven
+    assert pieces.nodes_per_contour == 1024
+    outer, _ = build(quadrature_contours(dset.spec, 1024), f, [])
+    assert [p.values.tobytes() for p in pieces.outer] == [p.values.tobytes() for p in outer]
+    probes = dset.all_samples()
+    assert pieces.residual == laurent_mod._residual(outer, probes, f(probes))
 
 
 @pytest.mark.parametrize("spec, f, anchors", [
@@ -321,17 +347,20 @@ def test_fit_error_halves_with_degree(ring):
 def test_fit_error_accounting(ring):
     # sampled sup of the assembly is bounded by the per-piece fit errors
     # plus the reconstruction residual; the piece fits are re-run here
-    # (the solver is deterministic) to obtain their individual errors
+    # (the solver is deterministic) to obtain their individual errors,
+    # from the same leading boundary rows the fit starts its exchange on
     from dirapprox.fit import minimax_fit_samples
 
     target = lambda s: np.exp(s) + np.exp(1 / s)
     pieces = laurent_decompose(ring, target, [0.0])
     fitted, err = rational_dirichlet_fit(ring, target, [0.0], (20, 20))
-    samples = ring.all_samples()
+    samples, boundary = ring.all_samples(), ring.boundary_samples.size
 
-    hole_fit = minimax_fit_samples(1 / samples, evaluate_piece(pieces.holes[0], samples), 20)
+    hole_fit = minimax_fit_samples(
+        1 / samples, evaluate_piece(pieces.holes[0], samples), 20, boundary=boundary
+    )
     relocated = hole_fit.polynomial.coefficients[0]
-    outer_fit = minimax_fit_samples(samples, pieces.f0(samples) + relocated, 20)
+    outer_fit = minimax_fit_samples(samples, pieces.f0(samples) + relocated, 20, boundary=boundary)
     assert err <= outer_fit.minimax_error + hole_fit.minimax_error + pieces.residual + 1e-10
 
 
