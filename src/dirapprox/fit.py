@@ -7,11 +7,11 @@ constraint ||h - f||_sigma <= eps, solved by ADMM with its own dual
 certificate when the ball binds.  All errors and bounds are of sampled
 sups over the discretized set, never certified continuous sups.
 
-Lawson runs as an exchange: it solves on the set's boundary samples,
-where the error of a fit to holomorphic data peaks (maximum modulus),
-measures the error on every sample, and adds the worst samples and
-solves again only when they exceed the stopping level.  Reported errors
-are always those on every sample; ADMM runs on every sample.
+Lawson first solves on the set's boundary samples, where the error of a
+fit to holomorphic data peaks (maximum modulus), and measures the error
+on every sample; only when that error is above the stopping level does
+it solve again on every sample, as a cold start.  Reported errors are
+always those on every sample; ADMM runs on every sample.
 """
 
 from __future__ import annotations
@@ -160,14 +160,12 @@ _NOISE = 1e-13  # ... or below this times max|y|, where both are rounding noise
 _RHO = 0.01  # ADMM penalty on the ball copy z2 = c; the sup copy z1 = B c has penalty 1
 _ADMM_STEPS = 5000  # cap on ADMM steps
 _CHECK_EVERY = 10  # ADMM checks its best feasible point and its bound this often
-_EXCHANGE_ROWS = 64  # rows the Lawson exchange adds per round at most
-_EXCHANGE_ROUNDS = 8  # the exchange solves on all rows by this round at the latest
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """max_iterations (an integer >= 0) caps Lawson's reweightings in each
-    exchange round; the ball route of constrained_fit takes at most 5,000
+    """max_iterations (an integer >= 0) caps Lawson's reweightings, summed
+    over its rounds; the ball route of constrained_fit takes at most 5,000
     ADMM steps.  Lawson in minimax_fit and ADMM stop once the sup error
     is <= target_error, and converged then means the error got there.
     """
@@ -190,7 +188,8 @@ class FitResult:
 
     minimax_error is the sup error on every sample.  lower_bound comes
     from the Lawson round reported, solved on that round's rows
-    (provenance "rows" of "samples", after "rounds" exchange rounds): it
+    (provenance "rows" of "samples"; "rounds" is 1, or 2 when the
+    boundary rows did not suffice and every row was solved): it
     bounds from below the sup error over those rows, and so over every
     sample, of every coefficient vector whose design-matrix image lies in
     the rank-r range of those rows' column-scaled design (provenance
@@ -230,27 +229,13 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_solve(Q: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """argmin_d sum_i w_i |y_i - (Q d)_i|^2 over the live rows, w_i > 1e-24;
-    None when the weights sit on fewer than r rows or d is not finite."""
-    live = w > 1e-24
-    Ql, wl, yl = (Q, w, y) if live.all() else (Q[live], w[live], y[live])
-    WQh = Ql.conj().T * wl  # (W Q)^H over the live rows
-    try:
-        d = np.linalg.solve(WQh @ Ql, WQh @ yl)
-    except np.linalg.LinAlgError:
-        return None
-    return d if np.all(np.isfinite(d)) else None
-
-
 def _lawson_round(
     A: np.ndarray,
     y: np.ndarray,
-    opts: FitOptions,
+    cap: int,
     stop_at: float | None,
     floor: float,
-    w: np.ndarray | None,
-) -> tuple[np.ndarray, float, float, int, int, np.ndarray]:
+) -> tuple[np.ndarray, float, float, int, int]:
     """Lawson IRLS for min_c sup_i |A c - y| on an orthonormal basis.
 
     A's columns are scaled by powers of two, B = A / scale, in place and
@@ -259,10 +244,9 @@ def _lawson_round(
     coefficient directions V_r, and Q R_Q = B V_r S_r^{-1} is an
     orthonormal basis of their image, so coordinates d stand for the
     coefficients X d with X = V_r S_r^{-1} R_Q^{-1} / scale.  From the
-    least-squares seed d = Q^H y, or from the weighted solve when weights
-    w (summing to 1) carry over from an earlier round, each reweighting w <- w |y - Q d| solves
-    an r x r weighted Gram over the live rows, w_i > 1e-24.  Errors are
-    those of the coefficients themselves, max |y - A X d|.
+    least-squares seed d = Q^H y, each reweighting w <- w |y - Q d|
+    solves an r x r weighted Gram over the live rows, w_i > 1e-24.
+    Errors are those of the coefficients themselves, max |y - A X d|.
 
     After each solve, mu = w (y - Q d), projected onto range(Q)^perp,
     certifies |mu^H y| / ||mu||_1 as a lower bound on the error of every
@@ -271,10 +255,10 @@ def _lawson_round(
     best mu with the best residual, which keeps it below the best error
     under rounding too.  Lawson stops once the best error is within _GAP
     of the bound or at most `floor`; it also stops at `stop_at` or after
-    opts.max_iterations reweightings.
+    `cap` reweightings.
 
     Returns the best coefficients, their error on A's rows, the bound,
-    the reweightings used, r and the last weights.
+    the reweightings used and r.
     """
     m, n = A.shape
     scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=0))[1])  # 0 -> 1
@@ -293,10 +277,8 @@ def _lawson_round(
     finally:
         A *= scale
 
-    d = None if w is None else _weighted_solve(Q, w, y)
-    if d is None:
-        w = np.full(m, 1.0 / m)
-        d = Q.conj().T @ y
+    w = np.full(m, 1.0 / m)
+    d = Q.conj().T @ y
     best_err, bound, top, cert = math.inf, 0.0, 0.0, None
     iterations = 0
     while True:
@@ -316,18 +298,24 @@ def _lawson_round(
             bound = float(abs(np.vdot(cert, best_r))) / cert_l1
         settled = best_err <= max(_GAP * bound, floor)
         reached = stop_at is not None and best_err <= stop_at
-        if settled or reached or iterations == opts.max_iterations:
+        if settled or reached or iterations == cap:
             break
-        reweighted = w * np.abs(rq)
-        total = reweighted.sum()
+        w *= np.abs(rq)
+        total = w.sum()
         if not math.isfinite(total) or total <= 0:
             break
-        w = reweighted / total
-        d = _weighted_solve(Q, w, y)
-        if d is None:
+        w /= total
+        live = w > 1e-24
+        Ql, wl, yl = (Q, w, y) if live.all() else (Q[live], w[live], y[live])
+        WQh = Ql.conj().T * wl  # (W Q)^H over the live rows
+        try:
+            d = np.linalg.solve(WQh @ Ql, WQh @ yl)
+        except np.linalg.LinAlgError:
+            break  # the weights sit on fewer than r rows
+        if not np.all(np.isfinite(d)):
             break
         iterations += 1
-    return best_c, best_err, bound, iterations, rank, w
+    return best_c, best_err, bound, iterations, rank
 
 
 def _lawson(
@@ -337,28 +325,25 @@ def _lawson(
     stop_at: float | None = None,
     boundary: int = 0,
 ) -> tuple[np.ndarray, float, float, int, int, bool, int, int]:
-    """Lawson fit of A c ~ y on a row subset, certified on every row.
+    """Lawson fit of A c ~ y, solved on the leading `boundary` rows when
+    that suffices and certified on every row.
 
-    An exchange (Remez 1934; Lawson 1961): the first `boundary` rows, the
-    boundary samples of a set, are solved first by `_lawson_round`; 0
-    means all rows in one round.  By the maximum modulus principle the
-    error of a fit to holomorphic data peaks on the boundary, so one round
-    is the rule.  Each round's error is then measured on every row.  It
-    stops once that error is at most max(_GAP * bound, floor, stop_at),
-    the round's bound and the rounding floor _NOISE max|y|; otherwise the
-    rows above that level, worst first and at most _EXCHANGE_ROWS of them,
-    join the subset, which keeps its last weights and gives the new rows
-    its largest.  Round _EXCHANGE_ROUNDS, or a round with no new row above
-    the level, solves on all rows, so the exchange ends at the latest with
-    the all-row solve.  A bound from a subset bounds the subset's error,
-    and so the full error, of every coefficient vector in that round's
-    rank-r range.
+    The first `boundary` rows are a set's boundary samples, where by the
+    maximum modulus principle the error of a fit to holomorphic data
+    peaks; 0 means none are known.  Round one solves on them with
+    _lawson_round and measures the error on every row.  When that error
+    is above max(_GAP * bound, floor, stop_at), with the round's bound
+    and the rounding floor _NOISE max|y|, round two is the all-row solve,
+    started cold, and it is reported as it stands; without boundary rows
+    it is the only round.  A bound over some rows bounds the error over
+    every row of each coefficient vector in that round's rank-r range.
+    opts.max_iterations caps the reweightings of both rounds together,
+    and round two is left out when round one spent them all.
 
-    Reports the round that met the level, else the round with the least
-    error on all rows, with that round's own bound and rank.  Returns its
-    coefficients, error and bound, the reweightings of all rounds, its
-    rank, whether it settled (error within _GAP of the bound or at most
-    the floor), its row count and the rounds solved.
+    Returns the reported round's coefficients, its error on every row,
+    its bound, the reweightings of all rounds, its rank, whether it
+    settled (error within _GAP of the bound or at most the floor), its
+    row count and the rounds solved.
     """
     m, n = A.shape
     if not np.all(np.isfinite(A)):
@@ -367,41 +352,17 @@ def _lawson(
             diagnostic={"degree": n, "samples": m, "iteration": 0},
         )
     floor = _NOISE * float(np.abs(y).max())
-    rows = np.arange(boundary if 0 < boundary < m else m)
-    w = None
-    iterations, rounds = 0, []
-    while True:
-        if rows.size == m:  # the kernel's error is already over every row
-            c, err, bound, its, rank, w = _lawson_round(A, y, opts, stop_at, floor, w)
-        else:
-            c, _, bound, its, rank, w = _lawson_round(A[rows], y[rows], opts, stop_at, floor, w)
-            r = np.abs(y - A @ c)
-            err = float(r.max())
-        iterations += its
-        rounds.append((err, c, bound, rank, rows.size))
-        level = max(_GAP * bound, floor, 0.0 if stop_at is None else stop_at)
-        if err <= level:
-            best = rounds[-1]
-            break
-        if rows.size == m:
-            best = min(rounds, key=lambda t: t[0])
-            break
-        fresh = np.ones(m, dtype=bool)
-        fresh[rows] = False
-        above = np.flatnonzero(fresh & (r > level))
-        if len(rounds) + 1 >= _EXCHANGE_ROUNDS or above.size == 0:
-            # all rows in their own order
-            grown = np.full(m, w.max())
-            grown[rows] = w
-            rows = np.arange(m)
-        else:
-            worst = above[np.argsort(-r[above], kind="stable")[:_EXCHANGE_ROWS]]
-            rows = np.concatenate([rows, worst])
-            grown = np.concatenate([w, np.full(worst.size, w.max())])
-        w = grown / grown.sum()
-    err, c, bound, rank, used = best
+    cap, rounds = opts.max_iterations, 1
+    if 0 < boundary < m:
+        c, _, bound, its, rank = _lawson_round(A[:boundary], y[:boundary], cap, stop_at, floor)
+        err = float(np.abs(y - A @ c).max())
+        settled = err <= max(_GAP * bound, floor)
+        if settled or (stop_at is not None and err <= stop_at) or its == cap:
+            return c, err, bound, its, rank, settled, boundary, 1
+        cap, rounds = cap - its, 2
+    c, err, bound, more, rank = _lawson_round(A, y, cap, stop_at, floor)
     settled = err <= max(_GAP * bound, floor)
-    return c, err, bound, iterations, rank, settled, used, len(rounds)
+    return c, err, bound, opts.max_iterations - cap + more, rank, settled, m, rounds
 
 
 def minimax_fit_samples(
@@ -417,10 +378,10 @@ def minimax_fit_samples(
     Used directly when the sample set is not a DiscretizedSet (e.g. the
     1/(s-z) image of one).  `boundary` counts the leading points that
     lie on the set's boundary (the first rows of `all_samples()`; the
-    map w = 1/(s - z) keeps them on the image's boundary): the Lawson
-    exchange solves on them first and adds other rows only where the
-    error on all rows asks for them.  With boundary = 0, a bare cloud,
-    it solves on all rows in one round.
+    map w = 1/(s - z) keeps them on the image's boundary): Lawson solves
+    on them first and solves again on all rows only when the error on
+    all rows asks for it.  With boundary = 0, a bare cloud, it solves on
+    all rows in one round.
     """
     opts = options or FitOptions()
     degree = integral(degree, "degree")
@@ -469,7 +430,7 @@ def minimax_fit(
 ) -> FitResult:
     """Best sampled-sup fit of a degree-`degree` Dirichlet polynomial to g,
     over every coefficient a_1..a_degree, solved from the set's boundary
-    samples and certified on all of them."""
+    samples and certified on every sample."""
     points = dset.all_samples()
     if points.size == 0:
         raise InvalidInputError("discretized set has no samples")

@@ -383,7 +383,7 @@ class DiscretizedSet:
     def all_samples(self) -> np.ndarray:
         """Every sample, boundary samples first: the first
         boundary_samples.size entries are the boundary, in their order,
-        and the fits start their Lawson exchange on those rows."""
+        and the Lawson fits solve on those rows first."""
         return np.concatenate([self.boundary_samples, self.interior_samples])
 
     def to_csv(self) -> str:

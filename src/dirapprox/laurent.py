@@ -382,7 +382,7 @@ def rational_dirichlet_fit(
     pieces = laurent_decompose(dset, f, anchors, residual_tol=residual_tol)
     samples = dset.all_samples()
     # w = 1/(s - z) takes the set's boundary onto the image's boundary, so
-    # the leading boundary rows start the exchange in w as well
+    # the leading boundary rows start the Lawson solve in w as well
     boundary = dset.boundary_samples.size
 
     parts: list[tuple[complex, DirichletPolynomial]] = []

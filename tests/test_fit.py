@@ -198,7 +198,7 @@ def test_lawson_restores_the_design_and_reports_its_coefficients_error():
     assert 0 < bound <= err <= 1.01 * bound
 
 
-# --- the Lawson exchange: solved on boundary rows, certified on all rows ---------
+# --- Lawson solved on the boundary rows, certified on all rows -------------------
 
 
 def _error_on_every_sample(r, y, pts):
@@ -213,6 +213,13 @@ def _spiked_exp(dset, k=158, height=0.01):
     return TargetFunction.sampled(y)
 
 
+def _zero_on_the_boundary(dset):
+    """0 on the set's boundary samples, e^{ik} at its k-th interior one."""
+    y = np.zeros(dset.all_samples().size, dtype=complex)
+    y[dset.boundary_samples.size :] = np.exp(1j * np.arange(dset.interior_samples.size))
+    return TargetFunction.sampled(y)
+
+
 def test_holomorphic_fit_is_solved_on_the_boundary_and_measured_on_every_sample():
     pts = DISC_DEFAULT.all_samples()
     for n in (10, 30):
@@ -222,24 +229,32 @@ def test_holomorphic_fit_is_solved_on_the_boundary_and_measured_on_every_sample(
         assert r.minimax_error == _error_on_every_sample(r, np.exp(pts), pts)
 
 
-def test_interior_spike_joins_the_rows_and_stays_within_the_gap_of_the_all_row_solve():
-    pts = DISC_DEFAULT.all_samples()
-    target = _spiked_exp(DISC_DEFAULT)
-    for n in (5, 10):
-        r = minimax_fit(DISC_DEFAULT, target, n)
+@pytest.mark.parametrize("dset, make, degrees", [
+    (DISC_DEFAULT, _spiked_exp, (5, 10)),
+    (DISC, _zero_on_the_boundary, (3, 8)),
+])
+def test_second_round_is_the_all_row_solve(dset, make, degrees):
+    # targets that are not holomorphic: the boundary round misses the
+    # interior, and the second round is the all-row solve itself
+    pts = dset.all_samples()
+    target = make(dset)
+    for n in degrees:
+        r = minimax_fit(dset, target, n)
         every = minimax_fit_samples(pts, target.values, n)
-        assert r.provenance["rounds"] == 2 and r.converged
-        assert r.provenance["rows"] == DISC_DEFAULT.boundary_samples.size + 1
+        assert r.provenance["rounds"] == 2 and r.provenance["rows"] == pts.size
+        assert r.polynomial.coefficients.tobytes() == every.polynomial.coefficients.tobytes()
+        assert (r.minimax_error, r.lower_bound, r.converged) == (
+            every.minimax_error, every.lower_bound, every.converged,
+        )
+        assert r.converged and r.iterations >= every.iterations
         assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
-        assert r.minimax_error <= fit._GAP * every.minimax_error
-        assert r.iterations > 0
 
 
 @pytest.mark.parametrize("target", ["exp", "spike"])
-def test_exchange_bound_holds_for_perturbed_coefficients_on_every_sample(target):
-    # the bound of a subset round bounds the error on all rows of every
-    # coefficient vector (near the fit, where its rank-r range is all
-    # that matters)
+def test_bound_holds_for_perturbed_coefficients_on_every_sample(target):
+    # the bound of a boundary-row round bounds the error on all rows of
+    # every coefficient vector (near the fit, where its rank-r range is
+    # all that matters)
     pts = DISC_DEFAULT.all_samples()
     g = TargetFunction.exp() if target == "exp" else _spiked_exp(DISC_DEFAULT)
     y = g.values_on(pts)
@@ -265,28 +280,19 @@ def test_bare_clouds_solve_on_all_rows_in_one_round():
             minimax_fit_samples(pts, np.exp(pts), 12, boundary=bad)
 
 
-def test_exchange_adds_rows_until_the_error_on_every_row_meets_the_level():
-    # a target that is zero on the boundary and not inside: the boundary
-    # round fits zero with bound zero, so rows join until the level is met
-    pts = DISC.all_samples()
-    y = np.zeros(pts.size, dtype=complex)
-    y[DISC.boundary_samples.size :] = np.exp(1j * np.arange(pts.size - DISC.boundary_samples.size))
-    r = minimax_fit(DISC, TargetFunction.sampled(y), 3)
-    every = minimax_fit_samples(pts, y, 3)
-    assert r.converged and r.provenance["rounds"] >= 2
-    assert DISC.boundary_samples.size < r.provenance["rows"] < pts.size
-    assert r.minimax_error == _error_on_every_sample(r, y, pts)
-    assert r.minimax_error <= fit._GAP * every.minimax_error
-
-
-def test_exchange_ends_on_all_rows_when_no_new_row_is_above_the_level():
-    # without reweightings the spike's round stays above its level while
-    # every row above it is already in: the next round takes all rows
+def test_max_iterations_caps_the_reweightings_of_both_rounds():
     pts = DISC_DEFAULT.all_samples()
     target = _spiked_exp(DISC_DEFAULT)
-    r = minimax_fit(DISC_DEFAULT, target, 10, FitOptions(max_iterations=0))
-    assert r.provenance["rounds"] == 3 and not r.converged and r.iterations == 0
-    assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
+    first = minimax_fit_samples(pts, target.values, 10, boundary=DISC_DEFAULT.boundary_samples.size)
+    spent = first.iterations - minimax_fit_samples(pts, target.values, 10).iterations
+    assert first.provenance["rounds"] == 2 and spent > 0
+    for cap in range(spent + 4):
+        r = minimax_fit(DISC_DEFAULT, target, 10, FitOptions(max_iterations=cap))
+        assert r.iterations <= cap
+        # a cap the boundary round spends leaves no second round
+        assert r.provenance["rounds"] == (1 if cap <= spent else 2)
+        assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
+        assert 0 <= r.lower_bound <= r.minimax_error
 
 
 # --- convergence_study ---------------------------------------------------------
