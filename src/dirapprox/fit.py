@@ -201,7 +201,8 @@ class FitResult:
     reports the larger of that bound and the ADMM certificate, which
     holds for every coefficient vector in the ball and comes from every
     sample (rank, rows and rounds describe its Lawson stage); its
-    `converged` means feasible and, when given, within target_error.
+    `converged` means feasible and, when given, within target_error, and
+    a fit its rule_out gave up on (provenance "ruled_out") never is.
     """
 
     polynomial: DirichletPolynomial
@@ -235,6 +236,7 @@ def _lawson_round(
     cap: int,
     stop_at: float | None,
     floor: float,
+    give_up: float | None,
 ) -> tuple[np.ndarray, float, float, int, int]:
     """Lawson IRLS for min_c sup_i |A c - y| on an orthonormal basis.
 
@@ -255,7 +257,9 @@ def _lawson_round(
     best mu with the best residual, which keeps it below the best error
     under rounding too.  Lawson stops once the best error is within _GAP
     of the bound or at most `floor`; it also stops at `stop_at` or after
-    `cap` reweightings.
+    `cap` reweightings, and, given `give_up`, once the bound exceeds it
+    while r is A's column count: the bound then covers every coefficient
+    vector, so no fit on these rows gets within `give_up`.
 
     Returns the best coefficients, their error on A's rows, the bound,
     the reweightings used and r.
@@ -298,7 +302,7 @@ def _lawson_round(
             bound = float(abs(np.vdot(cert, best_r))) / cert_l1
         settled = best_err <= max(_GAP * bound, floor)
         reached = stop_at is not None and best_err <= stop_at
-        if settled or reached or iterations == cap:
+        if settled or reached or _rules_out(bound, rank, n, give_up) or iterations == cap:
             break
         w *= np.abs(rq)
         total = w.sum()
@@ -318,12 +322,18 @@ def _lawson_round(
     return best_c, best_err, bound, iterations, rank
 
 
+def _rules_out(bound: float, rank: int, columns: int, give_up: float | None) -> bool:
+    """Whether a Lawson bound of full rank proves every fit worse than give_up."""
+    return give_up is not None and rank == columns and bound > give_up
+
+
 def _lawson(
     A: np.ndarray,
     y: np.ndarray,
     opts: FitOptions,
     stop_at: float | None = None,
     boundary: int = 0,
+    give_up: float | None = None,
 ) -> tuple[np.ndarray, float, float, int, int, bool, int, int]:
     """Lawson fit of A c ~ y, solved on the leading `boundary` rows when
     that suffices and certified on every row.
@@ -338,7 +348,9 @@ def _lawson(
     it is the only round.  A bound over some rows bounds the error over
     every row of each coefficient vector in that round's rank-r range.
     opts.max_iterations caps the reweightings of both rounds together,
-    and round two is left out when round one spent them all.
+    and round two is left out when round one spent them all.  Each round
+    also stops once its bound rules out `give_up` (see _lawson_round), and
+    round two is left out when round one's bound did.
 
     Returns the reported round's coefficients, its error on every row,
     its bound, the reweightings of all rounds, its rank, whether it
@@ -354,13 +366,14 @@ def _lawson(
     floor = _NOISE * float(np.abs(y).max())
     cap, rounds = opts.max_iterations, 1
     if 0 < boundary < m:
-        c, _, bound, its, rank = _lawson_round(A[:boundary], y[:boundary], cap, stop_at, floor)
+        c, _, bound, its, rank = _lawson_round(A[:boundary], y[:boundary], cap, stop_at, floor, give_up)
         err = float(np.abs(y - A @ c).max())
         settled = err <= max(_GAP * bound, floor)
-        if settled or (stop_at is not None and err <= stop_at) or its == cap:
+        reached = stop_at is not None and err <= stop_at
+        if settled or reached or _rules_out(bound, rank, n, give_up) or its == cap:
             return c, err, bound, its, rank, settled, boundary, 1
         cap, rounds = cap - its, 2
-    c, err, bound, more, rank = _lawson_round(A, y, cap, stop_at, floor)
+    c, err, bound, more, rank = _lawson_round(A, y, cap, stop_at, floor, give_up)
     settled = err <= max(_GAP * bound, floor)
     return c, err, bound, opts.max_iterations - cap + more, rank, settled, m, rounds
 
@@ -383,6 +396,18 @@ def minimax_fit_samples(
     all rows asks for it.  With boundary = 0, a bare cloud, it solves on
     all rows in one round.
     """
+    return _fit_samples(points, values, degree, options, boundary)[0]
+
+
+def _fit_samples(
+    points: np.ndarray,
+    values: np.ndarray,
+    degree: int,
+    options: FitOptions | None,
+    boundary: int,
+) -> tuple[FitResult, np.ndarray]:
+    """minimax_fit_samples, and the design n^{-s_i} (samples x degree) it
+    solved on, for callers that evaluate the fit on the same samples."""
     opts = options or FitOptions()
     degree = integral(degree, "degree")
     if degree < 1:
@@ -419,7 +444,7 @@ def minimax_fit_samples(
             "rows": rows,
             "rounds": rounds,
         },
-    )
+    ), A
 
 
 def minimax_fit(
@@ -520,7 +545,9 @@ def _threshold(w: np.ndarray, m: np.ndarray, radius: float, total: float) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _admm_ball(A: np.ndarray, y: np.ndarray, u: np.ndarray, eps: float, stop_at: float | None):
+def _admm_ball(
+    A: np.ndarray, y: np.ndarray, u: np.ndarray, eps: float, stop_at: float | None, give_up: float | None
+):
     """min_d max_i |A d - y|_i  s.t.  sum_n u_n |d_n| <= eps, by scaled ADMM.
 
     Works on the unit-sup-column design B = A / s (s_n = max_i |A_in|,
@@ -538,8 +565,9 @@ def _admm_ball(A: np.ndarray, y: np.ndarray, u: np.ndarray, eps: float, stop_at:
       err >= (|mu^H y| - eps max_n |(B^H mu)_n| / (u_n / s_n)) / ||mu||_1
     by Hoelder on mu^H y = mu^H (y - B c) + (B^H mu)^H c, over all columns.
     It stops once the best error is within _GAP of the best bound, below
-    _NOISE or `stop_at`, or after _ADMM_STEPS steps.  Returns the best d,
-    its error, the bound and the steps taken.
+    _NOISE or `stop_at`, once the bound exceeds `give_up` (no feasible c
+    gets within it), or after _ADMM_STEPS steps.  Returns the best d, its
+    error, the bound and the steps taken.
     """
     s = np.abs(A).max(axis=0)
     s[s == 0] = 1.0
@@ -572,7 +600,7 @@ def _admm_ball(A: np.ndarray, y: np.ndarray, u: np.ndarray, eps: float, stop_at:
         if l1 > 0:
             worst = float((np.abs(BH @ v1) / us).max())
             bound = max(bound, (abs(np.vdot(v1, y)) - eps * worst) / l1)
-        if best_err <= max(_GAP * bound, goal):
+        if best_err <= max(_GAP * bound, goal) or (give_up is not None and bound * top > give_up):
             break
     return best * (top / s), best_err * top, bound * top, steps
 
@@ -587,6 +615,7 @@ def constrained_fit(
     options: FitOptions | None = None,
     *,
     lo: int = 1,
+    rule_out: bool = False,
 ) -> FitResult:
     """min sampled-sup |h - g| over h subject to ||h - f||_sigma <= eps.
 
@@ -599,6 +628,16 @@ def constrained_fit(
     low-index deviations are expensive against the weight n^{-sigma},
     which pins h near f there and pushes the fit into the tail, mirroring
     how such approximants are built.
+
+    With `rule_out` and a target_error, both solvers give up once a
+    certificate proves the target out of reach: Lawson once its bound
+    exceeds target_error at full rank (it then covers every coefficient
+    vector of the block), ADMM once its certificate does.  The constrained
+    minimum is at least the unconstrained one, so either proves that no
+    feasible h gets within target_error.  The result is still feasible and
+    not converged, reports that bound, and records "ruled_out" in its
+    provenance.  Without the flag (the default) both solvers run as far
+    as they otherwise would and provenance has no "ruled_out".
     """
     opts = options or FitOptions()
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma > 0):
@@ -631,10 +670,15 @@ def constrained_fit(
 
     # unconstrained shortcut; exact minimax_fit behavior when the ball
     # never binds
-    d, _, bound, iters, rank, _, rows, rounds = _lawson(A, dvals, opts, boundary=dset.boundary_samples.size)
+    give_up = opts.target_error if rule_out else None
+    d, _, bound, iters, rank, _, rows, rounds = _lawson(
+        A, dvals, opts, boundary=dset.boundary_samples.size, give_up=give_up
+    )
+    ruled_out = _rules_out(bound, rank, A.shape[1], give_up)
     route = "unconstrained"
     if float(np.sum(u * np.abs(d))) > eps:
-        d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error)
+        d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error, give_up)
+        ruled_out = ruled_out or (give_up is not None and bool(cert > give_up))
         bound, route = max(bound, cert), "lawson+admm"
     dfull = np.zeros(degree, dtype=complex)
     dfull[lo - 1 :] = d
@@ -643,25 +687,28 @@ def constrained_fit(
     exact = float(np.abs(A_full @ (fpad + dfull) - gvals).max())
     feasible = constraint_value <= eps * (1 + 1e-12)
     hit_target = opts.target_error is None or exact <= opts.target_error
+    provenance = {
+        "method": "lawson-irls+seminorm-ball",
+        "route": route,
+        "rank": rank,
+        "sigma": sigma,
+        "eps": eps,
+        "geometry_waiver": waived,
+        "samples": int(points.size),
+        "rows": rows,
+        "rounds": rounds,
+        "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
+    }
+    if rule_out:
+        provenance["ruled_out"] = ruled_out
     return FitResult(
         polynomial=h,
         minimax_error=exact,
         lower_bound=bound,
         constraint_value=constraint_value,
         iterations=iters,
-        converged=bool(feasible and hit_target),
-        provenance={
-            "method": "lawson-irls+seminorm-ball",
-            "route": route,
-            "rank": rank,
-            "sigma": sigma,
-            "eps": eps,
-            "geometry_waiver": waived,
-            "samples": int(points.size),
-            "rows": rows,
-            "rounds": rounds,
-            "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
-        },
+        converged=bool(feasible and hit_target and not ruled_out),
+        provenance=provenance,
     )
 
 

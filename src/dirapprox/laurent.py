@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _wire
 from .errors import InvalidAnchorError, InvalidInputError, PoleError, integral
-from .fit import FitOptions, FitResult, _target_values, minimax_fit_samples
+from .fit import FitOptions, FitResult, _fit_samples, _target_values
 from .geometry import Contour, DiscretizedSet, quadrature_contours
 from .series import DirichletPolynomial, evaluate_many
 
@@ -371,6 +371,11 @@ def rational_dirichlet_fit(
     while losing none of the fit's accuracy — without the relocation a
     hole part whose remaining terms do not sum to zero is unreachable.
     Returns the assembled function and its sampled sup error on the set.
+
+    The error is summed from each piece's own design, with the same
+    arithmetic as evaluate_rational (p0 first, then the parts in order),
+    so it equals max |evaluate_rational(r, samples) - f(samples)| exactly.
+    Each design is dropped once its row sums are taken.
     """
     anchors = [complex(a) for a in np.atleast_1d(np.asarray(anchors, dtype=complex))] if np.size(anchors) else []
     degrees = [integral(d, "degree") for d in degrees]
@@ -386,21 +391,28 @@ def rational_dirichlet_fit(
     boundary = dset.boundary_samples.size
 
     parts: list[tuple[complex, DirichletPolynomial]] = []
+    part_values: list[np.ndarray] = []
     relocated = 0j
     for j, (z, deg) in enumerate(zip(pieces.anchors, degrees[1:])):
         w = 1.0 / (samples - z)
         yj = evaluate_piece(pieces.holes[j], samples)
-        fitj = minimax_fit_samples(w, yj, deg, options, boundary=boundary)
+        fitj, design = _fit_samples(w, yj, deg, options, boundary)
         coeffs = fitj.polynomial.coefficients.copy()
         relocated += coeffs[0]
         coeffs[0] = 0.0
         parts.append((z, DirichletPolynomial(coeffs)))
+        # evaluate_many's row sums, in its operand order
+        part_values.append((coeffs * design).sum(axis=1))
+        del design
 
     y0 = pieces.f0(samples) + relocated
-    fit0 = minimax_fit_samples(samples, y0, degrees[0], options, boundary=boundary)
+    fit0, design = _fit_samples(samples, y0, degrees[0], options, boundary)
+    total = (fit0.polynomial.coefficients * design).sum(axis=1)
+    for values in part_values:
+        total = total + values
 
     assembled = RationalDirichletFunction(fit0.polynomial, tuple(parts))
-    sup_error = float(np.abs(evaluate_rational(assembled, samples) - _target_values(f, samples)).max())
+    sup_error = float(np.abs(total - _target_values(f, samples)).max())
     return assembled, sup_error
 
 

@@ -259,7 +259,11 @@ def build_universal(
     seminorm cap 4^{-m} (or the options overrides), and the free block
     lo = previous cut + 1 .. previous cut + block length.  Block lengths
     walk options.block_steps until the fit converges at the entry
-    tolerance; the first convergent length becomes the next cut.
+    tolerance; the first convergent length becomes the next cut.  Every
+    length but the last is fitted with constrained_fit's rule_out: its
+    solvers stop at the first certificate above the tolerance, since such
+    a length cannot converge.  The last length runs in full, so a failed
+    stage still reports the strong bound of its largest N.
 
     A stage that exhausts the ladder appends a failure record describing
     its best attempt, with the lower_bound of its largest-N fit and that N
@@ -283,7 +287,8 @@ def build_universal(
         best = None
         for step in opts.block_steps:
             result = constrained_fit(
-                dset, entry.target, prefix, sigma, budget, prev + step, fit_opts, lo=prev + 1
+                dset, entry.target, prefix, sigma, budget, prev + step, fit_opts, lo=prev + 1,
+                rule_out=step != opts.block_steps[-1],
             )
             if best is None or result.converged or result.minimax_error < best.minimax_error:
                 best = result

@@ -599,6 +599,62 @@ def test_flat_stage_is_certified_out_of_reach():
     assert r.lower_bound >= 0.7
 
 
+K1 = discretize(rectangle(-1 - 1j, 1j), SampleDensity())
+
+
+@pytest.mark.parametrize(
+    "target, eps, degree, route",
+    [
+        (TargetFunction.const(1), 10.0, 3, "unconstrained"),  # Lawson's bound rules it out
+        (TargetFunction.identity(), 0.25, 2, "lawson+admm"),  # ... then ADMM finds a feasible point
+        (TargetFunction.const(1), 0.25, 18, "lawson+admm"),  # rank 12 of 17: only ADMM's certificate
+    ],
+)
+def test_ruled_out_fit_is_feasible_and_its_bound_holds_across_the_ball(target, eps, degree, route):
+    opts = FitOptions(target_error=0.1)
+    r = constrained_fit(K1, target, poly(0), 0.5, eps, degree, opts, lo=2, rule_out=True)
+    assert r.provenance["route"] == route and r.provenance["ruled_out"] is True
+    assert r.constraint_value <= eps * (1 + 1e-12) and not r.converged
+    assert r.lower_bound > 0.1
+    # it stopped early: the same fit without the rule runs on
+    full = constrained_fit(K1, target, poly(0), 0.5, eps, degree, opts, lo=2)
+    assert r.iterations < full.iterations and not full.converged
+    A, u = _exp_basis(K1.all_samples(), 2, degree), _exp_basis(0.5, 2, degree)
+    g = target.values_on(K1.all_samples())
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        v = 10.0 ** (k % 4 - 2) * (rng.standard_normal(degree - 1) + 1j * rng.standard_normal(degree - 1))
+        d = project_weighted_l1(v, u, eps)
+        assert r.lower_bound <= float(np.abs(A @ d - g).max())
+
+
+def test_rule_out_needs_a_target_and_is_recorded_only_when_asked():
+    args = (K1, TargetFunction.const(1), poly(0), 0.5, 10.0, 3)
+    plain = constrained_fit(*args, lo=2)
+    assert "ruled_out" not in plain.provenance
+    # without a target_error there is nothing to rule out: the same fit
+    asked = constrained_fit(*args, lo=2, rule_out=True)
+    assert asked.provenance.pop("ruled_out") is False
+    assert json.dumps(asked.to_json_dict()) == json.dumps(plain.to_json_dict())
+    # a reachable target is never ruled out
+    loose = constrained_fit(*args, FitOptions(target_error=0.5), lo=2, rule_out=True)
+    assert loose.converged and loose.provenance["ruled_out"] is False
+
+
+def test_lawson_bound_below_full_rank_never_rules_out():
+    # a duplicated column leaves rank 3 of 4 columns: the bound covers only
+    # the rank-3 range, so it must not stop the solve whatever it reads
+    pts = BOX.all_samples()
+    A = _exp_basis(pts, 1, 4)
+    A[:, 3] = A[:, 2]
+    y = np.ones(pts.size, dtype=complex)
+    plain = fit._lawson(A.copy(), y, FitOptions())
+    given = fit._lawson(A.copy(), y, FitOptions(), give_up=0.0)
+    assert plain[4] == 3 and plain[2] > 0.0
+    assert [np.asarray(a).tobytes() for a in plain] == [np.asarray(a).tobytes() for a in given]
+    assert not fit._rules_out(given[2], given[4], A.shape[1], 0.0)
+
+
 def test_free_block_leaves_f_below_lo():
     # only n = 4..6 may move: 4^{-s} is reached there, and a_1..a_3 stay f's
     f = poly(0.5, 1, 0.25)

@@ -374,6 +374,18 @@ def test_reported_sup_error_is_reproducible(ring):
     assert recomputed <= err + 1e-10
 
 
+@pytest.mark.parametrize("degrees", [(10, 10), (60, 60)])
+@pytest.mark.parametrize("density", [SampleDensity(), SampleDensity(0.05, 0.25)], ids=["default", "coarse"])
+def test_reported_sup_error_is_evaluate_rationals_to_the_bit(degrees, density):
+    # the error is summed from the piece fits' own designs, in
+    # evaluate_rational's order, so it is that evaluation's error exactly
+    dset = discretize(annulus(0.0, 1.0, 2.0), density)
+    target = lambda s: np.exp(s) + np.exp(1 / s)
+    fitted, err = rational_dirichlet_fit(dset, target, [0.0], degrees)
+    samples = dset.all_samples()
+    assert err == float(np.abs(evaluate_rational(fitted, samples) - target(samples)).max())
+
+
 def test_degree_list_validation(ring):
     with pytest.raises(InvalidInputError):
         rational_dirichlet_fit(ring, lambda s: 1 / s, [0.0], (10,))

@@ -8,11 +8,13 @@ constant term cannot reach a constant to desk tolerances under the default
 seminorm caps.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dirapprox import universal
 from dirapprox.errors import InvalidInputError
 from dirapprox.fit import TargetFunction
 from dirapprox.universal import (
@@ -143,6 +145,49 @@ def test_stage_failure_halts_extension():
     # the failing flat stage stops the build; the third entry is never tried
     assert len(sched.records) == 2
     assert sched.cuts == (1,)
+
+
+def _flat_family(*targets) -> TargetFamily:
+    zero = FamilyEntry(TargetFunction.const(0.0), 1, 0.1, label="zero")
+    return TargetFamily((zero,) + tuple(FamilyEntry(t, 1, 0.1) for t in targets))
+
+
+@pytest.mark.parametrize(
+    "fam, opts",
+    [
+        (_flat_family(TargetFunction.const(1.0)), UniversalOptions(budget=10.0)),
+        (_flat_family(TargetFunction.identity()), UniversalOptions(block_steps=(1, 2))),
+        (
+            _flat_family(TargetFunction.const(1.0), TargetFunction.identity()),
+            UniversalOptions(block_steps=(1, 2, 5)),
+        ),
+    ],
+    ids=["flat-one-cap10", "flat-s", "zero-one-s"],
+)
+def test_ruling_out_rungs_leaves_schedules_unchanged(fam, opts, monkeypatch):
+    # rungs below the last stop at their first certificate above the stage
+    # tol; such a rung cannot converge, so the schedule and its verify
+    # report are byte-identical to a build that runs every rung in full
+    universal_fit, fits = universal.constrained_fit, []
+
+    def spy(*args, **kwargs):
+        fits.append((args[5] - kwargs["lo"] + 1, kwargs["rule_out"], universal_fit(*args, **kwargs)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(universal, "constrained_fit", spy)
+    ruled = build_universal(fam, opts)
+    for length, rule_out, r in fits:
+        assert rule_out == (length != opts.block_steps[-1])
+        if r.provenance.get("ruled_out"):
+            assert not r.converged and r.lower_bound > 0.1
+    assert any(r.provenance.get("ruled_out") for _, _, r in fits)
+
+    monkeypatch.setattr(
+        universal, "constrained_fit", lambda *a, **kw: universal_fit(*a, **{**kw, "rule_out": False})
+    )
+    full = build_universal(fam, opts)
+    assert json.dumps(ruled.to_json_dict()) == json.dumps(full.to_json_dict())
+    assert json.dumps(verify_schedule(ruled, fam)) == json.dumps(verify_schedule(full, fam))
 
 
 # ---------------------------------------------------------------------------
