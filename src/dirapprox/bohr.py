@@ -122,25 +122,42 @@ class MultiIndex:
         return n
 
 
+# n <-> MultiIndex memo read by lift and unlift.  factorize_to_multiindex
+# fills it for n <= _FACTOR_MEMO_MAX_N only, so it never holds more than
+# that many n, whatever the degrees lifted.  An index does not depend on
+# the table that factored it: every table lists the first primes in order.
+_INDEX_OF: dict[int, "MultiIndex"] = {}
+_N_OF: dict["MultiIndex", int] = {}
+_FACTOR_MEMO_MAX_N = 1 << 16
+
+
 def factorize_to_multiindex(n: int, table: PrimeTable) -> MultiIndex:
     """Exponent vector of n over the table's primes; exact factorization."""
     if n < 1:
         raise InvalidInputError("can only factorize integers n >= 1")
-    exps = []
-    rest = int(n)
-    for p in table.primes:
+    n_int = int(n)
+    idx = _INDEX_OF.get(n_int)
+    if idx is None:
+        exps = []
+        rest = n_int
+        for p in table.primes:
+            if rest == 1:
+                break
+            a = 0
+            while rest % p == 0:
+                rest //= p
+                a += 1
+            exps.append(a)
         if rest == 1:
-            break
-        a = 0
-        while rest % p == 0:
-            rest //= p
-            a += 1
-        exps.append(a)
-    if rest != 1:
+            idx = MultiIndex(tuple(exps))
+            if n_int <= _FACTOR_MEMO_MAX_N:
+                _INDEX_OF[n_int] = idx
+                _N_OF[idx] = n_int
+    if idx is None or len(idx.exponents) > len(table.primes):
         raise NeedsLargerTableError(
             f"n={n} has a prime factor beyond table bound {table.bound}"
         )
-    return MultiIndex(tuple(exps))
+    return idx
 
 
 @dataclass(frozen=True)
@@ -160,7 +177,7 @@ class LiftedPolynomial:
             if not isinstance(idx, MultiIndex):
                 idx = MultiIndex(tuple(idx))
             c = complex(c)
-            if len(idx) > self.variable_count:
+            if len(idx.exponents) > self.variable_count:
                 raise InvalidInputError(
                     f"term {idx.exponents} exceeds variable count {self.variable_count}"
                 )
@@ -196,33 +213,37 @@ class LiftedPolynomial:
 def lift(p: DirichletPolynomial) -> LiftedPolynomial:
     """Monomial dictionary image of p; k = number of primes <= degree."""
     table = PrimeTable.up_to(max(p.degree, 1))
-    terms: dict[MultiIndex, complex] = {}
-    for n in range(1, p.degree + 1):
-        c = p.coefficients[n - 1]
-        if c != 0:
-            terms[factorize_to_multiindex(n, table)] = complex(c)
+    nz = np.flatnonzero(p.coefficients)
+    terms = {
+        factorize_to_multiindex(n, table): c
+        for n, c in zip((nz + 1).tolist(), p.coefficients[nz].tolist())
+    }
     return LiftedPolynomial(terms, table.count())
 
 
 def unlift(q: LiftedPolynomial) -> DirichletPolynomial:
-    """Inverse dictionary: coefficient of alpha lands at n = p^alpha (n <= 10^6)."""
-    need = max((len(ix) for ix in q.terms), default=0)
-    # enough primes for the longest index: p_k <= ~k(ln k + ln ln k) for k>=6
-    bound = 50 if need < 10 else int(need * (math.log(need) + math.log(math.log(need))) * 1.2) + 10
-    table = PrimeTable.up_to(bound)
-    entries = {}
-    degree = 1
-    for ix, c in q.terms.items():
-        n = ix.prime_power(table)
-        if n > _MAX_DEGREE:
-            raise OutOfRangeError(
-                f"term {ix.exponents} encodes n={n} beyond the supported degree {_MAX_DEGREE}"
-            )
-        entries[n] = entries.get(n, 0) + c
-        degree = max(degree, n)
-    coeffs = np.zeros(degree, dtype=complex)
-    for n, c in entries.items():
-        coeffs[n - 1] = c
+    """Inverse dictionary: coefficient of alpha lands at n = p^alpha (n <= 10^6).
+
+    Factorization is unique, so distinct indices land on distinct n.
+    """
+    ns = []
+    table = None
+    for ix in q.terms:
+        n = _N_OF.get(ix)
+        if n is None:
+            if table is None:
+                need = max(len(t) for t in q.terms)
+                # enough primes for the longest index: p_k <= ~k(ln k + ln ln k) for k>=6
+                bound = 50 if need < 10 else int(need * (math.log(need) + math.log(math.log(need))) * 1.2) + 10
+                table = PrimeTable.up_to(bound)
+            n = ix.prime_power(table)
+            if n > _MAX_DEGREE:
+                raise OutOfRangeError(
+                    f"term {ix.exponents} encodes n={n} beyond the supported degree {_MAX_DEGREE}"
+                )
+        ns.append(n)
+    coeffs = np.zeros(max(ns, default=1), dtype=complex)
+    coeffs[np.array(ns, dtype=np.intp) - 1] = list(q.terms.values())
     return DirichletPolynomial(coeffs)
 
 

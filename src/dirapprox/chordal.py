@@ -44,40 +44,23 @@ def chi(a, b) -> float:
     return chi_uniform_error([a], [b])
 
 
-def _infinity_tags(v: np.ndarray, mask) -> np.ndarray:
-    """Where v is the point at infinity: an infinite component, or set in mask.
+def _infinity_tags(v: np.ndarray, mask) -> np.ndarray | None:
+    """Where v is the point at infinity: an infinite component, or set in
+    mask.  None stands for nowhere: no mask and every value finite.
 
     nan is rejected wherever it is not tagged.
     """
-    tags = np.zeros(v.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if tags.shape != v.shape:
-        raise InvalidInputError("infinity masks must match the value arrays")
-    if not np.isfinite(v).all():
-        tags = tags | np.isinf(v)
+    tags = None
+    if mask is not None:
+        tags = np.asarray(mask, dtype=bool)
+        if tags.shape != v.shape:
+            raise InvalidInputError("infinity masks must match the value arrays")
+    if np.count_nonzero(np.isfinite(v)) < v.size:
+        inf = np.isinf(v)
+        tags = inf if tags is None else tags | inf
         if (np.isnan(v) & ~tags).any():
             raise InvalidInputError("nan is not a point of the sphere")
     return tags
-
-
-def _finite_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """chi of aligned 1-d arrays of finite points, clamped to 1 against rounding.
-
-    A modulus that overflows (1.5e308 + 1.5e308j) opposite one of at most
-    _INVERSION_CUTOFF makes the quotient inf/inf; only such nan entries
-    are redone, with the components scaled.
-    """
-    # each modulus and hypot only where its entry is used
-    ma, mb = np.abs(a), np.abs(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.abs(a - b) / (np.hypot(1.0, ma) * np.hypot(1.0, mb))
-        big = (ma > _INVERSION_CUTOFF) & (mb > _INVERSION_CUTOFF)
-        if big.any():
-            ia, ib = 1.0 / a[big], 1.0 / b[big]
-            d[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
-        lost = np.isnan(d)
-        if lost.any():
-            d[lost] = _scaled_chi(a[lost], b[lost])
-    return np.minimum(d, 1.0, out=d)
 
 
 def _scaled_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,8 +87,14 @@ def chi_many(
     """Vectorized chi.  An entry is infinity where it has an infinite
     component or its mask is set; a masked entry's value is ignored.
 
-    Real input is measured in real arithmetic, which gives the same values
-    as its complex embedding without the complex moduli.
+    Finite pairs take the plain quotient |a-b| / (hypot(1,|a|) hypot(1,|b|)),
+    clamped to 1 against rounding, except in two regimes where it fails:
+    both moduli above _INVERSION_CUTOFF, where |a-b| may overflow, go
+    through the chi-isometry z -> 1/z; and a hypot product that overflows
+    (one modulus overflowing, or the product of two finite ones) is
+    redone with the components scaled.  Real input is measured in real
+    arithmetic, which gives the same values as its complex embedding
+    without the complex moduli.
     """
     av, bv = np.asarray(a), np.asarray(b)
     dtype = np.result_type(av, bv, 1.0)
@@ -113,17 +102,34 @@ def chi_many(
     if av.shape != bv.shape:
         raise InvalidInputError(f"chi needs aligned values, got shapes {av.shape} and {bv.shape}")
     ainf, binf = _infinity_tags(av, a_infinite), _infinity_tags(bv, b_infinite)
-    tagged = ainf | binf
-    if not tagged.any():
-        return _finite_chi(av.ravel(), bv.ravel()).reshape(av.shape)
-    fin = ~tagged
-    out = np.zeros(av.shape, dtype=float)  # 0 where both are infinity
-    out[fin] = _finite_chi(av[fin], bv[fin])
-    for tags, other_tags, other in ((ainf, binf, bv), (binf, ainf, av)):
-        if tags.any():  # chi(inf, x) = 1/sqrt(1+|x|^2) at a finite x
-            one = tags & ~other_tags
-            out[one] = 1.0 / np.hypot(1.0, np.abs(other[one]))
-    return out
+    # one pass over every entry; the tagged ones are overwritten at the
+    # end.  On a few entries, count_nonzero tests a mask for a third of
+    # the cost of .any().
+    with np.errstate(over="ignore", invalid="ignore"):
+        ma, mb = np.abs(av), np.abs(bv)
+        ha, hb = np.hypot(1.0, ma), np.hypot(1.0, mb)
+        den = ha * hb
+        d = np.divide(np.abs(av - bv), den, out=np.empty(av.shape))  # an array at 0-d too
+        big = np.minimum(ma, mb) > _INVERSION_CUTOFF
+        if np.count_nonzero(big):
+            ia, ib = 1.0 / av[big], 1.0 / bv[big]
+            d[big] = np.abs(ia - ib) / (np.hypot(1.0, np.abs(ia)) * np.hypot(1.0, np.abs(ib)))
+        lost = np.isinf(den)
+        if np.count_nonzero(lost):
+            lost &= ~big
+            for tags in (ainf, binf):
+                if tags is not None:
+                    lost &= ~tags
+            d[lost] = _scaled_chi(av[lost], bv[lost])
+    np.minimum(d, 1.0, out=d)
+    # chi(inf, x) = 1/hypot(1, |x|) at a finite x, and chi(inf, inf) = 0
+    if ainf is not None:
+        np.copyto(d, 1.0 / hb, where=ainf)
+    if binf is not None:
+        np.copyto(d, 1.0 / ha, where=binf)
+        if ainf is not None:
+            np.copyto(d, 0.0, where=ainf & binf)
+    return d
 
 
 def chi_uniform_error(f_values: Sequence, g_values: Sequence) -> float:

@@ -45,12 +45,11 @@ class DirichletPolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex)
+        arr = np.array(self.coefficients, dtype=complex)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("coefficient list must hold at least a_1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInputError("coefficients must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
@@ -103,9 +102,27 @@ class DirichletPolynomial:
         return [[float(c.real), float(c.imag)] for c in self.coefficients]
 
 
+_LOG_TABLE_CAP = 1 << 16  # entries of the shared log n table: 512 kB
+_log_table = np.zeros(0)  # log n for n = 1..size, grown by doubling up to the cap
+
+
 def _log_range(lo: int, hi: int) -> np.ndarray:
-    """log n for n = lo..hi."""
-    return np.log(np.arange(lo, hi + 1, dtype=float))
+    """log n for n = lo..hi, read-only.
+
+    A slice of one shared table while hi is within _LOG_TABLE_CAP,
+    computed directly beyond it; np.log is elementwise, so both give the
+    same bits.
+    """
+    global _log_table
+    if hi > _LOG_TABLE_CAP:
+        logs = np.log(np.arange(lo, hi + 1, dtype=float))
+        logs.flags.writeable = False
+        return logs
+    if hi > _log_table.size:
+        size = min(_LOG_TABLE_CAP, max(hi, 2 * _log_table.size, 64))
+        _log_table = np.log(np.arange(1, size + 1, dtype=float))
+        _log_table.flags.writeable = False
+    return _log_table[lo - 1 : hi]
 
 
 def _exp_basis(x, lo: int, hi: int) -> np.ndarray:
@@ -141,13 +158,13 @@ def _grid_sums(c: np.ndarray, x0, dx, m: int, lo: int = 1) -> np.ndarray:
 def evaluate(p: DirichletPolynomial, s: complex) -> complex:
     """P(s) = sum_n a_n exp(-s log n)."""
     s = _require_finite_point(s)
-    return complex(np.sum(p.coefficients * _exp_basis(s, 1, p.degree)))
+    return complex((p.coefficients * _exp_basis(s, 1, p.degree)).sum())
 
 
 def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of finite points."""
     pts = np.asarray(points, dtype=complex)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise InvalidInputError("evaluation points must be finite")
     flat = pts.ravel()
     # exp(-s log n) laid out points x indices; chunk to bound memory
@@ -172,7 +189,7 @@ def seminorm_sigma(p: DirichletPolynomial, sigma: float) -> float:
     """Weighted coefficient norm sum |a_n| n^{-sigma}."""
     if not math.isfinite(sigma):
         raise InvalidInputError("sigma must be finite")
-    return float(np.sum(np.abs(p.coefficients) * _exp_basis(sigma, 1, p.degree)))
+    return float((np.abs(p.coefficients) * _exp_basis(sigma, 1, p.degree)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +344,6 @@ class CoefficientRule:
 
     def coefficients(self, count: int) -> np.ndarray:
         """First `count` coefficients a_1..a_count."""
-        n = np.arange(1, count + 1)
         if self.kind == "explicit-list":
             out = np.zeros(count, dtype=complex)
             take = min(count, self.data.size)
@@ -336,8 +352,8 @@ class CoefficientRule:
         if self.kind == "all-ones":
             return np.ones(count, dtype=complex)
         if self.kind == "alternating":
-            return ((-1.0) ** n).astype(complex)
-        return np.array([complex(self.fn(int(k))) for k in n], dtype=complex)
+            return ((-1.0) ** np.arange(1, count + 1)).astype(complex)
+        return np.fromiter((self.fn(k) for k in range(1, count + 1)), complex, count)
 
 
 @dataclass(frozen=True)

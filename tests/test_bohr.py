@@ -65,6 +65,53 @@ def test_factorize_needs_larger_table():
         factorize_to_multiindex(2 * 23, t)
 
 
+@pytest.fixture
+def empty_factor_memo(monkeypatch):
+    monkeypatch.setattr(bohr, "_INDEX_OF", {})
+    monkeypatch.setattr(bohr, "_N_OF", {})
+
+
+def test_factor_memo_matches_trial_division(empty_factor_memo):
+    # the memo lift and unlift read holds each n's plain trial-division
+    # index, whichever table filled it, and maps the index back to n
+    tables = PrimeTable.up_to(5000), PrimeTable.up_to(7919)
+    for n in range(1, 5001):
+        exps, rest = [], n
+        for p in tables[0].primes:
+            if rest == 1:
+                break
+            a = 0
+            while rest % p == 0:
+                rest, a = rest // p, a + 1
+            exps.append(a)
+        want = MultiIndex(tuple(exps))
+        assert factorize_to_multiindex(n, tables[n % 2]) == want
+        assert bohr._INDEX_OF[n] == want and bohr._N_OF[want] == n
+        assert factorize_to_multiindex(n, tables[1 - n % 2]) is bohr._INDEX_OF[n]
+
+
+def test_factor_memo_hit_still_needs_a_large_enough_table(empty_factor_memo):
+    assert factorize_to_multiindex(46, PrimeTable.up_to(23)).exponents == (1, 0, 0, 0, 0, 0, 0, 0, 1)
+    with pytest.raises(NeedsLargerTableError):
+        factorize_to_multiindex(46, PrimeTable.up_to(20))
+
+
+def test_sparse_lift_of_degree_a_million_stays_within_the_memo_cap():
+    c = np.zeros(1_000_000, dtype=complex)
+    c[[0, 999_982, 999_999]] = 1.0, 2j, -3.0  # n = 1, the prime 999,983 and 10^6
+    p = DirichletPolynomial(c)
+    q = lift(p)
+    assert len(q.terms) == 3 and unlift(q) == p
+    cap = bohr._FACTOR_MEMO_MAX_N
+    assert len(bohr._INDEX_OF) <= cap and len(bohr._N_OF) <= cap
+    assert max(bohr._INDEX_OF) <= cap and max(bohr._N_OF.values()) <= cap
+
+
+def test_round_trip_keeps_every_coefficient_bit():
+    p = poly(1 - 0j, 0, complex(-0.0, 2), -0.5, 0, complex(3, -0.0))
+    assert unlift(lift(p)).coefficients.tobytes() == p.coefficients.tobytes()
+
+
 def test_multiindex_trims_and_validates():
     assert MultiIndex((1, 0, 0)).exponents == (1,)
     with pytest.raises(InvalidInputError):

@@ -12,6 +12,7 @@ import mpmath
 
 from dirapprox.chordal import (
     ConvergenceReport,
+    _scaled_chi,
     chi,
     chi_many,
     chi_uniform_error,
@@ -179,6 +180,65 @@ class TestChiMany:
             want[both] = np.abs(ix - iy) / (np.hypot(1.0, np.abs(ix)) * np.hypot(1.0, np.abs(iy)))
             assert both.sum() > 100
             assert chi_many(x, y).tobytes() == np.minimum(want, 1.0).tobytes()
+
+    def test_overflowing_hypot_product_against_mpmath(self):
+        # one modulus overflows or the product of two finite ones does,
+        # while the pair is not both above the inversion cutoff
+        pairs = [(1e308, 10), (1.7e308, 0.5), (1e200, 1e120), (-1e250, 3e100 + 4e100j),
+                 (1.5e308 + 1.5e308j, 2e5), (2e160j, -1e149)]
+        with mpmath.workdps(50):
+            for x, y in pairs:
+                mx, my = mpmath.mpc(x), mpmath.mpc(y)
+                want = abs(mx - my) / (mpmath.sqrt(1 + abs(mx) ** 2) * mpmath.sqrt(1 + abs(my) ** 2))
+                assert chi(x, y) == pytest.approx(float(want), rel=1e-14, abs=0), (x, y)
+        assert chi(1e308, 10) == pytest.approx(0.0995037190209989, rel=1e-15)
+        assert chi(1.7e308, 0.5) == pytest.approx(0.894427190999916, rel=1e-15)
+        assert chi(1e200, 1e120) == pytest.approx(1e-120, rel=1e-15)
+        a = np.array([x.real for x, _ in pairs[:4]])
+        b = np.array([complex(y).real for _, y in pairs[:4]])
+        assert chi_many(a, b).tobytes() == chi_many(a.astype(complex), b.astype(complex)).tobytes()
+
+    def test_one_pass_matches_gather_and_scatter(self):
+        # the finite pairs gathered, measured and scattered back, then the
+        # tagged ones filled: the same bits as measuring every entry at once
+        def reference(a, b, ainf, binf):
+            fin = ~(ainf | binf)
+            x, y = a[fin], b[fin]
+            mx, my = np.abs(x), np.abs(y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                den = np.hypot(1.0, mx) * np.hypot(1.0, my)
+                d = np.abs(x - y) / den
+                big = (mx > 1e150) & (my > 1e150)
+                ix, iy = 1.0 / x[big], 1.0 / y[big]
+                d[big] = np.abs(ix - iy) / (np.hypot(1.0, np.abs(ix)) * np.hypot(1.0, np.abs(iy)))
+                lost = np.isinf(den) & ~big
+                d[lost] = _scaled_chi(x[lost], y[lost])
+            out = np.zeros(a.shape)
+            out[fin] = np.minimum(d, 1.0)
+            for tags, other_tags, other in ((ainf, binf, b), (binf, ainf, a)):
+                one = tags & ~other_tags
+                out[one] = 1.0 / np.hypot(1.0, np.abs(other[one]))
+            return out
+
+        rng = np.random.default_rng(12)
+        for n in (1, 5, 16, 300):
+            for _ in range(20):
+                scale = np.exp(rng.uniform(-200.0, 709.0, (2, n)))
+                a, b = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * scale
+                ainf, binf = rng.random(n) < 0.1, rng.random(n) < 0.1
+                a[ainf & (rng.random(n) < 0.5)] = complex(np.nan, 1.0)  # masked, so ignored
+                b[rng.random(n) < 0.05] = np.inf  # infinity without a mask
+                binf_all = binf | np.isinf(b)
+                for x, y in ((a, b), (a.real.copy(), b.real.copy())):
+                    got = chi_many(x, y, a_infinite=ainf, b_infinite=binf)
+                    assert got.tobytes() == reference(x, y, ainf, binf_all).tobytes()
+                got = chi_many(b, a, a_infinite=binf, b_infinite=ainf)
+                assert got.tobytes() == reference(b, a, binf_all, ainf).tobytes()
+
+    def test_zero_dimensional_input(self):
+        got = chi_many(np.float64(1.0), np.float64(3.0))
+        assert got.shape == () and got == chi(1, 3)
+        assert chi_many(np.array(2.0), np.array(np.inf)) == 1 / math.hypot(1, 2)
 
     def test_masked_entries_ignore_values(self):
         a = np.array([complex(np.nan, 0), 2.0])

@@ -811,6 +811,23 @@ class TestImportCost:
             pytest.skip("numpy's OpenBLAS does not export scipy_openblas_get_num_threads64_")
         assert out == ["0.5", "1"]
 
+    def test_eval_loads_only_its_modules_and_import_builds_no_table(self, tmp_path):
+        # the log table and the factor memo fill on first use, outside cold start
+        src = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0]]})
+        code = (
+            "import sys\n"
+            "from dirapprox.cli import main\n"
+            f"assert main(['eval', '--input', {src!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dirapprox'))\n"
+        )
+        out = child_prints(code, tmp_path).split("\n")[-1]
+        assert out == str(["dirapprox", *(f"dirapprox.{m}" for m in ("_wire", "cli", "errors", "series"))])
+        code = (
+            "import dirapprox.bohr as bohr, dirapprox.chordal, dirapprox.series as series\n"
+            "print(series._log_table.size, len(bohr._TABLE_CACHE), len(bohr._INDEX_OF), len(bohr._N_OF))\n"
+        )
+        assert child_prints(code, tmp_path) == "0 0 0 0"
+
     def test_bohr_gap_report_leaves_scipy_unloaded(self, tmp_path):
         code = (
             "import sys, dirapprox as dx\n"

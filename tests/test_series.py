@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dirapprox import series
 from dirapprox.errors import InvalidInputError
 from dirapprox.series import (
     AbscissaReport,
@@ -13,6 +14,7 @@ from dirapprox.series import (
     SupNormPlan,
     _exp_basis,
     _grid_sums,
+    _log_range,
     estimate_abscissas,
     evaluate,
     evaluate_many,
@@ -95,6 +97,26 @@ def test_exp_basis_contract(x):
     # relative error is about (|x| log n + 2) * 2^-52, 1e-15 until |x| log n ~ 2.5
     tol = np.maximum(1e-15, (np.abs(xa)[..., None] * np.log(ns) + 2) * 2.0**-52)
     assert np.all(np.abs(out - want) <= tol * np.abs(want))
+
+
+def test_log_range_has_the_bits_of_direct_logs(monkeypatch):
+    # slices of the shared table while it grows, direct logs above its cap
+    monkeypatch.setattr(series, "_log_table", np.zeros(0))
+    monkeypatch.setattr(series, "_LOG_TABLE_CAP", 1000)
+    for lo, hi in ((1, 1), (3, 10), (1, 64), (50, 200), (7, 129), (1, 1000), (900, 1000), (999, 1500), (1, 3000), (5, 4)):
+        got = _log_range(lo, hi)
+        assert got.tobytes() == np.log(np.arange(lo, hi + 1, dtype=float)).tobytes(), (lo, hi)
+        assert not got.flags.writeable
+        assert series._log_table.size <= 1000
+    assert series._log_table.size == 1000
+
+
+def test_log_range_at_the_default_cap():
+    cap = series._LOG_TABLE_CAP
+    for lo, hi in ((cap - 5, cap), (cap - 5, cap + 5), (1, cap)):
+        got = _log_range(lo, hi)
+        assert got.tobytes() == np.log(np.arange(lo, hi + 1, dtype=float)).tobytes(), (lo, hi)
+        assert not got.flags.writeable
 
 
 @given(coeff_lists, coeff_lists, finite_complex, finite_complex, finite_complex)
@@ -353,6 +375,16 @@ def test_named_custom_rule():
     # by ~1/ln M, so only a loose window is meaningful at this truncation
     assert rep.sigma_c_estimate == pytest.approx(0.0, abs=0.25)
     assert rep.ordering_holds()
+
+
+@pytest.mark.parametrize(
+    "fn", [lambda k: 1.0 / (k * k), lambda k: (-1) ** k * k**3, lambda k: complex(k, -0.5 / k), lambda k: type(k) is int]
+)
+def test_named_custom_coefficients_convert_like_complex(fn):
+    # float, int and complex values; the callable receives Python ints
+    got = CoefficientRule("named-custom", fn=fn).coefficients(500)
+    want = np.array([complex(fn(k)) for k in range(1, 501)], dtype=complex)
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
 def test_truncation_floor_enforced():
