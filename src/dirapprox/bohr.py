@@ -14,8 +14,9 @@ bounds.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,8 +49,29 @@ __all__ = [
 # primes
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict[int, "PrimeTable"] = {}
 _MAX_DEGREE = 1_000_000  # largest n that unlift places: its coefficient array has n entries
+
+# Every prime up to _sieved, ascending: one table, grown by doubling up to
+# _SIEVE_CAP and sliced for each bound.  Bounds beyond the cap are sieved
+# per call.  The tables of bounds up to _SMALL_BOUND (every lift of degree
+# <= 64) are also kept whole, since slicing costs more than the lookup.
+_SIEVE_CAP = 1 << 20
+_SMALL_BOUND = 64
+_primes: tuple[int, ...] = ()
+_sieved = 0
+_TABLE_CACHE: dict[int, "PrimeTable"] = {}
+
+
+def _sieve(bound: int) -> tuple[int, ...]:
+    """The primes up to bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return ()
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(math.isqrt(bound)) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 @dataclass(frozen=True)
@@ -61,21 +83,20 @@ class PrimeTable:
 
     @staticmethod
     def up_to(bound: int) -> "PrimeTable":
+        global _primes, _sieved
         if bound < 1:
             raise InvalidInputError("prime table bound must be >= 1")
-        cached = _TABLE_CACHE.get(bound)
-        if cached is not None:
-            return cached
-        if bound < 2:
-            table = PrimeTable((), bound)
-        else:
-            sieve = np.ones(bound + 1, dtype=bool)
-            sieve[:2] = False
-            for p in range(2, int(math.isqrt(bound)) + 1):
-                if sieve[p]:
-                    sieve[p * p :: p] = False
-            table = PrimeTable(tuple(int(p) for p in np.nonzero(sieve)[0]), bound)
-        _TABLE_CACHE[bound] = table
+        table = _TABLE_CACHE.get(bound)
+        if table is not None:
+            return table
+        if bound > _SIEVE_CAP:
+            return PrimeTable(_sieve(bound), bound)
+        if bound > _sieved:
+            _sieved = min(_SIEVE_CAP, max(bound, 2 * _sieved, _SMALL_BOUND))
+            _primes = _sieve(_sieved)
+        table = PrimeTable(_primes[: bisect.bisect_right(_primes, bound)], bound)
+        if bound <= _SMALL_BOUND:
+            _TABLE_CACHE[bound] = table
         return table
 
     def count(self) -> int:
@@ -92,6 +113,9 @@ class MultiIndex:
     """Exponent tuple (a_1..a_k) with trailing zeros trimmed."""
 
     exponents: tuple[int, ...]
+    # the dataclass hash, computed once: lift and unlift hash each index
+    # several times
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         exps = tuple(int(e) for e in self.exponents)
@@ -100,6 +124,10 @@ class MultiIndex:
         while exps and exps[-1] == 0:
             exps = exps[:-1]
         object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "_hash", hash((exps,)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.exponents)

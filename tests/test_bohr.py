@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import tracemalloc
@@ -42,6 +43,52 @@ def test_prime_table_contents():
     t = PrimeTable.up_to(20)
     assert t.primes == (2, 3, 5, 7, 11, 13, 17, 19)
     assert PrimeTable.up_to(1).primes == ()
+
+
+@pytest.fixture
+def fresh_prime_table(monkeypatch):
+    monkeypatch.setattr(bohr, "_primes", ())
+    monkeypatch.setattr(bohr, "_sieved", 0)
+    monkeypatch.setattr(bohr, "_TABLE_CACHE", {})
+
+
+def test_prime_tables_match_a_fresh_sieve_at_every_bound(fresh_prime_table):
+    def sieve(bound):
+        flags = [True] * (bound + 1)
+        flags[:2] = [False] * min(2, bound + 1)
+        for p in range(2, int(bound**0.5) + 1):
+            if flags[p]:
+                flags[p * p :: p] = [False] * len(flags[p * p :: p])
+        return [p for p, f in enumerate(flags) if f]
+
+    primes = sieve(5000)
+    # ascending bounds grow the shared table step by step; then every
+    # bound is served again from the grown table
+    for _ in range(2):
+        for bound in range(1, 5001):
+            table = PrimeTable.up_to(bound)
+            assert table.bound == bound
+            assert table.primes == tuple(primes[: bisect.bisect_right(primes, bound)])
+    assert bohr._sieved < 2 * 5000
+
+
+def test_lifts_of_many_degrees_share_one_prime_table(fresh_prime_table, empty_factor_memo):
+    # a table per bound held 2,262 primes for each of these 100 degrees
+    # (9.6 MB); slices of one table share the prime objects
+    polys = []
+    for n in range(20_000, 20_100):
+        c = np.zeros(n, dtype=complex)
+        c[:2] = 1.0, 2.0
+        polys.append(DirichletPolynomial(c))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in polys:
+            assert lift(p).variable_count >= 2262
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_factorize_basics():
@@ -110,6 +157,14 @@ def test_sparse_lift_of_degree_a_million_stays_within_the_memo_cap():
 def test_round_trip_keeps_every_coefficient_bit():
     p = poly(1 - 0j, 0, complex(-0.0, 2), -0.5, 0, complex(3, -0.0))
     assert unlift(lift(p)).coefficients.tobytes() == p.coefficients.tobytes()
+
+
+def test_multiindex_hash_equality_and_repr_are_the_dataclass_ones():
+    ix = MultiIndex((2, 0, 1, 0))
+    assert hash(ix) == hash(((2, 0, 1),))
+    assert repr(ix) == "MultiIndex(exponents=(2, 0, 1))"
+    assert ix == MultiIndex((2, 0, 1)) and ix != MultiIndex((2,))
+    assert {ix: 1}[MultiIndex([2, 0, 1])] == 1
 
 
 def test_multiindex_trims_and_validates():

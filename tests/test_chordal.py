@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mpmath
 
+from dirapprox import chordal
 from dirapprox.chordal import (
     ConvergenceReport,
     _scaled_chi,
@@ -119,6 +120,28 @@ class TestChi:
 # ---------------------------------------------------------------------------
 
 
+def _gathered_chi(a, b, ainf, binf):
+    """chi_many's reference: the finite pairs gathered, measured and
+    scattered back, then the tagged ones filled."""
+    fin = ~(ainf | binf)
+    x, y = a[fin], b[fin]
+    mx, my = np.abs(x), np.abs(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.hypot(1.0, mx) * np.hypot(1.0, my)
+        d = np.abs(x - y) / den
+        big = (mx > 1e150) & (my > 1e150)
+        ix, iy = 1.0 / x[big], 1.0 / y[big]
+        d[big] = np.abs(ix - iy) / (np.hypot(1.0, np.abs(ix)) * np.hypot(1.0, np.abs(iy)))
+        lost = np.isinf(den) & ~big
+        d[lost] = _scaled_chi(x[lost], y[lost])
+    out = np.zeros(a.shape)
+    out[fin] = np.minimum(d, 1.0)
+    for tags, other_tags, other in ((ainf, binf, b), (binf, ainf, a)):
+        one = tags & ~other_tags
+        out[one] = 1.0 / np.hypot(1.0, np.abs(other[one]))
+    return out
+
+
 class TestChiMany:
     def test_matches_scalar_pairwise(self):
         rng = np.random.default_rng(7)
@@ -201,25 +224,7 @@ class TestChiMany:
     def test_one_pass_matches_gather_and_scatter(self):
         # the finite pairs gathered, measured and scattered back, then the
         # tagged ones filled: the same bits as measuring every entry at once
-        def reference(a, b, ainf, binf):
-            fin = ~(ainf | binf)
-            x, y = a[fin], b[fin]
-            mx, my = np.abs(x), np.abs(y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                den = np.hypot(1.0, mx) * np.hypot(1.0, my)
-                d = np.abs(x - y) / den
-                big = (mx > 1e150) & (my > 1e150)
-                ix, iy = 1.0 / x[big], 1.0 / y[big]
-                d[big] = np.abs(ix - iy) / (np.hypot(1.0, np.abs(ix)) * np.hypot(1.0, np.abs(iy)))
-                lost = np.isinf(den) & ~big
-                d[lost] = _scaled_chi(x[lost], y[lost])
-            out = np.zeros(a.shape)
-            out[fin] = np.minimum(d, 1.0)
-            for tags, other_tags, other in ((ainf, binf, b), (binf, ainf, a)):
-                one = tags & ~other_tags
-                out[one] = 1.0 / np.hypot(1.0, np.abs(other[one]))
-            return out
-
+        reference = _gathered_chi
         rng = np.random.default_rng(12)
         for n in (1, 5, 16, 300):
             for _ in range(20):
@@ -234,6 +239,31 @@ class TestChiMany:
                     assert got.tobytes() == reference(x, y, ainf, binf_all).tobytes()
                 got = chi_many(b, a, a_infinite=binf, b_infinite=ainf)
                 assert got.tobytes() == reference(b, a, binf_all, ainf).tobytes()
+
+    @pytest.mark.parametrize("layout", ["run", "scattered"])
+    def test_mostly_infinite_long_arrays_keep_the_single_pass_bits(self, layout):
+        # past _SKIP_TAGGED_MIN entries, tags covering most of the array
+        # send only the finite pairs through the quotient
+        rng = np.random.default_rng(13)
+        n = 4 * chordal._SKIP_TAGGED_MIN
+        scale = np.exp(rng.uniform(-200.0, 709.0, (2, n)))
+        a, b = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * scale
+        if layout == "run":  # zeta's limit: infinity left of the pole
+            binf = np.arange(n) < 0.6 * n
+        else:
+            binf = rng.random(n) < 0.6
+        ainf = rng.random(n) < 0.05
+        a[ainf & (rng.random(n) < 0.5)] = complex(np.nan, 1.0)  # masked, so ignored
+        b[binf & (rng.random(n) < 0.5)] = np.inf
+        assert 2 * np.count_nonzero(ainf | binf) > n
+        for x, y in ((a, b), (a.real.copy(), b.real.copy())):
+            got = chi_many(x, y, a_infinite=ainf, b_infinite=binf)
+            assert got.tobytes() == _gathered_chi(x, y, ainf, binf | np.isinf(y)).tobytes()
+            got = chi_many(y, x, a_infinite=binf, b_infinite=ainf)
+            assert got.tobytes() == _gathered_chi(y, x, binf | np.isinf(y), ainf).tobytes()
+        real = rng.uniform(0.0, 50.0, n)  # no mask: the infinite values tag themselves
+        lim = np.where(binf, np.inf, real[::-1])
+        assert chi_many(real, lim).tobytes() == _gathered_chi(real, lim, np.zeros(n, bool), binf).tobytes()
 
     def test_zero_dimensional_input(self):
         got = chi_many(np.float64(1.0), np.float64(3.0))
@@ -673,3 +703,135 @@ class TestSearchPastTheLadder:
         assert len(calls) - levels * len(ladder) <= budget
         # a rescan of the bracket index by index would need more passes
         assert report.n0 - cps[-2] > math.ceil(math.log2(bracket)) + 1
+
+
+# ---------------------------------------------------------------------------
+# closed-form sums over runs of equal coefficients
+# ---------------------------------------------------------------------------
+
+_ONES = lambda ns: np.ones_like(ns)  # noqa: E731
+
+
+def _partial_sums(interval, points, ladder, rule=_ONES):
+    """The check's accumulator on an evenly spaced grid, extended along a ladder."""
+    grid = np.linspace(*interval, points)
+    sums = chordal._PartialSums(grid, (interval[1] - interval[0]) / (points - 1), rule)
+    for n in ladder:
+        sums.extend(n)
+    return grid, sums
+
+
+@pytest.fixture
+def gemm_only(monkeypatch):
+    """Every index through _grid_sums, as before the closed form existed."""
+    def switch():
+        monkeypatch.setattr(chordal, "_em_from", lambda sigma_min: 1 << 62)
+    return switch
+
+
+@pytest.fixture
+def gemm_indices(monkeypatch):
+    """The indices each grid (keyed by its size) sends through _grid_sums."""
+    seen = {}
+    real = chordal._grid_sums
+
+    def counted(c, x0, dx, m, lo=1):
+        seen.setdefault(m, set()).update(range(lo, lo + c.size))
+        return real(c, x0, dx, m, lo=lo)
+
+    monkeypatch.setattr(chordal, "_grid_sums", counted)
+    return seen
+
+
+_EDGE_GRIDS = [(-5.0, 5.0), (-60.0, 2.0), (0.999, 1.001), (-120.0, 0.0)]
+
+
+class TestClosedFormRuns:
+    @pytest.mark.parametrize("interval", _EDGE_GRIDS)
+    def test_partial_sums_against_mpmath(self, interval):
+        # S_N = zeta(s) - zeta(s, N + 1), or H_N at s = 1, at the grid's own
+        # floats; the ladder opens the run inside a block, continues it one
+        # index at a time and across many blocks
+        n = 3000
+        grid, sums = _partial_sums(interval, 2001, (10, 57, 1024, 1500, 1501, n))
+        assert not np.isnan(sums.values).any()
+        picks = sorted(set(range(0, grid.size, 40)) | set(np.flatnonzero(grid == 1.0).tolist()))
+        with mpmath.workdps(30):
+            for i in picks:
+                s = mpmath.mpf(float(grid[i]))
+                ref = mpmath.harmonic(n) if s == 1 else mpmath.zeta(s) - mpmath.zeta(s, n + 1)
+                got = sums.values[i]
+                if ref > 1.8e308:
+                    assert got == np.inf, grid[i]
+                elif ref < 1e307:  # exponents (1 - sigma) log(n/a) and -sigma log n are good to an ulp
+                    tol = 8 * np.finfo(float).eps * (1.0 + (1.0 + abs(grid[i])) * math.log(n))
+                    assert abs(got - ref) <= tol * ref, grid[i]
+        if interval == (-120.0, 0.0):
+            assert np.isinf(sums.values).any() and np.isfinite(sums.values).any()
+
+    @pytest.mark.parametrize("interval, eps, density", [
+        ((-5.0, 5.0), 0.1, 2000.0), ((-60.0, 2.0), 0.15, 50.0),
+        ((0.999, 1.001), 0.3, 1e6), ((-120.0, 0.0), 0.01, 20.0),
+    ])
+    def test_check_errors_match_the_gemm_path(self, gemm_only, interval, eps, density):
+        def check():
+            return zeta_chordal_convergence_check(interval, (10, 100, 1000), eps, grid_per_unit=density)
+
+        got = check()
+        gemm_only()
+        want = check()
+        assert all(math.isfinite(e) for e in got.errors)
+        assert max(abs(a - b) for a, b in zip(got.errors, want.errors)) <= 1e-15
+        same = ("n0", "n0_source", "searched_to", "grid_points", "grid_converged", "grid_per_unit", "band")
+        assert {k: got.to_json_dict()[k] for k in same} == {k: want.to_json_dict()[k] for k in same}
+        assert abs(got.n0_error - want.n0_error) <= 1e-15
+
+    @pytest.mark.parametrize("tail", [2.5, 0.0])
+    def test_constant_tail_after_a_varying_head(self, gemm_only, gemm_indices, tail):
+        def rule(ns):
+            return np.where(ns < 300, 1.0 / ns, tail)
+
+        ladder = (10, 250, 700, 1500, 1501, 4000)
+        grid, got = _partial_sums((-3.0, 3.0), 601, ladder, rule)
+        assert max(gemm_indices[601]) == 299  # the run from 300 on is summed in closed form
+        if tail == 0.0:  # a zero run adds nothing
+            _, head = _partial_sums((-3.0, 3.0), 601, (10, 250, 299), rule)
+            assert got.values.tobytes() == head.values.tobytes()
+        gemm_only()
+        _, want = _partial_sums((-3.0, 3.0), 601, ladder, rule)
+        tol = 8 * np.finfo(float).eps * (1.0 + (1.0 + np.abs(grid)) * math.log(4000))
+        assert np.all(np.abs(got.values - want.values) <= tol * want.values)
+
+    def test_rules_without_equal_neighbours_keep_the_gemm_bytes(self, gemm_only, gemm_indices):
+        rule, abscissa, limit = _INV
+
+        def check():
+            return chordal_convergence_check(rule, abscissa, limit, (0.5, 1.5), (10, 100), 0.02,
+                                             grid_per_unit=200.0)
+
+        got = check()
+        assert got.n0_source == "search"
+        assert max(max(ix) for ix in gemm_indices.values()) == got.searched_to
+        gemm_only()
+        assert json.dumps(got.to_json_dict()) == json.dumps(check().to_json_dict())
+
+    @pytest.mark.parametrize("ladder", [(10, 100, 1000, 10_000), (29, 30, 31, 32), (5, 3000)])
+    def test_only_indices_below_em_from_reach_the_gemm(self, gemm_indices, ladder):
+        # the benchmark's zeta check (and other ladders): before the closed
+        # form, every index each pass added went through _grid_sums
+        report = zeta_chordal_convergence_check((-5.0, 5.0), ladder, 0.1)
+        assert report.n0 == 11_762 and report.grid_points == 40_001
+        assert chordal._em_from(-5.0) == 30
+        assert sorted(gemm_indices) == [20_001, 40_001]
+        for indices in gemm_indices.values():
+            assert max(indices) < 30
+
+    def test_em_from_grows_with_the_grid_left_end(self):
+        assert [chordal._em_from(s) for s in (5.0, 0.0, -0.5, -5.0, -60.0)] == [20, 20, 22, 30, 140]
+
+    def test_deep_search_reaches_the_harmonic_threshold(self):
+        # about 900,000 indices on 16,001 points: a GEMM pass per checkpoint
+        # would take seconds
+        report = zeta_chordal_convergence_check((-2.0, 2.0), (10, 100), 0.07, search_cap=10**7)
+        assert report.n0 == _harmonic_threshold(0.07) == 867_574
+        assert report.n0_source == "search"

@@ -824,9 +824,10 @@ class TestImportCost:
         assert out == str(["dirapprox", *(f"dirapprox.{m}" for m in ("_wire", "cli", "errors", "series"))])
         code = (
             "import dirapprox.bohr as bohr, dirapprox.chordal, dirapprox.series as series\n"
-            "print(series._log_table.size, len(bohr._TABLE_CACHE), len(bohr._INDEX_OF), len(bohr._N_OF))\n"
+            "print(series._log_table.size, len(bohr._primes), len(bohr._TABLE_CACHE), len(bohr._INDEX_OF),"
+            " len(bohr._N_OF))\n"
         )
-        assert child_prints(code, tmp_path) == "0 0 0 0"
+        assert child_prints(code, tmp_path) == "0 0 0 0 0"
 
     def test_bohr_gap_report_leaves_scipy_unloaded(self, tmp_path):
         code = (
