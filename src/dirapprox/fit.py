@@ -7,17 +7,27 @@ constraint ||h - f||_sigma <= eps, solved by ADMM with its own dual
 certificate when the ball binds.  All errors and bounds are of sampled
 sups over the discretized set, never certified continuous sups.
 
-Lawson first solves on the set's boundary samples, where the error of a
-fit to holomorphic data peaks (maximum modulus), and measures the error
-on every sample; only when that error is above the stopping level does
-it solve again on every sample, as a cold start.  Reported errors are
-always those on every sample; ADMM runs on every sample.
+The rows follow the target.  For a target holomorphic on the set's
+interior and continuous on the set (the Mergelyan setting), the residual
+is holomorphic there too, so by the maximum modulus principle its sup
+over the set is its sup over the boundary: the boundary samples dominate
+the interior ones, up to how finely they sample the boundary.  So every
+design, target value, certificate and error is taken on the rows the
+target's premise allows (provenance "premise"):
+  - named targets are entire and use the boundary samples ("entire");
+  - sampled targets carry no analytic structure and use every sample
+    ("sampled");
+  - a callable cannot be proved holomorphic, so its boundary fit is
+    checked on a thinned probe of a few dozen interior samples, which must
+    stay within the boundary error plus _NOISE max|y| ("checked"); when
+    they do not, it is fitted again as the sampled target of its values on
+    every sample ("check failed").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +35,7 @@ import numpy as np
 from . import _wire
 from .errors import IllConditionedError, InvalidInputError, integral
 from .geometry import DiscretizedSet, max_real_part
-from .series import DirichletPolynomial, _exp_basis, seminorm_sigma
+from .series import DirichletPolynomial, _exp_basis, evaluate_many, seminorm_sigma
 
 __all__ = [
     "TargetFunction",
@@ -160,14 +170,16 @@ _NOISE = 1e-13  # ... or below this times max|y|, where both are rounding noise
 _RHO = 0.01  # ADMM penalty on the ball copy z2 = c; the sup copy z1 = B c has penalty 1
 _ADMM_STEPS = 5000  # cap on ADMM steps
 _CHECK_EVERY = 10  # ADMM checks its best feasible point and its bound this often
+_PROBES = 32  # at most this many interior samples check a callable's boundary fit
 
 
 @dataclass(frozen=True)
 class FitOptions:
     """max_iterations (an integer >= 0) caps Lawson's reweightings, summed
-    over its rounds; the ball route of constrained_fit takes at most 5,000
-    ADMM steps.  Lawson in minimax_fit and ADMM stop once the sup error
-    is <= target_error, and converged then means the error got there.
+    over a callable's boundary solve and its refit when the check fails;
+    the ball route of constrained_fit takes at most 5,000 ADMM steps.
+    Lawson in minimax_fit and ADMM stop once the sup error is <=
+    target_error, and converged then means the error got there.
     """
 
     max_iterations: int = 200
@@ -186,23 +198,26 @@ class FitOptions:
 class FitResult:
     """A fit, its sampled sup error and a lower bound on the best one.
 
-    minimax_error is the sup error on every sample.  lower_bound comes
-    from the Lawson round reported, solved on that round's rows
-    (provenance "rows" of "samples"; "rounds" is 1, or 2 when the
-    boundary rows did not suffice and every row was solved): it
-    bounds from below the sup error over those rows, and so over every
-    sample, of every coefficient vector whose design-matrix image lies in
-    the rank-r range of those rows' column-scaled design (provenance
-    "rank"), up to rounding; the directions cut from that range have
-    singular values below 1e-13 of the largest.  iterations sums the
-    reweightings of all rounds.  minimax_fit's `converged` means
+    minimax_error is the sup error over the rows the target's premise
+    allows (provenance "rows" and "premise"; see the module docstring):
+    the boundary samples for named targets and for callables that pass
+    their check, every sample otherwise.  For a residual holomorphic
+    inside the set, the boundary sup dominates every interior sample by
+    the maximum modulus principle.  lower_bound comes from the Lawson
+    solve on those rows: it bounds from below the sup error over those
+    rows, and so over every sample, of every coefficient vector whose
+    design-matrix image lies in the rank-r range of those rows'
+    column-scaled design (provenance "rank"), up to rounding; the
+    directions cut from that range have singular values below 1e-13 of
+    the largest.  iterations sums the reweightings of a boundary solve and
+    of the refit after a failed check.  minimax_fit's `converged` means
     minimax_error <= 1.01 * lower_bound, or, when a target_error is given,
     minimax_error <= target_error.  On its ball route constrained_fit
     reports the larger of that bound and the ADMM certificate, which
-    holds for every coefficient vector in the ball and comes from every
-    sample (rank, rows and rounds describe its Lawson stage); its
-    `converged` means feasible and, when given, within target_error, and
-    a fit its rule_out gave up on (provenance "ruled_out") never is.
+    holds for every coefficient vector in the ball and comes from the
+    same rows (rank describes its Lawson stage); its `converged` means
+    feasible and, when given, within target_error, and a fit its rule_out
+    gave up on (provenance "ruled_out") never is.
     """
 
     polynomial: DirichletPolynomial
@@ -230,14 +245,13 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _lawson_round(
+def _lawson(
     A: np.ndarray,
     y: np.ndarray,
-    cap: int,
-    stop_at: float | None,
-    floor: float,
-    give_up: float | None,
-) -> tuple[np.ndarray, float, float, int, int]:
+    opts: FitOptions,
+    stop_at: float | None = None,
+    give_up: float | None = None,
+) -> tuple[np.ndarray, float, float, int, int, bool]:
     """Lawson IRLS for min_c sup_i |A c - y| on an orthonormal basis.
 
     A's columns are scaled by powers of two, B = A / scale, in place and
@@ -255,16 +269,23 @@ def _lawson_round(
     d': |mu^H y| = |mu^H (y - Q d')| <= ||mu||_1 ||y - Q d'||_inf (Lawson
     1961; Nakatsukasa & Trefethen 2020).  The bound reported pairs the
     best mu with the best residual, which keeps it below the best error
-    under rounding too.  Lawson stops once the best error is within _GAP
-    of the bound or at most `floor`; it also stops at `stop_at` or after
-    `cap` reweightings, and, given `give_up`, once the bound exceeds it
-    while r is A's column count: the bound then covers every coefficient
-    vector, so no fit on these rows gets within `give_up`.
+    under rounding too.  Lawson settles once the best error is within
+    _GAP of the bound or at most the rounding floor _NOISE max|y|; it
+    also stops at `stop_at` or after opts.max_iterations reweightings,
+    and, given `give_up`, once the bound exceeds it while r is A's column
+    count: the bound then covers every coefficient vector, so no fit on
+    these rows gets within `give_up`.
 
     Returns the best coefficients, their error on A's rows, the bound,
-    the reweightings used and r.
+    the reweightings used, r and whether it settled.
     """
     m, n = A.shape
+    if not np.all(np.isfinite(A)):
+        raise IllConditionedError(
+            "design matrix overflows (samples too deep in the left half-plane)",
+            diagnostic={"degree": n, "samples": m, "iteration": 0},
+        )
+    floor = _NOISE * float(np.abs(y).max())
     scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=0))[1])  # 0 -> 1
     A /= scale
     try:
@@ -302,7 +323,7 @@ def _lawson_round(
             bound = float(abs(np.vdot(cert, best_r))) / cert_l1
         settled = best_err <= max(_GAP * bound, floor)
         reached = stop_at is not None and best_err <= stop_at
-        if settled or reached or _rules_out(bound, rank, n, give_up) or iterations == cap:
+        if settled or reached or _rules_out(bound, rank, n, give_up) or iterations == opts.max_iterations:
             break
         w *= np.abs(rq)
         total = w.sum()
@@ -319,7 +340,7 @@ def _lawson_round(
         if not np.all(np.isfinite(d)):
             break
         iterations += 1
-    return best_c, best_err, bound, iterations, rank
+    return best_c, best_err, bound, iterations, rank, best_err <= max(_GAP * bound, floor)
 
 
 def _rules_out(bound: float, rank: int, columns: int, give_up: float | None) -> bool:
@@ -327,76 +348,19 @@ def _rules_out(bound: float, rank: int, columns: int, give_up: float | None) -> 
     return give_up is not None and rank == columns and bound > give_up
 
 
-def _lawson(
-    A: np.ndarray,
-    y: np.ndarray,
-    opts: FitOptions,
-    stop_at: float | None = None,
-    boundary: int = 0,
-    give_up: float | None = None,
-) -> tuple[np.ndarray, float, float, int, int, bool, int, int]:
-    """Lawson fit of A c ~ y, solved on the leading `boundary` rows when
-    that suffices and certified on every row.
-
-    The first `boundary` rows are a set's boundary samples, where by the
-    maximum modulus principle the error of a fit to holomorphic data
-    peaks; 0 means none are known.  Round one solves on them with
-    _lawson_round and measures the error on every row.  When that error
-    is above max(_GAP * bound, floor, stop_at), with the round's bound
-    and the rounding floor _NOISE max|y|, round two is the all-row solve,
-    started cold, and it is reported as it stands; without boundary rows
-    it is the only round.  A bound over some rows bounds the error over
-    every row of each coefficient vector in that round's rank-r range.
-    opts.max_iterations caps the reweightings of both rounds together,
-    and round two is left out when round one spent them all.  Each round
-    also stops once its bound rules out `give_up` (see _lawson_round), and
-    round two is left out when round one's bound did.
-
-    Returns the reported round's coefficients, its error on every row,
-    its bound, the reweightings of all rounds, its rank, whether it
-    settled (error within _GAP of the bound or at most the floor), its
-    row count and the rounds solved.
-    """
-    m, n = A.shape
-    if not np.all(np.isfinite(A)):
-        raise IllConditionedError(
-            "design matrix overflows (samples too deep in the left half-plane)",
-            diagnostic={"degree": n, "samples": m, "iteration": 0},
-        )
-    floor = _NOISE * float(np.abs(y).max())
-    cap, rounds = opts.max_iterations, 1
-    if 0 < boundary < m:
-        c, _, bound, its, rank = _lawson_round(A[:boundary], y[:boundary], cap, stop_at, floor, give_up)
-        err = float(np.abs(y - A @ c).max())
-        settled = err <= max(_GAP * bound, floor)
-        reached = stop_at is not None and err <= stop_at
-        if settled or reached or _rules_out(bound, rank, n, give_up) or its == cap:
-            return c, err, bound, its, rank, settled, boundary, 1
-        cap, rounds = cap - its, 2
-    c, err, bound, more, rank = _lawson_round(A, y, cap, stop_at, floor, give_up)
-    settled = err <= max(_GAP * bound, floor)
-    return c, err, bound, opts.max_iterations - cap + more, rank, settled, m, rounds
-
-
 def minimax_fit_samples(
     points: np.ndarray,
     values: np.ndarray,
     degree: int,
     options: FitOptions | None = None,
-    *,
-    boundary: int = 0,
 ) -> FitResult:
-    """minimax_fit on a bare point cloud with precomputed target values.
+    """minimax_fit on a bare point cloud with precomputed target values,
+    solved and measured on every point.
 
     Used directly when the sample set is not a DiscretizedSet (e.g. the
-    1/(s-z) image of one).  `boundary` counts the leading points that
-    lie on the set's boundary (the first rows of `all_samples()`; the
-    map w = 1/(s - z) keeps them on the image's boundary): Lawson solves
-    on them first and solves again on all rows only when the error on
-    all rows asks for it.  With boundary = 0, a bare cloud, it solves on
-    all rows in one round.
+    1/(s-z) image of one).
     """
-    return _fit_samples(points, values, degree, options, boundary)[0]
+    return _fit_samples(points, values, degree, options)[0]
 
 
 def _fit_samples(
@@ -404,7 +368,6 @@ def _fit_samples(
     values: np.ndarray,
     degree: int,
     options: FitOptions | None,
-    boundary: int,
 ) -> tuple[FitResult, np.ndarray]:
     """minimax_fit_samples, and the design n^{-s_i} (samples x degree) it
     solved on, for callers that evaluate the fit on the same samples."""
@@ -420,15 +383,10 @@ def _fit_samples(
         raise InvalidInputError("one target value per sample point required")
     if not np.all(np.isfinite(gvals)):
         raise InvalidInputError("target is not finite on all samples")
-    boundary = integral(boundary, "boundary")
-    if not 0 <= boundary <= points.size:
-        raise InvalidInputError(f"boundary must lie in 0..{points.size}, got {boundary!r}")
 
     with np.errstate(over="ignore"):  # overflow checked by the solver
         A = _exp_basis(points, 1, degree)
-    c, err, bound, iters, rank, settled, rows, rounds = _lawson(
-        A, gvals, opts, stop_at=opts.target_error, boundary=boundary
-    )
+    c, err, bound, iters, rank, settled = _lawson(A, gvals, opts, stop_at=opts.target_error)
     return FitResult(
         polynomial=DirichletPolynomial(c),
         minimax_error=err,
@@ -440,11 +398,46 @@ def _fit_samples(
             "method": "lawson-irls",
             "column_normalized": True,
             "rank": rank,
-            "samples": int(points.size),
-            "rows": rows,
-            "rounds": rounds,
+            "rows": int(points.size),
         },
     ), A
+
+
+def _on_rows(
+    dset: DiscretizedSet,
+    g,
+    opts: FitOptions,
+    solve: Callable[[np.ndarray, np.ndarray, FitOptions], FitResult],
+) -> FitResult:
+    """solve(points, target values, opts) on the rows g's premise allows.
+
+    Named targets use the boundary samples and sampled targets every
+    sample.  A callable's boundary fit is checked on every
+    (interior count // _PROBES + 1)-th interior sample; when the residual
+    there exceeds the boundary error plus _NOISE max|y|, g is solved again
+    on every sample, with the reweightings of opts.max_iterations the
+    boundary solve left.  Records the premise in provenance.
+    """
+    if isinstance(g, TargetFunction):
+        premise = "sampled" if g.kind == "sampled" else "entire"
+    else:
+        premise = "checked"
+    points = dset.all_samples() if premise == "sampled" else dset.boundary_samples
+    if points.size == 0:
+        raise InvalidInputError("discretized set has no samples")
+    y = _target_values(g, points)
+    result = solve(points, y, opts)
+    inner = dset.interior_samples
+    if premise == "checked" and inner.size:
+        probe = inner[:: inner.size // _PROBES + 1]
+        off = float(np.abs(evaluate_many(result.polynomial, probe) - _target_values(g, probe)).max())
+        if off > result.minimax_error + _NOISE * float(np.abs(y).max()):
+            points, spent = dset.all_samples(), min(result.iterations, opts.max_iterations)
+            left = replace(opts, max_iterations=opts.max_iterations - spent)
+            again = solve(points, _target_values(g, points), left)
+            result, premise = replace(again, iterations=spent + again.iterations), "check failed"
+    result.provenance["premise"] = premise
+    return result
 
 
 def minimax_fit(
@@ -454,14 +447,12 @@ def minimax_fit(
     options: FitOptions | None = None,
 ) -> FitResult:
     """Best sampled-sup fit of a degree-`degree` Dirichlet polynomial to g,
-    over every coefficient a_1..a_degree, solved from the set's boundary
-    samples and certified on every sample."""
-    points = dset.all_samples()
-    if points.size == 0:
-        raise InvalidInputError("discretized set has no samples")
-    return minimax_fit_samples(
-        points, _target_values(g, points), degree, options, boundary=dset.boundary_samples.size
-    )
+    over every coefficient a_1..a_degree, on the rows g's premise allows
+    (see the module docstring)."""
+    def solve(points: np.ndarray, y: np.ndarray, opts: FitOptions) -> FitResult:
+        return _fit_samples(points, y, degree, opts)[0]
+
+    return _on_rows(dset, g, options or FitOptions(), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -479,65 +470,27 @@ def project_weighted_l1(v: np.ndarray, weights: np.ndarray, radius: float) -> np
     lam_k = (sum_{j<=k} w_j |v_j| - radius) / sum_{j<=k} w_j^2
     for the largest k with lam_k < t_k.  Entries of zero weight are not
     shrunk; radius 0 zeroes every entry of positive weight.
-
-    Only the top of that order is needed: `_threshold` selects the k
-    largest breakpoints instead of sorting all of them, and gives the
-    same lam, bit for bit, as the full sort.
     """
     if radius < 0:
         raise InvalidInputError("projection radius must be >= 0")
     v = np.asarray(v, dtype=complex)
     w = np.asarray(weights, dtype=float)
     mags = np.abs(v)
-    total = float(np.sum(w * mags))
-    if total <= radius:
+    if float(np.sum(w * mags)) <= radius:
         return v.copy()
     pos = w > 0
     if radius == 0:
         return np.where(pos, 0, v)
     phases = np.where(mags > 0, v / np.where(mags > 0, mags, 1.0), 0)
-    lam = _threshold(w[pos], mags[pos], radius, total)
+    wp, mp = w[pos], mags[pos]
+    t = mp / wp
+    order = np.argsort(-t, kind="stable")
+    ws = wp[order]
+    lams = (np.cumsum(ws * mp[order]) - radius) / np.cumsum(ws * ws)
+    # k = 1 qualifies whenever radius/w_1 is not lost to rounding in t_1
+    ks = np.flatnonzero(lams < t[order])
+    lam = lams[ks[-1] if ks.size else 0]
     return phases * np.maximum(mags - lam * w, 0.0)
-
-
-_SELECT_FIRST = 32  # breakpoints selected first; fewer than 32 times as many entries are sorted whole
-
-
-def _threshold(w: np.ndarray, m: np.ndarray, radius: float, total: float) -> float:
-    """lam of `project_weighted_l1` for positive weights w and moduli m.
-
-    On 1,024 or more entries it selects the k largest breakpoints
-    (argpartition, then a stable sort of those k taken in index order)
-    and doubles k until the end of the selection fails lam_k < t_k by a
-    margin beyond rounding.  Q_k (lam_k - t_k) = sum_{j<=k} w_j^2 (t_j -
-    t_k) - radius, Q_k = sum_{j<=k} w_j^2, does not decrease in k and
-    does not depend on the order among equal breakpoints; rounding moves
-    Q_j lam_j, Q_j t_j and that product by less than 4 (n + 2) eps
-    (total + radius).  So twice that margin at the end rules out every
-    later k and every k among breakpoints equal to the last selected
-    one, and the k taken lies among larger breakpoints, all of them
-    selected and in their full-sort order.
-    """
-    t = m / w
-    n = t.size
-    margin = 8 * (n + 2) * np.finfo(float).eps * (total + radius)
-    k = _SELECT_FIRST if n >= 32 * _SELECT_FIRST else n
-    while True:
-        if k < n:
-            part = np.argpartition(-t, k)
-            top = np.sort(part[:k])
-            order = top[np.argsort(-t[top], kind="stable")]
-        else:
-            order = np.argsort(-t, kind="stable")
-        ws, ts = w[order], t[order]
-        cq = np.cumsum(ws * ws)
-        lams = (np.cumsum(ws * m[order]) - radius) / cq
-        # k = 1 qualifies whenever radius/w_1 is not lost to rounding in t_1
-        ks = np.flatnonzero(lams < ts)
-        last = ks[-1] if ks.size else 0
-        if k == n or (lams[-1] - ts[-1]) * cq[-1] > margin:
-            return lams[last]
-        k = min(n, 2 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +519,8 @@ def _admm_ball(
     by Hoelder on mu^H y = mu^H (y - B c) + (B^H mu)^H c, over all columns.
     It stops once the best error is within _GAP of the best bound, below
     _NOISE or `stop_at`, once the bound exceeds `give_up` (no feasible c
-    gets within it), or after _ADMM_STEPS steps.  Returns the best d, its
+    gets within it; -inf stops at the first check), or after _ADMM_STEPS
+    steps.  Returns the best d, its
     error, the bound and the steps taken.
     """
     s = np.abs(A).max(axis=0)
@@ -627,17 +581,21 @@ def constrained_fit(
     certifies a lower bound on it over every coefficient of the block;
     low-index deviations are expensive against the weight n^{-sigma},
     which pins h near f there and pushes the fit into the tail, mirroring
-    how such approximants are built.
+    how such approximants are built.  Both solvers, the certificates and
+    the reported error use the rows g's premise allows (see the module
+    docstring).
 
     With `rule_out` and a target_error, both solvers give up once a
     certificate proves the target out of reach: Lawson once its bound
     exceeds target_error at full rank (it then covers every coefficient
-    vector of the block), ADMM once its certificate does.  The constrained
-    minimum is at least the unconstrained one, so either proves that no
-    feasible h gets within target_error.  The result is still feasible and
-    not converged, reports that bound, and records "ruled_out" in its
-    provenance.  Without the flag (the default) both solvers run as far
-    as they otherwise would and provenance has no "ruled_out".
+    vector of the block), ADMM once its certificate does, or at its first
+    check when Lawson already has, since only a feasible point is then
+    wanted of it.  The constrained minimum is at least the unconstrained
+    one, so either proves that no feasible h gets within target_error.
+    The result is still feasible and not converged, reports that bound,
+    and records "ruled_out" in its provenance.  Without the flag (the
+    default) both solvers run as far as they otherwise would and
+    provenance has no "ruled_out".
     """
     opts = options or FitOptions()
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma > 0):
@@ -654,62 +612,59 @@ def constrained_fit(
         raise InvalidInputError(
             "set must lie in the closed left half-plane (or pass allow_right_of_zero)"
         )
-
-    points = dset.all_samples()
-    if points.size == 0:
-        raise InvalidInputError("discretized set has no samples")
-    gvals = _target_values(g, points)
     fpad = np.zeros(degree, dtype=complex)
     fpad[: f.degree] = f.coefficients
-    with np.errstate(over="ignore"):  # overflow checked by the solver
-        A_full = _exp_basis(points, 1, degree)
-    dvals = gvals - A_full @ fpad  # target for the deviation d = h - f
-    # the free columns as a copy, since _lawson scales its design in place
-    A = np.asfortranarray(A_full[:, lo - 1 :])
     u = _exp_basis(sigma, 1, degree)[lo - 1 :]
-
-    # unconstrained shortcut; exact minimax_fit behavior when the ball
-    # never binds
     give_up = opts.target_error if rule_out else None
-    d, _, bound, iters, rank, _, rows, rounds = _lawson(
-        A, dvals, opts, boundary=dset.boundary_samples.size, give_up=give_up
-    )
-    ruled_out = _rules_out(bound, rank, A.shape[1], give_up)
-    route = "unconstrained"
-    if float(np.sum(u * np.abs(d))) > eps:
-        d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error, give_up)
-        ruled_out = ruled_out or (give_up is not None and bool(cert > give_up))
-        bound, route = max(bound, cert), "lawson+admm"
-    dfull = np.zeros(degree, dtype=complex)
-    dfull[lo - 1 :] = d
-    h = DirichletPolynomial(fpad + dfull)
-    constraint_value = seminorm_sigma(DirichletPolynomial(dfull), sigma)
-    exact = float(np.abs(A_full @ (fpad + dfull) - gvals).max())
-    feasible = constraint_value <= eps * (1 + 1e-12)
-    hit_target = opts.target_error is None or exact <= opts.target_error
-    provenance = {
-        "method": "lawson-irls+seminorm-ball",
-        "route": route,
-        "rank": rank,
-        "sigma": sigma,
-        "eps": eps,
-        "geometry_waiver": waived,
-        "samples": int(points.size),
-        "rows": rows,
-        "rounds": rounds,
-        "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
-    }
-    if rule_out:
-        provenance["ruled_out"] = ruled_out
-    return FitResult(
-        polynomial=h,
-        minimax_error=exact,
-        lower_bound=bound,
-        constraint_value=constraint_value,
-        iterations=iters,
-        converged=bool(feasible and hit_target and not ruled_out),
-        provenance=provenance,
-    )
+
+    def solve(points: np.ndarray, gvals: np.ndarray, opts: FitOptions) -> FitResult:
+        with np.errstate(over="ignore"):  # overflow checked by the solver
+            A_full = _exp_basis(points, 1, degree)
+        dvals = gvals - A_full @ fpad  # target for the deviation d = h - f
+        # the free columns as a copy, since _lawson scales its design in place
+        A = np.asfortranarray(A_full[:, lo - 1 :])
+
+        # unconstrained shortcut; exact minimax_fit behavior when the ball
+        # never binds
+        d, _, bound, iters, rank, _ = _lawson(A, dvals, opts, give_up=give_up)
+        ruled_out = _rules_out(bound, rank, A.shape[1], give_up)
+        route = "unconstrained"
+        if float(np.sum(u * np.abs(d))) > eps:
+            # once Lawson has ruled the target out, ADMM is only asked for a
+            # feasible point: it gives up at its first check
+            quit_at = -math.inf if ruled_out else give_up
+            d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error, quit_at)
+            ruled_out = ruled_out or (give_up is not None and bool(cert > give_up))
+            bound, route = max(bound, cert), "lawson+admm"
+        dfull = np.zeros(degree, dtype=complex)
+        dfull[lo - 1 :] = d
+        constraint_value = seminorm_sigma(DirichletPolynomial(dfull), sigma)
+        exact = float(np.abs(A_full @ (fpad + dfull) - gvals).max())
+        feasible = constraint_value <= eps * (1 + 1e-12)
+        hit_target = opts.target_error is None or exact <= opts.target_error
+        provenance = {
+            "method": "lawson-irls+seminorm-ball",
+            "route": route,
+            "rank": rank,
+            "sigma": sigma,
+            "eps": eps,
+            "geometry_waiver": waived,
+            "rows": int(points.size),
+            "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
+        }
+        if rule_out:
+            provenance["ruled_out"] = ruled_out
+        return FitResult(
+            polynomial=DirichletPolynomial(fpad + dfull),
+            minimax_error=exact,
+            lower_bound=bound,
+            constraint_value=constraint_value,
+            iterations=iters,
+            converged=bool(feasible and hit_target and not ruled_out),
+            provenance=provenance,
+        )
+
+    return _on_rows(dset, g, opts, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +678,8 @@ def convergence_study(
     degrees: Sequence[int],
     options: FitOptions | None = None,
 ) -> list[tuple[int, float]]:
-    """(N, minimax_error) rows over an ascending degree ladder.
+    """(N, minimax_error) rows over an ascending degree ladder, one
+    minimax_fit per N.
 
     Nested bases make the true minimax errors non-increasing, but each
     fit searches only its design's rank-r range, which need not contain
@@ -733,13 +689,11 @@ def convergence_study(
     degrees = [integral(n, "degree") for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise InvalidInputError("degrees must be strictly ascending")
-    points = dset.all_samples()
-    gvals = _target_values(g, points)
     rows: list[tuple[int, float]] = []
     carried: np.ndarray | None = None
     carried_err = math.inf
     for n in degrees:
-        res = minimax_fit_samples(points, gvals, n, options, boundary=dset.boundary_samples.size)
+        res = minimax_fit(dset, g, n, options)
         err, coeffs = res.minimax_error, res.polynomial.coefficients
         if carried is not None and carried_err < err:
             padded = np.zeros(n, dtype=complex)

@@ -382,8 +382,10 @@ class DiscretizedSet:
 
     def all_samples(self) -> np.ndarray:
         """Every sample, boundary samples first: the first
-        boundary_samples.size entries are the boundary, in their order,
-        and the Lawson fits solve on those rows first."""
+        boundary_samples.size entries are the boundary, in their order.
+        Fits of holomorphic targets read the boundary samples alone, whose
+        sup of a holomorphic residual dominates the interior ones (maximum
+        modulus); sampled targets and failed checks use every sample."""
         return np.concatenate([self.boundary_samples, self.interior_samples])
 
     def to_csv(self) -> str:

@@ -372,10 +372,21 @@ def rational_dirichlet_fit(
     hole part whose remaining terms do not sum to zero is unreachable.
     Returns the assembled function and its sampled sup error on the set.
 
+    The pieces are Cauchy integrals, holomorphic on the set's side of
+    their loops, so each piece fit's residual is holomorphic on the set
+    (in w for the hole pieces, where w = 1/(s - z_j) keeps the boundary on
+    the image's boundary) and by the maximum modulus principle peaks on
+    the boundary.  laurent_decompose checks on every sample that the
+    pieces sum to f within its residual.  So the pieces are fitted, and
+    the error measured, on the boundary samples alone, whose sup then
+    dominates every interior sample up to that residual; when the residual
+    misses residual_tol, every sample is used instead.
+
     The error is summed from each piece's own design, with the same
     arithmetic as evaluate_rational (p0 first, then the parts in order),
-    so it equals max |evaluate_rational(r, samples) - f(samples)| exactly.
-    Each design is dropped once its row sums are taken.
+    so it equals max |evaluate_rational(r, samples) - f(samples)| over
+    those samples exactly.  Each design is dropped once its row sums are
+    taken.
     """
     anchors = [complex(a) for a in np.atleast_1d(np.asarray(anchors, dtype=complex))] if np.size(anchors) else []
     degrees = [integral(d, "degree") for d in degrees]
@@ -385,10 +396,7 @@ def rational_dirichlet_fit(
         raise InvalidInputError("outer degree must be >= 1 and hole degrees >= 2")
 
     pieces = laurent_decompose(dset, f, anchors, residual_tol=residual_tol)
-    samples = dset.all_samples()
-    # w = 1/(s - z) takes the set's boundary onto the image's boundary, so
-    # the leading boundary rows start the Lawson solve in w as well
-    boundary = dset.boundary_samples.size
+    samples = dset.all_samples() if pieces.warning else dset.boundary_samples
 
     parts: list[tuple[complex, DirichletPolynomial]] = []
     part_values: list[np.ndarray] = []
@@ -396,7 +404,7 @@ def rational_dirichlet_fit(
     for j, (z, deg) in enumerate(zip(pieces.anchors, degrees[1:])):
         w = 1.0 / (samples - z)
         yj = evaluate_piece(pieces.holes[j], samples)
-        fitj, design = _fit_samples(w, yj, deg, options, boundary)
+        fitj, design = _fit_samples(w, yj, deg, options)
         coeffs = fitj.polynomial.coefficients.copy()
         relocated += coeffs[0]
         coeffs[0] = 0.0
@@ -406,7 +414,7 @@ def rational_dirichlet_fit(
         del design
 
     y0 = pieces.f0(samples) + relocated
-    fit0, design = _fit_samples(samples, y0, degrees[0], options, boundary)
+    fit0, design = _fit_samples(samples, y0, degrees[0], options)
     total = (fit0.polynomial.coefficients * design).sum(axis=1)
     for values in part_values:
         total = total + values

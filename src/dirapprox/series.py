@@ -136,22 +136,28 @@ def _exp_basis(x, lo: int, hi: int) -> np.ndarray:
 
 
 _GRID_BLOCK = 256  # in-block powers per row of _grid_sums' second table
+_GRID_SPAN = 350.0  # in-block powers stay below e^350 in modulus
 
 
 def _grid_sums(c: np.ndarray, x0, dx, m: int, lo: int = 1) -> np.ndarray:
     """sum_n c_n n^{-(x0 + j dx)} over n = lo..lo+len(c)-1, for j = 0..m-1.
 
-    With j = bJ + i, n^{-(x0 + j dx)} = n^{-(x0 + bJ dx)} n^{-i dx}, so
-    the grid is a B x w table of block starts (times c) multiplied by a
-    w x J table of in-block powers: (B + J) w exponentials and one GEMM
-    instead of m w exponentials.  Both tables come from _exp_basis; each
-    product differs from the direct term by the rounding of two exponents,
-    a few |x log n| ulps.
+    With j = bJ + a + i for i = -a..J-1-a, n^{-(x0 + j dx)} =
+    n^{-(x0 + (bJ + a) dx)} n^{-i dx}, so the grid is a B x w table of block anchors (times c) multiplied by
+    a w x J table of in-block powers: (B + J) w exponentials and one GEMM
+    instead of m w exponentials.  Each block is anchored at its point of
+    largest real part (a = J - 1 when Re dx > 0, else a = 0), so every
+    in-block power has modulus >= 1 and a product overflows only where its
+    term does; J is capped so that those powers stay below e^_GRID_SPAN.
+    Both tables come from _exp_basis; each product differs from the direct
+    term by the rounding of two exponents, a few |x log n| ulps.
     """
     hi = lo + c.size - 1
-    J = min(m, _GRID_BLOCK)
-    inblock = _exp_basis(dx * np.arange(J), lo, hi).T
-    starts = _exp_basis(x0 + J * dx * np.arange(-(-m // J)), lo, hi) * c
+    rise = abs(complex(dx).real) * math.log(hi)  # log of the largest ratio per grid step
+    J = min(m, _GRID_BLOCK, int(_GRID_SPAN / rise) + 1 if rise > 0 else m)
+    a = J - 1 if complex(dx).real > 0 else 0
+    inblock = _exp_basis(dx * np.arange(-a, J - a), lo, hi).T
+    starts = _exp_basis(x0 + a * dx + J * dx * np.arange(-(-m // J)), lo, hi) * c
     return (starts @ inblock).ravel()[:m]
 
 

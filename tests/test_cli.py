@@ -258,9 +258,9 @@ class TestFitCommands:
         assert rep["provenance"]["route"] == "lawson+admm"
         assert 0 <= rep["lower_bound"] <= rep["minimax_error"]
 
-    def test_sampled_fit_that_needs_a_second_round_reruns_byte_identically(self, tmp_path):
-        # exp plus a spike at one interior sample: the boundary round misses
-        # the spike, and the second round solves on every row
+    def test_sampled_fit_on_every_sample_reruns_byte_identically(self, tmp_path):
+        # exp plus a spike at one interior sample: a sampled target is
+        # solved on every sample, where the spike is
         from dirapprox.geometry import disc, discretize
 
         dset = discretize(disc(-1, 0.5))
@@ -275,8 +275,7 @@ class TestFitCommands:
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
         rep = json.loads(runs[0])
-        assert rep["provenance"]["rounds"] == 2
-        assert rep["provenance"]["rows"] == rep["provenance"]["samples"] == y.size
+        assert rep["provenance"]["premise"] == "sampled" and rep["provenance"]["rows"] == y.size
         assert 0 < rep["lower_bound"] <= rep["minimax_error"] <= 1.01 * rep["lower_bound"]
 
     def test_constrained_fit_with_inactive_budget(self, tmp_path):

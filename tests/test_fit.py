@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dirapprox import fit
+from dirapprox import fit, geometry
 from dirapprox.cli import main as cli_main
 from dirapprox.errors import IllConditionedError, InvalidInputError
 from dirapprox.fit import (
@@ -19,12 +19,15 @@ from dirapprox.fit import (
 from dirapprox.geometry import (
     DiscretizedSet,
     SampleDensity,
+    annulus,
     disc,
     discretize,
     rectangle,
     translate,
 )
+from dirapprox.laurent import rational_dirichlet_fit
 from dirapprox.series import DirichletPolynomial, _exp_basis, evaluate_many, seminorm_sigma
+from dirapprox.universal import FamilyEntry, TargetFamily, UniversalOptions, build_universal
 
 DISC = discretize(disc(-1, 0.5), SampleDensity(0.02, 0.06))
 DISC_DEFAULT = discretize(disc(-1, 0.5), SampleDensity())
@@ -166,8 +169,9 @@ def test_constant_fit_on_a_circle_meets_its_known_minimax():
 
 
 def test_converged_and_exit_code_survive_row_permutations(tmp_path, monkeypatch):
-    # reordering the samples changes only the rounding of every solve
-    pts = DISC_DEFAULT.all_samples()
+    # reordering the samples changes only the rounding of every solve; a
+    # named target reads the boundary samples, so those are reordered too
+    pts, bnd = DISC_DEFAULT.all_samples(), DISC_DEFAULT.boundary_samples
     src = tmp_path / "in.json"
     src.write_text(json.dumps({
         "set": {"kind": "disc", "center": [-1, 0], "radius": 0.5},
@@ -176,13 +180,23 @@ def test_converged_and_exit_code_survive_row_permutations(tmp_path, monkeypatch)
     orders = [np.arange(pts.size)] + [
         np.random.default_rng(seed).permutation(pts.size) for seed in range(1, 6)
     ]
+    boundary_orders = [np.arange(bnd.size)] + [
+        np.random.default_rng(seed).permutation(bnd.size) for seed in range(1, 6)
+    ]
+
     for n in (10, 20, 30, 40, 50, 60):
         fits, codes = [], []
-        for order in orders:
+        for order, border in zip(orders, boundary_orders):
+            permuted = DiscretizedSet(DISC_DEFAULT.spec, DISC_DEFAULT.interior_samples, bnd[border])
             fits.append(minimax_fit_samples(pts[order], np.exp(pts[order]), n))
-            monkeypatch.setattr(DiscretizedSet, "all_samples", lambda self, o=order: pts[o])
-            codes.append(cli_main(["fit", "--input", str(src), "--degree", str(n),
-                                   "--output", str(tmp_path / "fit.json")]))
+            fits.append(minimax_fit(permuted, TargetFunction.exp(), n))
+            patches = [(DiscretizedSet, "all_samples", lambda self, o=order: pts[o]),
+                       (geometry, "discretize", lambda spec, density=None, d=permuted: d)]
+            for owner, name, value in patches:
+                with monkeypatch.context() as m:
+                    m.setattr(owner, name, value)
+                    codes.append(cli_main(["fit", "--input", str(src), "--degree", str(n),
+                                           "--output", str(tmp_path / "fit.json")]))
         assert {f.converged for f in fits} == {True} and set(codes) == {0}
         errs = [f.minimax_error for f in fits]
         assert max(errs) <= 1.01 * min(errs)
@@ -198,7 +212,7 @@ def test_lawson_restores_the_design_and_reports_its_coefficients_error():
     assert 0 < bound <= err <= 1.01 * bound
 
 
-# --- Lawson solved on the boundary rows, certified on all rows -------------------
+# --- the rows follow the target -------------------------------------------------
 
 
 def _error_on_every_sample(r, y, pts):
@@ -220,39 +234,81 @@ def _zero_on_the_boundary(dset):
     return TargetFunction.sampled(y)
 
 
+def _bump(s):
+    """1 at the centre of disc(-1, 0.5), e^{-12.5} on its circle: not holomorphic."""
+    return np.exp(-50 * np.abs(s + 1) ** 2)
+
+
 def test_holomorphic_fit_is_solved_on_the_boundary_and_measured_on_every_sample():
     pts = DISC_DEFAULT.all_samples()
     for n in (10, 30):
         r = minimax_fit(DISC_DEFAULT, TargetFunction.exp(), n)
         assert r.provenance["rows"] == DISC_DEFAULT.boundary_samples.size < pts.size
-        assert r.provenance["rounds"] == 1 and r.converged
+        assert r.provenance["premise"] == "entire" and r.converged
         assert r.minimax_error == _error_on_every_sample(r, np.exp(pts), pts)
+
+
+K1 = discretize(rectangle(-1 - 1j, 1j), SampleDensity())
+RING = discretize(annulus(0.0, 1.0, 2.0), SampleDensity())
+
+
+def test_named_target_errors_are_their_all_sample_errors():
+    # the maximum modulus principle at work: the boundary sup of each fit
+    # is its sup over every sample, to the bit
+    for dset, degrees in ((DISC_DEFAULT, (10, 20, 30, 40, 50, 60)), (RING, (10, 60))):
+        pts = dset.all_samples()
+        for n in degrees:
+            r = minimax_fit(dset, TargetFunction.exp(), n)
+            assert r.minimax_error == _error_on_every_sample(r, np.exp(pts), pts)
+    # K_1's universal rungs for the targets 1 and s, on and off the ball
+    pts, opts = K1.all_samples(), FitOptions(target_error=0.1)
+    for target in (TargetFunction.const(1), TargetFunction.identity()):
+        for eps in (0.25, 10.0):
+            for n in (2, 6):
+                r = constrained_fit(K1, target, poly(0), 0.5, eps, n, opts, lo=2)
+                assert r.provenance["rows"] == K1.boundary_samples.size
+                assert r.minimax_error == _error_on_every_sample(r, target.values_on(pts), pts)
 
 
 @pytest.mark.parametrize("dset, make, degrees", [
     (DISC_DEFAULT, _spiked_exp, (5, 10)),
     (DISC, _zero_on_the_boundary, (3, 8)),
 ])
-def test_second_round_is_the_all_row_solve(dset, make, degrees):
-    # targets that are not holomorphic: the boundary round misses the
-    # interior, and the second round is the all-row solve itself
+def test_sampled_targets_are_solved_on_every_sample(dset, make, degrees):
+    # targets without analytic structure: the all-row solve, in one pass
     pts = dset.all_samples()
     target = make(dset)
     for n in degrees:
         r = minimax_fit(dset, target, n)
         every = minimax_fit_samples(pts, target.values, n)
-        assert r.provenance["rounds"] == 2 and r.provenance["rows"] == pts.size
+        assert r.provenance["premise"] == "sampled" and r.provenance["rows"] == pts.size
         assert r.polynomial.coefficients.tobytes() == every.polynomial.coefficients.tobytes()
-        assert (r.minimax_error, r.lower_bound, r.converged) == (
-            every.minimax_error, every.lower_bound, every.converged,
+        assert (r.minimax_error, r.lower_bound, r.converged, r.iterations) == (
+            every.minimax_error, every.lower_bound, every.converged, every.iterations,
         )
-        assert r.converged and r.iterations >= every.iterations
+        assert r.converged
         assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
+
+
+def test_a_callable_that_fails_the_check_gets_the_all_row_solve():
+    # the bump fits the boundary to rounding level and is 1 off inside
+    pts = DISC_DEFAULT.all_samples()
+    r = minimax_fit(DISC_DEFAULT, _bump, 10)
+    every = minimax_fit_samples(pts, _bump(pts), 10)
+    assert r.provenance["premise"] == "check failed" and r.provenance["rows"] == pts.size
+    assert r.polynomial.coefficients.tobytes() == every.polynomial.coefficients.tobytes()
+    assert r.minimax_error == every.minimax_error == pytest.approx(0.50199, abs=1e-5)
+    assert r.iterations >= every.iterations
+    # a holomorphic callable passes: its boundary fit is the named target's
+    named = minimax_fit(DISC_DEFAULT, TargetFunction.exp(), 10)
+    checked = minimax_fit(DISC_DEFAULT, np.exp, 10)
+    assert checked.provenance["premise"] == "checked"
+    assert checked.polynomial.coefficients.tobytes() == named.polynomial.coefficients.tobytes()
 
 
 @pytest.mark.parametrize("target", ["exp", "spike"])
 def test_bound_holds_for_perturbed_coefficients_on_every_sample(target):
-    # the bound of a boundary-row round bounds the error on all rows of
+    # the bound of a boundary-row solve bounds the error on all rows of
     # every coefficient vector (near the fit, where its rank-r range is
     # all that matters)
     pts = DISC_DEFAULT.all_samples()
@@ -271,28 +327,71 @@ def test_bound_holds_for_perturbed_coefficients_on_every_sample(target):
 def test_bare_clouds_solve_on_all_rows_in_one_round():
     pts = DISC.all_samples()
     r = minimax_fit_samples(pts, np.exp(pts), 12)
-    assert r.provenance["rounds"] == 1 and r.provenance["rows"] == pts.size
-    # with its boundary rows named, the same cloud starts from them
-    b = minimax_fit_samples(pts, np.exp(pts), 12, boundary=DISC.boundary_samples.size)
-    assert b.provenance["rows"] == DISC.boundary_samples.size
-    for bad in (-1, pts.size + 1, 2.5, True):
-        with pytest.raises(InvalidInputError, match="boundary"):
-            minimax_fit_samples(pts, np.exp(pts), 12, boundary=bad)
+    assert r.provenance["rows"] == pts.size and "premise" not in r.provenance
+    # a bare cloud is a sampled target on a set
+    s = minimax_fit(DISC, TargetFunction.sampled(np.exp(pts)), 12)
+    assert s.polynomial.coefficients.tobytes() == r.polynomial.coefficients.tobytes()
 
 
 def test_max_iterations_caps_the_reweightings_of_both_rounds():
+    # the boundary solve and the refit after a failed check share the cap
     pts = DISC_DEFAULT.all_samples()
-    target = _spiked_exp(DISC_DEFAULT)
-    first = minimax_fit_samples(pts, target.values, 10, boundary=DISC_DEFAULT.boundary_samples.size)
-    spent = first.iterations - minimax_fit_samples(pts, target.values, 10).iterations
-    assert first.provenance["rounds"] == 2 and spent > 0
+    bumped = lambda s: np.exp(s) + _bump(s)
+    first = minimax_fit(DISC_DEFAULT, bumped, 10)
+    every = minimax_fit_samples(pts, bumped(pts), 10)
+    spent = first.iterations - every.iterations
+    assert first.provenance["premise"] == "check failed" and spent > 0
     for cap in range(spent + 4):
-        r = minimax_fit(DISC_DEFAULT, target, 10, FitOptions(max_iterations=cap))
-        assert r.iterations <= cap
-        # a cap the boundary round spends leaves no second round
-        assert r.provenance["rounds"] == (1 if cap <= spent else 2)
-        assert r.minimax_error == _error_on_every_sample(r, target.values, pts)
+        r = minimax_fit(DISC_DEFAULT, bumped, 10, FitOptions(max_iterations=cap))
+        assert r.iterations <= cap and r.provenance["premise"] == "check failed"
+        assert r.minimax_error == _error_on_every_sample(r, bumped(pts), pts)
         assert 0 <= r.lower_bound <= r.minimax_error
+
+
+def test_no_design_row_is_an_interior_sample(monkeypatch):
+    # each design is built on boundary samples, or on their images
+    # 1/(s - 0) for the ring's hole piece, never on an interior sample
+    # (some grid points of the interior lie on the boundary too)
+    designs, touched = [], []
+    basis = fit._exp_basis
+
+    def spy(x, lo, hi):
+        designs.append(np.ravel(x))
+        return basis(x, lo, hi)
+
+    def exp_seen(s):
+        touched.append(np.ravel(s))
+        return np.exp(s)
+
+    monkeypatch.setattr(fit, "_exp_basis", spy)
+    family = TargetFamily((
+        FamilyEntry(TargetFunction.const(0.0), 1, 0.1),
+        FamilyEntry(TargetFunction.const(1.0), 1, 0.1),
+        FamilyEntry(TargetFunction.identity(), 1, 0.1),
+    ))
+    runs = [
+        (DISC_DEFAULT, lambda: minimax_fit(DISC_DEFAULT, TargetFunction.exp(), 20)),
+        (DISC_DEFAULT, lambda: minimax_fit(DISC_DEFAULT, exp_seen, 20)),
+        (BOX, lambda: constrained_fit(BOX, TargetFunction.const(1), poly(0), 0.5, 0.25, 6, lo=2)),
+        (BOX, lambda: constrained_fit(BOX, exp_seen, poly(0), 0.5, 0.25, 6, lo=2)),
+        (K1, lambda: build_universal(family, UniversalOptions(block_steps=(1, 2, 5)))),
+        (RING, lambda: rational_dirichlet_fit(RING, lambda s: np.exp(s) + np.exp(1 / s), [0.0], (10, 10))),
+    ]
+    for dset, run in runs:
+        designs.clear()
+        touched.clear()
+        result = run()
+        if hasattr(result, "provenance"):
+            assert result.provenance["premise"] in ("entire", "checked")
+        bnd = dset.boundary_samples
+        rows = np.concatenate([x for x in designs if np.iscomplexobj(x)])
+        allowed = np.concatenate([bnd, 1 / bnd]) if dset is RING else bnd
+        assert rows.size and np.isin(rows, allowed).all()
+        # a callable is read on the boundary and on a few dozen interior probes
+        if touched:
+            seen = np.concatenate(touched)
+            assert 0 < np.count_nonzero(~np.isin(seen, bnd)) <= 40
+            assert np.isin(seen, np.concatenate([bnd, dset.interior_samples])).all()
 
 
 # --- convergence_study ---------------------------------------------------------
@@ -442,8 +541,10 @@ def _sorted_projection(v, w, radius):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_projection_by_selection_matches_the_full_sort_bytewise(seed):
-    # sizes on both sides of the selection cut-off, ties, zero entries,
-    # zero weights, near-equal moduli, radii from tiny to nearly the total
+    # the projection sorts every breakpoint; these inputs once checked a
+    # partial selection of them against the full sort, and keep its bytes:
+    # sizes on both sides of 1,024 entries, ties, zero entries, zero
+    # weights, near-equal moduli, radii from tiny to nearly the total
     rng = np.random.default_rng(seed)
     for trial in range(25):
         n = int(rng.choice([1, 7, 900, 1024, 1461, 3000]))
@@ -472,9 +573,9 @@ def test_projection_by_selection_on_tied_and_rounding_level_breakpoints():
         radius = float(np.sum(w * np.abs(v))) * rng.uniform(0, 0.2)
         assert project_weighted_l1(v, w, radius).tobytes() == _sorted_projection(v, w, radius).tobytes()
     # a radius at the rounding level of a breakpoint: lam_k < t_k fails at
-    # the end of a selection (k = 32 * 2^i) and holds again for a later k,
-    # which the full sort takes
-    ends = [fit._SELECT_FIRST * 2**i - 1 for i in range(6)]
+    # some k = 32 * 2^i (where a selection doubling from 32 would stop) and
+    # holds again for a later k, which the full sort takes
+    ends = [32 * 2**i - 1 for i in range(6)]
     for trial in range(3000):
         v = np.exp(1j * rng.uniform(0, 2 * math.pi, 2000))
         big = int(rng.integers(1, 40))
@@ -599,8 +700,6 @@ def test_flat_stage_is_certified_out_of_reach():
     assert r.lower_bound >= 0.7
 
 
-K1 = discretize(rectangle(-1 - 1j, 1j), SampleDensity())
-
 
 @pytest.mark.parametrize(
     "target, eps, degree, route",
@@ -626,6 +725,20 @@ def test_ruled_out_fit_is_feasible_and_its_bound_holds_across_the_ball(target, e
         v = 10.0 ** (k % 4 - 2) * (rng.standard_normal(degree - 1) + 1j * rng.standard_normal(degree - 1))
         d = project_weighted_l1(v, u, eps)
         assert r.lower_bound <= float(np.abs(A @ d - g).max())
+
+
+def test_a_lawson_rule_out_stops_admm_at_its_first_check():
+    # test_05's stage "one" at N = 2: Lawson rules the target out at full
+    # rank, so ADMM is asked only for a feasible point
+    opts = FitOptions(target_error=0.1)
+    args = (K1, TargetFunction.const(1), poly(0), 0.5)
+    lawson = constrained_fit(*args, 1e6, 2, opts, lo=2, rule_out=True)
+    assert lawson.provenance["route"] == "unconstrained" and lawson.provenance["ruled_out"]
+    r = constrained_fit(*args, 0.25, 2, opts, lo=2, rule_out=True)
+    assert r.provenance["route"] == "lawson+admm" and r.provenance["ruled_out"]
+    assert r.iterations <= fit._CHECK_EVERY
+    assert r.constraint_value <= 0.25 * (1 + 1e-12) and not r.converged
+    assert r.lower_bound >= lawson.lower_bound > 0.1
 
 
 def test_rule_out_needs_a_target_and_is_recorded_only_when_asked():

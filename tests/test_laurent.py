@@ -348,19 +348,18 @@ def test_fit_error_accounting(ring):
     # sampled sup of the assembly is bounded by the per-piece fit errors
     # plus the reconstruction residual; the piece fits are re-run here
     # (the solver is deterministic) to obtain their individual errors,
-    # from the same leading boundary rows the fit starts its exchange on
+    # on the boundary samples the fit solves on
     from dirapprox.fit import minimax_fit_samples
 
     target = lambda s: np.exp(s) + np.exp(1 / s)
     pieces = laurent_decompose(ring, target, [0.0])
     fitted, err = rational_dirichlet_fit(ring, target, [0.0], (20, 20))
-    samples, boundary = ring.all_samples(), ring.boundary_samples.size
+    assert not pieces.warning
+    samples = ring.boundary_samples
 
-    hole_fit = minimax_fit_samples(
-        1 / samples, evaluate_piece(pieces.holes[0], samples), 20, boundary=boundary
-    )
+    hole_fit = minimax_fit_samples(1 / samples, evaluate_piece(pieces.holes[0], samples), 20)
     relocated = hole_fit.polynomial.coefficients[0]
-    outer_fit = minimax_fit_samples(samples, pieces.f0(samples) + relocated, 20, boundary=boundary)
+    outer_fit = minimax_fit_samples(samples, pieces.f0(samples) + relocated, 20)
     assert err <= outer_fit.minimax_error + hole_fit.minimax_error + pieces.residual + 1e-10
 
 

@@ -220,6 +220,24 @@ def test_grid_sums_matches_direct_basis_rows(x0, dx, width):
             assert err.max() <= 1e-13, (m, lo)
 
 
+def test_grid_sums_overflow_only_where_the_sum_does():
+    # sum_{n<=1000} n^{-x} on x = -120 .. 0: a factor of a product may not
+    # overflow before the product, so the sum is finite wherever the
+    # log-sum-exp reference is, up to a few |x log n| ulps
+    dx = 120 / 2000
+    x = -120.0 + np.arange(2001) * dx
+    with np.errstate(over="ignore"):
+        got = _grid_sums(np.ones(1000), -120.0, dx, x.size)
+    t = -x[:, None] * np.log(np.arange(1, 1001.0))
+    top = t.max(axis=1)
+    ref = top + np.log(np.exp(t - top[:, None]).sum(axis=1))
+    edge = math.log(np.finfo(float).max)
+    finite, infinite = ref < edge - 1e-9, ref > edge + 1e-9
+    assert 1500 < finite.sum() and 200 < infinite.sum()
+    assert np.isfinite(got[finite]).all() and np.isinf(got[infinite]).all()
+    assert np.abs(np.log(got[finite]) - ref[finite]).max() <= 1e-12
+
+
 FAST_PLAN = SupNormPlan(edge_points=20_000)
 
 
