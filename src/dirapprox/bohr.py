@@ -15,6 +15,7 @@ bounds.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -352,33 +353,66 @@ def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarra
     return np.abs(c @ _monomials(E, z))
 
 
-def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Local max of |q(e^{i theta})| and its angles, by damped-Newton (Levenberg) ascent on F = |f|^2.
+def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima of |q(e^{i theta})| from each start theta0[s] (S x k), and their angles.
 
-    With a_t = c_t e^{i E_t.theta} and f = sum_t a_t: grad f = i a E,
-    d^2 f = -E^T diag(a) E, grad F = 2 Re(conj(f) grad f) and hess F =
-    2 Re(conj(f) d^2 f + grad f grad f^H).  A step divides grad F by
-    |eigenvalue| + mu along each eigenvector of hess F, so it always ascends
-    and leaves saddles; it is kept only if |f| rises, and mu shrinks after a
-    kept step and grows after a rejected one.
+    Damped-Newton (Levenberg) ascent on F = |f|^2: with a_t = c_t
+    e^{i E_t.theta} and f = sum_t a_t, grad f = i a E, d^2 f = -E^T
+    diag(a) E, grad F = 2 Re(conj(f) grad f) and hess F = 2 Re(conj(f)
+    d^2 f + grad f grad f^H).  A step divides grad F by |eigenvalue| + mu
+    along each eigenvector of hess F, so it always ascends and leaves
+    saddles; it is kept only if |f| rises, and mu shrinks after a kept step
+    and grows after a rejected one.  The starts step together, one stacked
+    eigh per step, each with its own mu; a start stops when no gain is left
+    above rounding, and leaves the batch with its angles and value frozen,
+    so each start takes exactly the steps it would take alone.
     """
-    theta = np.asarray(theta0, dtype=float)
-    a = c * np.exp(1j * (E @ theta))
-    lam = 1e-3
+    Ef = E.astype(float)
+    theta_out = np.array(theta0, dtype=float)
+    value_out = np.empty(theta_out.shape[0])
+    ids = np.arange(theta_out.shape[0])  # the starts still stepping, and their state below
+    theta = theta_out.copy()
+    a = c * np.exp(1j * (theta @ Ef.T))
+    lam = np.full(ids.size, 1e-3)
     for _ in range(_POLISH_STEPS):
-        f = a.sum()
-        df = 1j * (a @ E)
-        grad = 2.0 * np.real(np.conj(f) * df)
-        w, V = np.linalg.eigh(2.0 * np.real(np.conj(f) * -((E.T * a) @ E) + np.outer(df, np.conj(df))))
-        step = V @ ((V.T @ grad) / (np.abs(w) + lam * max(np.abs(w).max(), abs(f) ** 2, 1e-300)))
-        if grad @ step <= 1e-16 * abs(f) ** 2:  # any gain would be lost to rounding
-            break
-        a_trial = c * np.exp(1j * (E @ (theta + step)))
-        if abs(a_trial.sum()) > abs(f):
-            theta, a, lam = theta + step, a_trial, max(0.1 * lam, 1e-12)
-        else:
-            lam *= 10.0
-    return float(abs(a.sum())), theta
+        f = a.sum(axis=1)
+        fc = np.conj(f)[:, None]
+        df = 1j * (a @ Ef)
+        grad = 2.0 * np.real(fc * df)
+        hess = fc[:, :, None] * -((a[:, None, :] * Ef.T) @ Ef) + df[:, :, None] * np.conj(df)[:, None, :]
+        w, V = np.linalg.eigh(2.0 * np.real(hess))
+        f2 = np.abs(f) ** 2
+        damp = lam * np.maximum(np.maximum(np.abs(w).max(axis=1), f2), 1e-300)
+        step = (V @ ((grad[:, None, :] @ V)[:, 0] / (np.abs(w) + damp[:, None]))[:, :, None])[:, :, 0]
+        go = ~((grad * step).sum(axis=1) <= 1e-16 * f2)  # else any gain would be lost to rounding
+        if not go.all():
+            stop = ~go
+            theta_out[ids[stop]] = theta[stop]
+            value_out[ids[stop]] = np.abs(f[stop])
+            ids, theta, a, lam, step, f = ids[go], theta[go], a[go], lam[go], step[go], f[go]
+            if not ids.size:
+                break
+        moved = theta + step
+        a_trial = c * np.exp(1j * (moved @ Ef.T))
+        up = np.abs(a_trial.sum(axis=1)) > np.abs(f)
+        theta[up] = moved[up]
+        a[up] = a_trial[up]
+        lam = np.where(up, np.maximum(0.1 * lam, 1e-12), 10.0 * lam)
+    theta_out[ids] = theta
+    value_out[ids] = np.abs(a.sum(axis=1))
+    return value_out, theta_out
+
+
+def _top_indices(vals: np.ndarray, m: int) -> np.ndarray:
+    """np.argsort(-vals, kind="stable")[:m], ties included.
+
+    Only the values at or above the m-th largest are stable-sorted.
+    """
+    if not 0 < m < vals.size:
+        return np.argsort(-vals, kind="stable")[:m]
+    cut = np.partition(vals, vals.size - m)[vals.size - m]
+    idx = np.flatnonzero(vals >= cut)
+    return idx[np.argsort(-vals[idx], kind="stable")[:m]]
 
 
 def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None) -> float:
@@ -412,10 +446,13 @@ def _polydisc_best(q: LiftedPolynomial, plan: PolydiscPlan) -> tuple[float, np.n
 
     thetas = np.random.default_rng(plan.seed).uniform(0.0, 2.0 * math.pi, size=(_SAMPLES, k))
     vals = _torus_values(E, c, thetas)
-    order = np.argsort(-vals, kind="stable")
-    best = (float(vals[order[0]]), thetas[order[0]])
-    for i in order[: plan.polish_starts]:
-        best = max(best, _polish_on_torus(E, c, thetas[i]), key=lambda vt: vt[0])
+    top = _top_indices(vals, max(plan.polish_starts, 1))
+    best = (float(vals[top[0]]), thetas[top[0]])
+    if plan.polish_starts:
+        values, polished = _polish_on_torus(E, c, thetas[top[: plan.polish_starts]])
+        j = int(np.argmax(values))  # the first of equal maxima, as a sequential scan keeps it
+        if values[j] > best[0]:
+            best = (float(values[j]), polished[j])
     return best
 
 
@@ -427,16 +464,21 @@ _WITNESS_DIGITS = 80  # decimal precision of log n, 2 pi and t log n
 _WITNESS_T_DIGITS = 40  # significant digits of the reported t
 _WITNESS_PENALTY = 10**-26  # weight of m_a in the closest-vector problem; |t| grows like its inverse
 _WITNESS_SCALE = 2**128  # the lattice is this scaling of its real basis, rounded to integers
+_PENALTY_ENTRY = int(_WITNESS_PENALTY * _WITNESS_SCALE)  # the scaled penalty, first entry of the lattice's first row
+_LN_MEMO_SIZE = 1024  # log n kept at _WITNESS_DIGITS digits, least recently used dropped first
+_LATTICE_MEMO_CAP = 64  # reduced witness lattices kept, one per prime set (about 11 kB at 8 primes), oldest dropped first
+_LATTICES: dict[tuple[int, ...], tuple] = {}
 
 
-def _lll(b: list[list[int]]) -> tuple[list, list[int], list[list[int]]]:
+def _lll(b: list[list[int]]) -> tuple[tuple, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """LLL reduction (delta = 0.99) of the independent integer rows b, in exact integers.
 
     Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Algorithm 2.6.7): Gram-Schmidt is kept as the integers d_i
     (Gram determinant of rows 1..i) and lam[i][j] = d_j mu_ij, extended
     one row at a time and updated in place by each reduction and swap.
-    Returns (rows, d, lam), 1-based (index 0 unused), for _babai.
+    Returns (rows, d, lam), 1-based (index 0 unused), as tuples: _babai
+    reads them and the lattice memo keeps them.
     """
     n = len(b)
     b = [None] + [list(row) for row in b]
@@ -472,14 +514,14 @@ def _lll(b: list[list[int]]) -> tuple[list, list[int], list[list[int]]]:
             for l in range(k - 2, 0, -1):
                 _size_reduce(b[k], lam[k], b, lam, d, l)
             k += 1
-    return b, d, lam
+    return (None, *map(tuple, b[1:])), tuple(d), tuple(map(tuple, lam))
 
 
-def _dot(x: list[int], y: list[int]) -> int:
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _size_reduce(v: list[int], lv: list[int], b: list, lam: list[list[int]], d: list[int], l: int) -> None:
+def _size_reduce(v: list[int], lv: list[int], b: Sequence, lam: Sequence, d: Sequence[int], l: int) -> None:
     """v -= round(mu_vl) b_l in place, with lv = (d_j mu_vj)_j updated to match."""
     if 2 * abs(lv[l]) > d[l]:
         q = (2 * lv[l] + d[l]) // (2 * d[l])
@@ -489,14 +531,15 @@ def _size_reduce(v: list[int], lv: list[int], b: list, lam: list[list[int]], d: 
             lv[i] -= q * lam[l][i]
 
 
-def _babai(b: list[list[int]], target: list[int]) -> list[int]:
-    """target minus a lattice vector near it (Babai's nearest plane on the LLL-reduced rows b).
+def _babai(lattice: tuple, target: list[int]) -> list[int]:
+    """target minus a lattice vector near it (Babai's nearest plane on _lll's reduced lattice).
 
     The target's Gram-Schmidt coefficients come from the same integer
     recurrence as a new row of _lll; nearest-plane rounding is then size
-    reduction of the target against rows n, ..., 1.
+    reduction of the target against rows n, ..., 1.  The lattice is only
+    read.
     """
-    b, d, lam = _lll(b)
+    b, d, lam = lattice
     n = len(b) - 1
     w = list(target)
     lw = [0] * (n + 1)
@@ -510,9 +553,20 @@ def _babai(b: list[list[int]], target: list[int]) -> list[int]:
     return w
 
 
-def _decimal_pi():
-    """pi as a Decimal at the current precision, by Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
-    from decimal import Decimal
+def _context():
+    """A fresh decimal context at _WITNESS_DIGITS digits, whatever the caller's context."""
+    from decimal import Context  # here, not at the top: lift and unlift never need decimal
+
+    return Context(prec=_WITNESS_DIGITS)
+
+
+@functools.cache
+def _two_pi():
+    """2 pi as a Decimal at _WITNESS_DIGITS digits, built on first use.
+
+    By Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239).
+    """
+    from decimal import Decimal, localcontext
 
     def atan_inv(x: int) -> Decimal:
         total = power = Decimal(1) / x
@@ -524,7 +578,41 @@ def _decimal_pi():
             total += sign * power / n
         return total
 
-    return 16 * atan_inv(5) - 4 * atan_inv(239)
+    with localcontext(_context()):
+        return 2 * (16 * atan_inv(5) - 4 * atan_inv(239))
+
+
+@functools.lru_cache(maxsize=_LN_MEMO_SIZE)
+def _ln(n: int):
+    """log n as a Decimal at _WITNESS_DIGITS digits (correctly rounded)."""
+    from decimal import Decimal
+
+    return Decimal(n).ln(_context())
+
+
+def _witness_lattice(used: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The ratios r_j = log p_j / log p_a of the used primes (p_a = used[0]) and their reduced witness lattice.
+
+    The basis rows are (penalty, r_j S rounded) and S e_j for each j > a,
+    S = _WITNESS_SCALE, all scaled to integers; the lattice is _lll of
+    them.  Both depend on the used primes alone, so they are worked out
+    once per prime set and kept in _LATTICES, at most _LATTICE_MEMO_CAP
+    prime sets, the oldest dropped first; the kept tuples are only read.
+    """
+    hit = _LATTICES.get(used)
+    if hit is None:
+        from decimal import localcontext
+
+        S = _WITNESS_SCALE
+        with localcontext(_context()):
+            ratios = tuple(_ln(p) / _ln(used[0]) for p in used[1:])
+            basis = [[_PENALTY_ENTRY] + [int((r * S).to_integral_value()) for r in ratios]]
+        basis += [[S if i == j else 0 for i in range(len(used))] for j in range(1, len(used))]
+        hit = ratios, _lll(basis)
+        if len(_LATTICES) >= _LATTICE_MEMO_CAP:
+            del _LATTICES[next(iter(_LATTICES))]
+        _LATTICES[used] = hit
+    return hit
 
 
 def _kronecker_witness(coeffs: np.ndarray, primes: Sequence[int], theta: np.ndarray) -> tuple[float, str]:
@@ -540,40 +628,34 @@ def _kronecker_witness(coeffs: np.ndarray, primes: Sequence[int], theta: np.ndar
     penalty keeps |m_a|, and so |t|, bounded.  Kronecker's theorem makes
     the approximation as good as the penalty allows.  Primes that no
     term uses leave P unchanged and are left out; with at most one used
-    prime no lattice is needed.
+    prime no lattice is needed.  The reduced lattice depends on the used
+    primes alone (_witness_lattice); only the target depends on theta.
 
     t is rounded to _WITNESS_T_DIGITS significant digits and returned as
     that exact decimal string; the value is |P| at that t, from the
     phases t log n mod 2 pi worked out at _WITNESS_DIGITS digits.
     """
-    from decimal import Decimal, localcontext  # here, not at the top: lift and unlift never need it
+    from decimal import Context, Decimal, localcontext
 
     idx = np.flatnonzero(coeffs)
     ns = [int(i) + 1 for i in idx]
     used = [j for j, p in enumerate(primes) if any(n % p == 0 for n in ns)]
-    with localcontext() as ctx:
-        ctx.prec = _WITNESS_DIGITS
-        two_pi = 2 * _decimal_pi()
+    two_pi = _two_pi()
+    with localcontext(_context()):
         t = Decimal(0)
         if used:
-            log_a = Decimal(primes[used[0]]).ln()
             turns = [Decimal(float(theta[j])) / two_pi for j in used]
             m_a = 0
             if len(used) > 1:
+                ratios, lattice = _witness_lattice(tuple(primes[j] for j in used))
                 S = _WITNESS_SCALE
-                ratios = [Decimal(primes[j]).ln() / log_a for j in used[1:]]
-                penalty = int(_WITNESS_PENALTY * S)
-                basis = [[penalty] + [int((r * S).to_integral_value()) for r in ratios]]
-                basis += [[S if i == j else 0 for i in range(len(used))] for j in range(1, len(used))]
                 target = [0] + [int((-(u - turns[0] * r) * S).to_integral_value()) for u, r in zip(turns[1:], ratios)]
-                m_a = -_babai(basis, target)[0] // penalty
-            t = (m_a - turns[0]) * two_pi / log_a
-        with localcontext() as short:
-            short.prec = _WITNESS_T_DIGITS
-            t = +t
+                m_a = -_babai(lattice, target)[0] // _PENALTY_ENTRY
+            t = (m_a - turns[0]) * two_pi / _ln(primes[used[0]])
+        t = Context(prec=_WITNESS_T_DIGITS).plus(t)
         phases = []
         for n in ns:
-            x = t * Decimal(n).ln()
+            x = t * _ln(n)
             phases.append(float(x - (x / two_pi).to_integral_value() * two_pi))
     return float(abs(np.sum(coeffs[idx] * np.exp(-1j * np.array(phases))))), format(t, "f")
 

@@ -232,9 +232,9 @@ class SupNormPlan:
 class SupNormReport:
     """Bracket of sup |P| over {Re s >= sigma0}.
 
-    value: max of |P| at real points of the line Re s = sigma0 (a lower
-    bound); upper_bound: sum |a_n| n^{-sigma0} (an upper bound on the
-    whole half plane).
+    value: max of |P| at real points of the line Re s = sigma0, the edge
+    sweep's and the Kronecker witness's (a lower bound); upper_bound:
+    sum |a_n| n^{-sigma0} (an upper bound on the whole half plane).
     """
 
     value: float
@@ -296,19 +296,27 @@ def sup_norm_report(
 ) -> SupNormReport:
     """Lower and upper bounds for sup |P| over {Re s >= sigma0}.
 
-    The value is clamped to the upper bound.  The clamp only absorbs
-    rounding: |P| on the line never exceeds sum |a_n| n^{-sigma0} in
-    exact arithmetic, but where it reaches the bound (for a monomial, at
-    every t) the computed modulus can round above it.
+    The value is the larger of the edge sweep and, when the lift of P has
+    at most PolydiscPlan().max_vars variables, |P(sigma0 + it)| at the
+    Kronecker witness t of the shifted polynomial's best torus point
+    (bohr.bohr_gap_report): both are values of |P| on the line, and the
+    witness is the larger once several primes take part.  The value is
+    clamped to the upper bound.  The clamp only absorbs rounding: |P| on
+    the line never exceeds sum |a_n| n^{-sigma0} in exact arithmetic, but
+    where it reaches the bound (for a monomial, at every t) the computed
+    modulus can round above it.
     """
     plan = plan or SupNormPlan()
     if not math.isfinite(sigma0):
         raise InvalidInputError("sigma0 must be finite")
     upper = seminorm_sigma(p, sigma0)
-    return SupNormReport(
-        value=min(_edge_sweep_max(p, sigma0, plan.height, plan.edge_points), upper),
-        upper_bound=upper,
-    )
+    value = _edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+    from . import bohr  # here, not at the top: bohr imports this module
+
+    damped = p.coefficients * _exp_basis(sigma0, 1, p.degree)
+    if bohr.PrimeTable.up_to(p.degree).count() <= bohr.PolydiscPlan().max_vars and np.isfinite(damped).all():
+        value = max(value, bohr.bohr_gap_report(DirichletPolynomial(damped)).halfplane_value)
+    return SupNormReport(value=min(value, upper), upper_bound=upper)
 
 
 # ---------------------------------------------------------------------------

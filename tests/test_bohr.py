@@ -331,11 +331,110 @@ def test_torus_polish_reaches_the_aligned_maximum():
     a[[0, 1, 2, 4, 6, 10]] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     E, c = lift(DirichletPolynomial(a)).exponent_matrix()
     assert E.shape == (6, 6) and not E[:, 5].any()
-    for theta0 in rng.uniform(0.0, 2.0 * np.pi, size=(8, 6)):
-        value, theta = bohr._polish_on_torus(E, c, theta0)
+    for value, theta in zip(*bohr._polish_on_torus(E, c, rng.uniform(0.0, 2.0 * np.pi, size=(8, 6)))):
         assert value == pytest.approx(np.abs(c).sum(), rel=1e-14)
         assert _torus_values(E, c, theta[None, :])[0] == pytest.approx(value, rel=1e-14)
-    assert bohr._polish_on_torus(E, 0 * c, np.zeros(6))[0] == 0.0
+    assert bohr._polish_on_torus(E, 0 * c, np.zeros((1, 6)))[0][0] == 0.0
+
+
+def polish_one_start(E, c, theta0):
+    """The polish one start at a time: (value, angles, steps taken), the batched polish's reference."""
+    theta = np.asarray(theta0, dtype=float)
+    a = c * np.exp(1j * (E @ theta))
+    lam = 1e-3
+    for steps in range(bohr._POLISH_STEPS):
+        f = a.sum()
+        df = 1j * (a @ E)
+        grad = 2.0 * np.real(np.conj(f) * df)
+        w, V = np.linalg.eigh(2.0 * np.real(np.conj(f) * -((E.T * a) @ E) + np.outer(df, np.conj(df))))
+        step = V @ ((V.T @ grad) / (np.abs(w) + lam * max(np.abs(w).max(), abs(f) ** 2, 1e-300)))
+        if grad @ step <= 1e-16 * abs(f) ** 2:
+            return float(abs(f)), theta, steps
+        a_trial = c * np.exp(1j * (E @ (theta + step)))
+        if abs(a_trial.sum()) > abs(f):
+            theta, a, lam = theta + step, a_trial, max(0.1 * lam, 1e-12)
+        else:
+            lam *= 10.0
+    return float(abs(a.sum())), theta, bohr._POLISH_STEPS
+
+
+def aligned_case():
+    """test_torus_polish_reaches_the_aligned_maximum's polynomial and starts."""
+    rng = np.random.default_rng(5)
+    a = np.zeros(13, dtype=complex)
+    a[[0, 1, 2, 4, 6, 10]] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    E, c = lift(DirichletPolynomial(a)).exponent_matrix()
+    return E, c, rng.uniform(0.0, 2.0 * np.pi, size=(8, 6))
+
+
+def benchmark_cases():
+    """The benchmark's six Bohr-gap polynomials on seeds 1 and 2, each with its 16 best torus samples."""
+    for seed in (1, 2):
+        rng = np.random.default_rng([seed, 3])
+        for n in (3, 5, 8, 12, 16, 17):
+            E, c = lift(DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))).exponent_matrix()
+            thetas = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(8192, E.shape[1]))
+            yield E, c, thetas[np.argsort(-_torus_values(E, c, thetas), kind="stable")[:16]]
+
+
+def test_batched_polish_matches_the_polish_of_each_start_alone():
+    steps = []
+    for E, c, starts in [aligned_case(), *benchmark_cases()]:
+        values, thetas = bohr._polish_on_torus(E, c, starts)
+        for value, theta, start in zip(values, thetas, starts):
+            want, _, n = polish_one_start(E, c, start)
+            steps.append(n)
+            assert value == pytest.approx(want, rel=1e-14, abs=0)
+            assert _torus_values(E, c, theta[None, :])[0] == pytest.approx(value, rel=1e-14)
+    assert min(steps) <= 3 and max(steps) >= 10  # the starts stop at different steps
+
+
+def test_a_start_that_stops_never_moves_again():
+    # the aligned maximum stops at once, beside starts that take several
+    # steps: its angles and value leave the batch untouched
+    E, c, starts = aligned_case()
+    top = np.zeros(6)
+    top[:5] = np.angle(c[0]) - np.angle(c[1:])  # every prime term in phase with the constant
+    assert polish_one_start(E, c, top)[2] == 0
+    values, thetas = bohr._polish_on_torus(E, c, np.vstack([starts[:3], top, starts[3:]]))
+    assert thetas[3].tobytes() == top.tobytes()
+    assert values[3] == pytest.approx(abs((c * np.exp(1j * (top @ E.T))).sum()), rel=1e-15)
+    assert all(polish_one_start(E, c, s)[2] > 0 for s in starts)
+    assert not (thetas[[0, 1, 2, 4]] == starts[:4]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 16, 299, 8191, 8192, 10_000])
+def test_top_selection_is_the_head_of_the_stable_order(m):
+    # few distinct values, so most cuts fall inside a run of ties
+    rng = np.random.default_rng(m)
+    for vals in (rng.integers(0, 7, 8192).astype(float), rng.uniform(size=8192), np.ones(8192)):
+        assert np.array_equal(bohr._top_indices(vals, m), np.argsort(-vals, kind="stable")[:m])
+    small = rng.integers(0, 3, 40).astype(float)
+    for k in range(0, 42):
+        assert np.array_equal(bohr._top_indices(small, k), np.argsort(-small, kind="stable")[:k])
+
+
+@pytest.mark.parametrize("starts", [0, 1, 8192, 9000])
+def test_polish_starts_are_the_best_samples_in_stable_order(starts, monkeypatch):
+    q = lift(DirichletPolynomial(np.arange(1.0, 4.0) + 0.5j))  # k = 2
+    E, c = q.exponent_matrix()
+    seen = []
+
+    def spy(E, c, theta0):
+        seen.append(theta0.copy())
+        return polish(E, c, theta0)
+
+    polish = bohr._polish_on_torus
+    monkeypatch.setattr(bohr, "_polish_on_torus", spy)
+    value = polydisc_sup_estimate(q, PolydiscPlan(polish_starts=starts, seed=4))
+    thetas = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(8192, 2))
+    vals = _torus_values(E, c, thetas)
+    if starts:
+        (theta0,) = seen
+        assert np.array_equal(theta0, thetas[np.argsort(-vals, kind="stable")[:starts]])
+        assert value == pytest.approx(np.abs(c).sum(), rel=1e-14)
+    else:
+        assert seen == [] and value == vals.max()
 
 
 def test_polydisc_aligned_maximum_at_every_k():
@@ -439,8 +538,8 @@ def test_lll_and_babai_meet_their_exact_conditions():
                 assert norms[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * norms[i - 1]  # Lovasz
         assert np.prod([float(n) for n in norms]) == pytest.approx(float(S) ** (2 * dim - 2) * int(S * 1e-12) ** 2)
         target = [rng.randrange(-S, S) for _ in range(dim)]
-        w = bohr._babai(basis, target)
-        mu_w, _ = gram_schmidt(rows + [w])
+        w = bohr._babai(bohr._lll(basis), target)
+        mu_w, _ = gram_schmidt([*rows, w])
         assert all(abs(m) <= 0.5 for m in mu_w[-1])  # nearest plane: w is reduced against every row
         lattice_vector = [x - y for x, y in zip(target, w)]
         # in the basis's own coordinates: the first entry fixes m_1, the rest are multiples of S
@@ -465,3 +564,57 @@ def test_witness_value_is_recomputed_from_its_decimal_t(n):
         assert float(value) == pytest.approx(rep.halfplane_value, rel=1e-12, abs=1e-300)
         assert rep.halfplane_value <= rep.polydisc_value * (1 + 1e-12)
         assert rep.relative_gap <= 1e-4
+
+
+@pytest.fixture
+def empty_lattice_memo(monkeypatch):
+    monkeypatch.setattr(bohr, "_LATTICES", {})
+
+
+def witness_basis(used):
+    """The witness lattice's basis, built from 80-digit logs as _kronecker_witness describes it."""
+    from decimal import Context, Decimal
+
+    ctx, S = Context(prec=80), 2**128
+    ratios = [ctx.divide(Decimal(p).ln(ctx), Decimal(used[0]).ln(ctx)) for p in used[1:]]
+    basis = [[int(1e-26 * S)] + [int(ctx.to_integral_value(ctx.multiply(r, S))) for r in ratios]]
+    return basis + [[S if i == j else 0 for i in range(len(used))] for j in range(1, len(used))]
+
+
+SPARSE_PRIME_SETS = [(3, 5), (2, 7, 13), (5, 11, 17, 19), (3, 7, 11, 13, 23), (2, 3, 29, 31, 37, 41)]
+
+
+def test_lattice_memo_is_a_fresh_reduction_of_each_prime_set(empty_lattice_memo):
+    primes = PrimeTable.up_to(19).primes
+    for used in [primes[:k] for k in range(2, 9)] + SPARSE_PRIME_SETS:
+        fresh = bohr._lll(witness_basis(used))
+        ratios, lattice = bohr._witness_lattice(used)
+        assert lattice == fresh and bohr._LATTICES[used] == (ratios, fresh)
+        assert bohr._witness_lattice(used)[1] is lattice  # a hit returns the kept lattice
+        assert [float(r) for r in ratios] == pytest.approx([np.log(p) / np.log(used[0]) for p in used[1:]], rel=1e-15)
+
+
+def test_lattice_memo_stays_at_its_cap(empty_lattice_memo, monkeypatch):
+    monkeypatch.setattr(bohr, "_LATTICE_MEMO_CAP", 3)
+    theta = np.linspace(0.5, 2.5, 8)
+    for used in SPARSE_PRIME_SETS:
+        c = np.zeros(max(used), dtype=complex)
+        c[0] = 1.0
+        c[[p - 1 for p in used]] = 1.0 + 0.5j
+        primes = PrimeTable.up_to(c.size).primes
+        bohr._kronecker_witness(c, primes, np.resize(theta, len(primes)))
+        assert len(bohr._LATTICES) <= 3
+    assert list(bohr._LATTICES) == SPARSE_PRIME_SETS[-3:]  # the oldest sets went first
+
+
+def test_babai_leaves_the_kept_lattice_unchanged(empty_lattice_memo):
+    import copy
+
+    used = PrimeTable.up_to(19).primes
+    lattice = bohr._witness_lattice(used)[1]
+    before = copy.deepcopy(lattice)
+    rng = random.Random(3)
+    target = [rng.randrange(-(2**128), 2**128) for _ in used]
+    w = bohr._babai(lattice, target)
+    assert bohr._babai(lattice, target) == w and w != target
+    assert bohr._LATTICES[used][1] == before == bohr._lll(witness_basis(used))

@@ -822,11 +822,21 @@ class TestImportCost:
         out = child_prints(code, tmp_path).split("\n")[-1]
         assert out == str(["dirapprox", *(f"dirapprox.{m}" for m in ("_wire", "cli", "errors", "series"))])
         code = (
-            "import dirapprox.bohr as bohr, dirapprox.chordal, dirapprox.series as series\n"
+            "import sys, dirapprox.bohr as bohr, dirapprox.chordal, dirapprox.series as series\n"
             "print(series._log_table.size, len(bohr._primes), len(bohr._TABLE_CACHE), len(bohr._INDEX_OF),"
-            " len(bohr._N_OF))\n"
+            " len(bohr._N_OF), len(bohr._LATTICES), bohr._ln.cache_info().currsize,"
+            " bohr._two_pi.cache_info().currsize, 'decimal' in sys.modules)\n"
         )
-        assert child_prints(code, tmp_path) == "0 0 0 0 0"
+        assert child_prints(code, tmp_path) == "0 0 0 0 0 0 0 0 False"
+        # the witness's decimal arithmetic loads on first use: a lift never needs it
+        src = write(tmp_path / "q.json", {"coefficients": [[1, 0], [0.5, 0], [0.25, -1], [0, 0], [0.1, 0]]})
+        code = (
+            "import sys\n"
+            "from dirapprox.cli import main\n"
+            f"assert main(['bohr-lift', '--input', {src!r}]) == 0\n"
+            "print('dirapprox.bohr' in sys.modules, 'decimal' in sys.modules)\n"
+        )
+        assert child_prints(code, tmp_path).split("\n")[-1] == "True False"
 
     def test_bohr_gap_report_leaves_scipy_unloaded(self, tmp_path):
         code = (

@@ -336,6 +336,41 @@ def test_sup_norm_finds_the_higher_of_two_close_peaks():
     assert value >= 28.582348017 * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("sigma0", [0.0, 0.25])
+def test_sup_norm_value_reaches_the_kronecker_witness(sigma0):
+    # test_01's draw: at N = 18 (k = 7) the edge sweep alone read up to a
+    # third below |P| at the Kronecker witness (11.49 against 17.29 at
+    # sigma0 = 0); the value is the larger of the two, still a value of |P|
+    from dirapprox.bohr import bohr_gap_report
+
+    rng = np.random.default_rng(424242)
+    draws = []
+    for _ in range(50):
+        n = int(rng.integers(1, 21))
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if n == 18:
+            draws.append(DirichletPolynomial(c))
+    assert len(draws) == 2
+    plan = SupNormPlan()
+    for p in draws:
+        rep = sup_norm_report(p, sigma0)
+        sweep = series._edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+        witness = bohr_gap_report(shift_by_delta(p, sigma0)).halfplane_value
+        assert sweep <= rep.value <= rep.upper_bound
+        assert rep.value >= witness > 1.1 * sweep
+
+
+def test_sup_norm_skips_the_witness_where_the_shifted_coefficients_overflow():
+    # k = 8 takes the witness, but 22^300 overflows: the shifted polynomial
+    # cannot be built, so the value is the sweep's alone, as it was
+    p = DirichletPolynomial(np.arange(1.0, 23.0) + 0.5j)
+    with np.errstate(all="ignore"):
+        rep = sup_norm_report(p, -300.0, FAST_PLAN)
+        sweep = series._edge_sweep_max(p, -300.0, FAST_PLAN.height, FAST_PLAN.edge_points)
+    assert rep.upper_bound == math.inf
+    assert rep.value == min(sweep, rep.upper_bound)
+
+
 def test_nonconstant_polynomial_blows_up_on_negative_axis():
     rng = np.random.default_rng(11)
     for _ in range(20):
