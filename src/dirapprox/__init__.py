@@ -28,8 +28,7 @@ _EXPORTS = {
     "bohr": ("LiftedPolynomial", "bohr_gap_report", "lift", "unlift"),
     "geometry": ("SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
                  "translate", "union_of_disjoint"),
-    "fit": ("FitOptions", "FitResult", "TargetFunction", "constrained_fit", "convergence_study",
-            "minimax_fit"),
+    "fit": ("FitResult", "TargetFunction", "constrained_fit", "convergence_study", "minimax_fit"),
     "laurent": ("LaurentPieces", "RationalDirichletFunction", "laurent_decompose",
                 "rational_dirichlet_fit"),
     "universal": ("FamilyEntry", "TargetFamily", "UniversalOptions", "UniversalSchedule",

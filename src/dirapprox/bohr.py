@@ -35,7 +35,6 @@ __all__ = [
     "PrimeTable",
     "MultiIndex",
     "LiftedPolynomial",
-    "PolydiscPlan",
     "BohrGapReport",
     "factorize_to_multiindex",
     "lift",
@@ -313,32 +312,14 @@ def evaluate_lifted(q: LiftedPolynomial, z: Iterable[complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolydiscPlan:
-    """Torus sampling plan.
-
-    One draw of _SAMPLES (8192) angle vectors from default_rng(seed), at
-    every k, with the polish_starts best samples polished (0: no polish).
-    Hard cap at max_vars.  A sample costs k (cos, sin) pairs, since its
-    prime-power monomials are products of powers of z_j = e^{i theta_j},
-    so the draw takes a few MB whatever the polynomial.
-    """
-
-    max_vars: int = 8
-    polish_starts: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("max_vars", "polish_starts", "seed"):
-            object.__setattr__(self, name, integral(getattr(self, name), name))
-        if self.polish_starts < 0:
-            raise InvalidInputError(f"polydisc plan needs polish_starts >= 0, got {self.polish_starts!r}")
-        if self.seed < 0:
-            raise InvalidInputError(f"polydisc plan needs seed >= 0, got {self.seed!r}")
-
-
+# One draw of _SAMPLES angle vectors from default_rng(seed), at every k.
+# A sample costs k (cos, sin) pairs, since its prime-power monomials are
+# products of powers of z_j = e^{i theta_j}, so the draw takes a few MB
+# whatever the polynomial.
 _SAMPLES = 8192  # random torus points drawn by one estimate
+_POLISH_STARTS = 16  # best samples polished to a local maximum
 _POLISH_STEPS = 50  # Newton-ascent trials per torus polish
+_MAX_VARS = 8  # torus estimates refuse lifts with more variables
 
 
 def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -404,56 +385,54 @@ def _polish_on_torus(E: np.ndarray, c: np.ndarray, theta0: np.ndarray) -> tuple[
 
 
 def _top_indices(vals: np.ndarray, m: int) -> np.ndarray:
-    """np.argsort(-vals, kind="stable")[:m], ties included.
+    """np.argsort(-vals, kind="stable")[:m], ties included, for 0 < m <= vals.size.
 
     Only the values at or above the m-th largest are stable-sorted.
     """
-    if not 0 < m < vals.size:
-        return np.argsort(-vals, kind="stable")[:m]
     cut = np.partition(vals, vals.size - m)[vals.size - m]
     idx = np.flatnonzero(vals >= cut)
     return idx[np.argsort(-vals[idx], kind="stable")[:m]]
 
 
-def polydisc_sup_estimate(q: LiftedPolynomial, plan: PolydiscPlan | None = None) -> float:
+def polydisc_sup_estimate(q: LiftedPolynomial, seed: int = 0) -> float:
     """Lower-bound estimate of sup over the closed unit polydisc.
 
     Sampling is restricted to the distinguished boundary torus |z_j| = 1
-    (the maximum principle puts the sup there): one seeded draw of 8192
-    angle vectors, whose 16 best (plan.polish_starts) are polished to a
-    local maximum by damped-Newton ascent in the angles.  The seed moves
-    the estimate at every k; for k <= 3 the polished maxima agree to
-    rounding.  Every value returned is |q| at a point of the torus.
+    (the maximum principle puts the sup there): one draw of 8192 angle
+    vectors from default_rng(seed), whose 16 best are polished to a local
+    maximum by damped-Newton ascent in the angles.  The seed moves the
+    estimate at every k; for k <= 3 the polished maxima agree to
+    rounding.  Every value returned is |q| at a point of the torus.  A
+    lift of more than 8 variables is refused.
     """
-    return _polydisc_best(q, plan or PolydiscPlan())[0]
+    return _polydisc_best(q, seed)[0]
 
 
-def _polydisc_best(q: LiftedPolynomial, plan: PolydiscPlan) -> tuple[float, np.ndarray]:
+def _polydisc_best(q: LiftedPolynomial, seed: int) -> tuple[float, np.ndarray]:
     """polydisc_sup_estimate's value and the torus angles where |q| takes it.
 
-    The variable cap is checked before any sampling.
+    The seed and the variable cap are checked before any sampling.
     """
+    seed = integral(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"polydisc seed must be >= 0, got {seed!r}")
     k = q.variable_count
     if not q.terms:
         return 0.0, np.zeros(k)
     E, c = q.exponent_matrix()
     if k == 0 or np.all(E == 0):
         return float(abs(np.sum(c))), np.zeros(k)
-    if k > plan.max_vars:
-        raise ResourceLimitError(
-            f"{k} variables exceeds plan cap {plan.max_vars}; raise max_vars knowingly"
-        )
+    if k > _MAX_VARS:
+        raise ResourceLimitError(f"{k} variables exceeds the torus estimate's cap of {_MAX_VARS}")
 
-    thetas = np.random.default_rng(plan.seed).uniform(0.0, 2.0 * math.pi, size=(_SAMPLES, k))
+    thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(_SAMPLES, k))
     vals = _torus_values(E, c, thetas)
-    top = _top_indices(vals, max(plan.polish_starts, 1))
-    best = (float(vals[top[0]]), thetas[top[0]])
-    if plan.polish_starts:
-        values, polished = _polish_on_torus(E, c, thetas[top[: plan.polish_starts]])
-        j = int(np.argmax(values))  # the first of equal maxima, as a sequential scan keeps it
-        if values[j] > best[0]:
-            best = (float(values[j]), polished[j])
-    return best
+    top = _top_indices(vals, _POLISH_STARTS)
+    values, polished = _polish_on_torus(E, c, thetas[top])
+    j = int(np.argmax(values))  # the first of equal maxima, as a sequential scan keeps it
+    if values[j] > vals[top[0]]:
+        return float(values[j]), polished[j]
+    return float(vals[top[0]]), thetas[top[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +667,7 @@ class BohrGapReport:
 def bohr_gap_report(
     p: DirichletPolynomial,
     tolerance: float = 0.02,
-    polydisc_plan: PolydiscPlan | None = None,
+    seed: int = 0,
 ) -> BohrGapReport:
     """Numerical check of the half-plane / polydisc sup identity.
 
@@ -697,14 +676,13 @@ def bohr_gap_report(
     point of the line Re s = 0.  Both are lower bounds, so the gap
     measures how well the witness reproduces the torus point, not the
     identity itself; tolerance is a knob (default 2%).  The tolerance,
-    the polydisc plan and its variable cap are checked before any
-    sampling.
+    the seed of the torus draw and the variable cap are checked before
+    any sampling.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {tolerance!r}")
-    polydisc_plan = polydisc_plan or PolydiscPlan()
     q = lift(p)
-    pd, theta = _polydisc_best(q, polydisc_plan)
+    pd, theta = _polydisc_best(q, seed)
     hp, t = _kronecker_witness(p.coefficients, PrimeTable.up_to(max(p.degree, 1)).primes, theta)
     scale = max(hp, pd, 1e-300)
     return BohrGapReport(hp, pd, abs(hp - pd) / scale, tolerance, t)

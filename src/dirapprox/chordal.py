@@ -44,6 +44,8 @@ _SKIP_TAGGED_MIN = 1024
 _MAX_GRID_DOUBLINGS = 4  # sigma-grid doublings in chordal_convergence_check
 _BAND_FACTOR = 2.0  # tolerance widening inside its band
 _INDEX_CHUNK = 1024  # indices per _PartialSums kernel call
+_SEARCH_CAP = 10_000_000  # largest N the search past the ladder tries
+_ZETA_TERMS = 20  # zeta_values' Euler-Maclaurin cut M
 
 
 def chi(a, b) -> float:
@@ -196,31 +198,28 @@ def _em_correction(sigma: np.ndarray, x: float, power: np.ndarray) -> np.ndarray
     return h
 
 
-def zeta_values(sigmas: np.ndarray, *, terms: int = 20) -> np.ndarray:
-    """zeta(sigma) for real sigma > 1, by Euler-Maclaurin summation at M = terms.
+def zeta_values(sigmas: np.ndarray) -> np.ndarray:
+    """zeta(sigma) for real sigma > 1, by Euler-Maclaurin summation at M = _ZETA_TERMS.
 
     sum_{n<M} n^{-sigma} + M^{1-sigma}/(sigma-1) + M^{-sigma}/2
     + sum_{k=1..7} B_2k/(2k)! sigma(sigma+1)...(sigma+2k-2) M^{-sigma-2k+1}.
     Every even derivative of x^{-sigma} is positive, so the remainder
     lies between 0 and the first omitted term, B_16/16! sigma(sigma+1)
-    ...(sigma+14) M^{-sigma-15}: below 1e-21 for every sigma > 1 at the
-    default M = 20, so the error is rounding, a few 1e-16 relative.
+    ...(sigma+14) M^{-sigma-15}: below 1e-21 for every sigma > 1 at
+    M = 20, so the error is rounding, a few 1e-16 relative.
     """
-    terms = integral(terms, "terms")
     s = np.asarray(sigmas, dtype=float)
     if s.size == 0:
         return np.zeros(0)
     if np.any(s <= 1.0) or not np.all(np.isfinite(s)):
         raise InvalidInputError("zeta oracle is defined for finite sigma > 1")
-    if terms < 2:
-        raise InvalidInputError("zeta oracle needs at least 2 terms")
     flat = s.ravel()
     total = np.zeros(flat.size)
     chunk = max(64, 2_000_000 // flat.size)
-    for lo in range(1, terms, chunk):
-        total += _exp_basis(flat, lo, min(lo + chunk - 1, terms - 1)).sum(axis=1)
-    m = float(terms)
-    power = _exp_basis(flat, terms, terms)[:, 0]  # M^{-sigma}
+    for lo in range(1, _ZETA_TERMS, chunk):
+        total += _exp_basis(flat, lo, min(lo + chunk - 1, _ZETA_TERMS - 1)).sum(axis=1)
+    m = float(_ZETA_TERMS)
+    power = _exp_basis(flat, _ZETA_TERMS, _ZETA_TERMS)[:, 0]  # M^{-sigma}
     total += power * m / (flat - 1.0) + power / 2.0
     total += _em_correction(flat, m, power)
     return total.reshape(s.shape)
@@ -414,7 +413,6 @@ def chordal_convergence_check(
     *,
     grid_per_unit: float = 2000.0,
     grid_tol: float = 1e-3,
-    search_cap: int = 10_000_000,
     band: tuple[float, float] | None = None,
 ) -> ConvergenceReport:
     """Sup-chordal error of partial sums against the series limit on a real interval.
@@ -426,12 +424,12 @@ def chordal_convergence_check(
     sampled sup over that grid, so it bounds the sup over the interval
     from below; nothing here is certified.  If no ladder entry reaches
     target_eps, the search continues past the ladder on geometric (x1.08)
-    checkpoints and bisects the bracket of the first qualifying one.  The
-    coefficients are non-negative, so every point's chordal error is
-    non-increasing in N and a searched n0 is the smallest qualifying
-    index: n0 qualifies on the grid and n0 - 1 does not, hence (up to
-    rounding) no smaller index meets the target on the whole interval
-    either.  N qualifies when every grid point is within its own
+    checkpoints up to _SEARCH_CAP and bisects the bracket of the first
+    qualifying one.  The coefficients are non-negative, so every point's
+    chordal error is non-increasing in N and a searched n0 is the smallest
+    qualifying index: n0 qualifies on the grid and n0 - 1 does not, hence
+    (up to rounding) no smaller index meets the target on the whole
+    interval either.  N qualifies when every grid point is within its own
     tolerance: target_eps, or _BAND_FACTOR * target_eps at the finite
     points of an optional band (the limit is steepest there).  The
     reported error column is always the plain sup.
@@ -448,7 +446,6 @@ def chordal_convergence_check(
         raise InvalidInputError("target_eps must be positive")
     if not all(math.isfinite(x) and x > 0 for x in (grid_per_unit, grid_tol)):
         raise InvalidInputError("grid parameters must be finite and positive")
-    search_cap = integral(search_cap, "search_cap")
     _coefficient_block(rule, 1, 64)  # spot-validate the rule up front
 
     def measure(sums: _PartialSums) -> tuple[float, bool]:
@@ -496,8 +493,8 @@ def chordal_convergence_check(
         # first qualifying bracket (below.upto, n0]; a_n >= 0 makes every
         # region sup non-increasing in N
         n_prev = ladder[-1]
-        while n_prev < search_cap:
-            n_next = min(search_cap, max(n_prev + 1, int(n_prev * 1.08)))
+        while n_prev < _SEARCH_CAP:
+            n_next = min(_SEARCH_CAP, max(n_prev + 1, int(n_prev * 1.08)))
             below = sums.copy()
             sums.extend(n_next)
             searched_to = n_next
@@ -549,7 +546,6 @@ def zeta_chordal_convergence_check(
     *,
     grid_per_unit: float = 2000.0,
     grid_tol: float = 1e-3,
-    search_cap: int = 10_000_000,
 ) -> ConvergenceReport:
     """Partial sums of sum n^{-sigma} against zeta right of 1, infinity at or left of 1."""
     return chordal_convergence_check(
@@ -561,6 +557,5 @@ def zeta_chordal_convergence_check(
         target_eps,
         grid_per_unit=grid_per_unit,
         grid_tol=grid_tol,
-        search_cap=search_cap,
         band=(1.0, 1.05),
     )

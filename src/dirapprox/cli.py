@@ -152,14 +152,6 @@ def _target_from(d: dict, key: str = "target"):
     return TargetFunction.from_json_dict(_wire.require(d, key))
 
 
-def _fit_options_from(args):
-    from .fit import FitOptions
-
-    if getattr(args, "tol", None) is None:
-        return None
-    return FitOptions(target_error=float(args.tol))
-
-
 def _family_from(d: dict):
     from .fit import TargetFunction
     from .universal import FamilyEntry, TargetFamily
@@ -285,12 +277,10 @@ def _cmd_bohr_lift(args) -> int:
 def _cmd_bohr_check(args) -> int:
     import dataclasses
 
-    from .bohr import PolydiscPlan, bohr_gap_report
+    from .bohr import bohr_gap_report
 
     p = _poly_from(_read_json(args.input))
-    report = bohr_gap_report(
-        p, tolerance=float(args.tol), polydisc_plan=PolydiscPlan(seed=int(args.seed))
-    )
+    report = bohr_gap_report(p, tolerance=float(args.tol), seed=args.seed)
     artifact = dataclasses.asdict(report)
     artifact["within_tolerance"] = report.within_tolerance
     _emit(
@@ -307,7 +297,7 @@ def _cmd_fit(args) -> int:
 
     d = _read_json(args.input)
     dset = _dset_from(d, args)
-    result = minimax_fit(dset, _target_from(d), int(args.degree), _fit_options_from(args))
+    result = minimax_fit(dset, _target_from(d), int(args.degree), target_error=args.tol)
     _emit(args, result.to_json_dict(), f"minimax error {_g17(result.minimax_error)} at degree {args.degree}")
     return 0 if result.converged else 3
 
@@ -325,7 +315,7 @@ def _cmd_fit_constrained(args) -> int:
         float(args.sigma),
         float(args.eps),
         int(args.degree),
-        _fit_options_from(args),
+        target_error=args.tol,
     )
     _emit(
         args,
@@ -434,7 +424,7 @@ def _cmd_convergence_study(args) -> int:
     d = _read_json(args.input)
     dset = _dset_from(d, args)
     degrees = _wire.require(d, "degrees", _wire.integers)
-    rows = convergence_study(dset, _target_from(d), degrees, _fit_options_from(args))
+    rows = convergence_study(dset, _target_from(d), degrees, target_error=args.tol)
     csv = "N,minimax_error\n" + "".join(f"{n},{_g17(e)}\n" for n, e in rows)
     if args.output:
         _write_text(args.output, csv)

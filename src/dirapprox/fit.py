@@ -39,7 +39,6 @@ from .series import DirichletPolynomial, _exp_basis, evaluate_many, seminorm_sig
 
 __all__ = [
     "TargetFunction",
-    "FitOptions",
     "FitResult",
     "minimax_fit",
     "constrained_fit",
@@ -160,7 +159,7 @@ def _target_values(g, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# results and options
+# results
 # ---------------------------------------------------------------------------
 
 
@@ -171,27 +170,18 @@ _RHO = 0.01  # ADMM penalty on the ball copy z2 = c; the sup copy z1 = B c has p
 _ADMM_STEPS = 5000  # cap on ADMM steps
 _CHECK_EVERY = 10  # ADMM checks its best feasible point and its bound this often
 _PROBES = 32  # at most this many interior samples check a callable's boundary fit
+_REWEIGHTINGS = 200  # cap on the reweightings of each Lawson solve
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """max_iterations (an integer >= 0) caps Lawson's reweightings, summed
-    over a callable's boundary solve and its refit when the check fails;
-    the ball route of constrained_fit takes at most 5,000 ADMM steps.
-    Lawson in minimax_fit and ADMM stop once the sup error is <=
-    target_error, and converged then means the error got there.
-    """
-
-    max_iterations: int = 200
-    target_error: float | None = None
-    allow_right_of_zero: bool = False  # geometry waiver for constrained_fit
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_iterations", integral(self.max_iterations, "max_iterations"))
-        if self.max_iterations < 0:
-            raise InvalidInputError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
-        if self.target_error is not None and not (math.isfinite(self.target_error) and self.target_error >= 0):
-            raise InvalidInputError(f"target_error must be finite and >= 0, got {self.target_error!r}")
+def _target_error(value) -> float | None:
+    """A target_error as a float, None kept; a bool, a negative or a
+    non-finite value is invalid input."""
+    if value is None:
+        return None
+    value = _wire.number(value, "target_error")
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidInputError(f"target_error must be finite and >= 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -210,9 +200,9 @@ class FitResult:
     column-scaled design (provenance "rank"), up to rounding; the
     directions cut from that range have singular values below 1e-13 of
     the largest.  iterations sums the reweightings of a boundary solve and
-    of the refit after a failed check.  minimax_fit's `converged` means
-    minimax_error <= 1.01 * lower_bound, or, when a target_error is given,
-    minimax_error <= target_error.  On its ball route constrained_fit
+    of the refit after a failed check, each capped at 200.  minimax_fit's
+    `converged` means minimax_error <= 1.01 * lower_bound, or, when a
+    target_error is given, minimax_error <= target_error.  On its ball route constrained_fit
     reports the larger of that bound and the ADMM certificate, which
     holds for every coefficient vector in the ball and comes from the
     same rows (rank describes its Lawson stage); its `converged` means
@@ -248,7 +238,6 @@ class FitResult:
 def _lawson(
     A: np.ndarray,
     y: np.ndarray,
-    opts: FitOptions,
     stop_at: float | None = None,
     give_up: float | None = None,
 ) -> tuple[np.ndarray, float, float, int, int, bool]:
@@ -271,7 +260,7 @@ def _lawson(
     best mu with the best residual, which keeps it below the best error
     under rounding too.  Lawson settles once the best error is within
     _GAP of the bound or at most the rounding floor _NOISE max|y|; it
-    also stops at `stop_at` or after opts.max_iterations reweightings,
+    also stops at `stop_at` or after _REWEIGHTINGS reweightings,
     and, given `give_up`, once the bound exceeds it while r is A's column
     count: the bound then covers every coefficient vector, so no fit on
     these rows gets within `give_up`.
@@ -323,7 +312,7 @@ def _lawson(
             bound = float(abs(np.vdot(cert, best_r))) / cert_l1
         settled = best_err <= max(_GAP * bound, floor)
         reached = stop_at is not None and best_err <= stop_at
-        if settled or reached or _rules_out(bound, rank, n, give_up) or iterations == opts.max_iterations:
+        if settled or reached or _rules_out(bound, rank, n, give_up) or iterations == _REWEIGHTINGS:
             break
         w *= np.abs(rq)
         total = w.sum()
@@ -348,30 +337,17 @@ def _rules_out(bound: float, rank: int, columns: int, give_up: float | None) -> 
     return give_up is not None and rank == columns and bound > give_up
 
 
-def minimax_fit_samples(
-    points: np.ndarray,
-    values: np.ndarray,
-    degree: int,
-    options: FitOptions | None = None,
-) -> FitResult:
-    """minimax_fit on a bare point cloud with precomputed target values,
-    solved and measured on every point.
-
-    Used directly when the sample set is not a DiscretizedSet (e.g. the
-    1/(s-z) image of one).
-    """
-    return _fit_samples(points, values, degree, options)[0]
-
-
 def _fit_samples(
     points: np.ndarray,
     values: np.ndarray,
     degree: int,
-    options: FitOptions | None,
+    target_error: float | None = None,
 ) -> tuple[FitResult, np.ndarray]:
-    """minimax_fit_samples, and the design n^{-s_i} (samples x degree) it
-    solved on, for callers that evaluate the fit on the same samples."""
-    opts = options or FitOptions()
+    """minimax_fit on a bare point cloud with precomputed target values,
+    solved and measured on every point, and the design n^{-s_i}
+    (samples x degree) it solved on, for callers that evaluate the fit on
+    the same samples.  Used directly when the sample set is not a
+    DiscretizedSet (e.g. the 1/(s-z) image of one)."""
     degree = integral(degree, "degree")
     if degree < 1:
         raise InvalidInputError("degree must be >= 1")
@@ -386,14 +362,14 @@ def _fit_samples(
 
     with np.errstate(over="ignore"):  # overflow checked by the solver
         A = _exp_basis(points, 1, degree)
-    c, err, bound, iters, rank, settled = _lawson(A, gvals, opts, stop_at=opts.target_error)
+    c, err, bound, iters, rank, settled = _lawson(A, gvals, stop_at=target_error)
     return FitResult(
         polynomial=DirichletPolynomial(c),
         minimax_error=err,
         lower_bound=bound,
         constraint_value=None,
         iterations=iters,
-        converged=settled if opts.target_error is None else err <= opts.target_error,
+        converged=settled if target_error is None else err <= target_error,
         provenance={
             "method": "lawson-irls",
             "column_normalized": True,
@@ -403,20 +379,15 @@ def _fit_samples(
     ), A
 
 
-def _on_rows(
-    dset: DiscretizedSet,
-    g,
-    opts: FitOptions,
-    solve: Callable[[np.ndarray, np.ndarray, FitOptions], FitResult],
-) -> FitResult:
-    """solve(points, target values, opts) on the rows g's premise allows.
+def _on_rows(dset: DiscretizedSet, g, solve: Callable[[np.ndarray, np.ndarray], FitResult]) -> FitResult:
+    """solve(points, target values) on the rows g's premise allows.
 
     Named targets use the boundary samples and sampled targets every
     sample.  A callable's boundary fit is checked on every
     (interior count // _PROBES + 1)-th interior sample; when the residual
     there exceeds the boundary error plus _NOISE max|y|, g is solved again
-    on every sample, with the reweightings of opts.max_iterations the
-    boundary solve left.  Records the premise in provenance.
+    on every sample, and iterations sums both solves.  Records the premise
+    in provenance.
     """
     if isinstance(g, TargetFunction):
         premise = "sampled" if g.kind == "sampled" else "entire"
@@ -426,16 +397,15 @@ def _on_rows(
     if points.size == 0:
         raise InvalidInputError("discretized set has no samples")
     y = _target_values(g, points)
-    result = solve(points, y, opts)
+    result = solve(points, y)
     inner = dset.interior_samples
     if premise == "checked" and inner.size:
         probe = inner[:: inner.size // _PROBES + 1]
         off = float(np.abs(evaluate_many(result.polynomial, probe) - _target_values(g, probe)).max())
         if off > result.minimax_error + _NOISE * float(np.abs(y).max()):
-            points, spent = dset.all_samples(), min(result.iterations, opts.max_iterations)
-            left = replace(opts, max_iterations=opts.max_iterations - spent)
-            again = solve(points, _target_values(g, points), left)
-            result, premise = replace(again, iterations=spent + again.iterations), "check failed"
+            points = dset.all_samples()
+            again = solve(points, _target_values(g, points))
+            result, premise = replace(again, iterations=result.iterations + again.iterations), "check failed"
     result.provenance["premise"] = premise
     return result
 
@@ -444,15 +414,19 @@ def minimax_fit(
     dset: DiscretizedSet,
     g,
     degree: int,
-    options: FitOptions | None = None,
+    *,
+    target_error: float | None = None,
 ) -> FitResult:
     """Best sampled-sup fit of a degree-`degree` Dirichlet polynomial to g,
     over every coefficient a_1..a_degree, on the rows g's premise allows
-    (see the module docstring)."""
-    def solve(points: np.ndarray, y: np.ndarray, opts: FitOptions) -> FitResult:
-        return _fit_samples(points, y, degree, opts)[0]
+    (see the module docstring); Lawson stops once the sup error is <=
+    target_error, and converged then means it got there."""
+    target_error = _target_error(target_error)
 
-    return _on_rows(dset, g, options or FitOptions(), solve)
+    def solve(points: np.ndarray, y: np.ndarray) -> FitResult:
+        return _fit_samples(points, y, degree, target_error)[0]
+
+    return _on_rows(dset, g, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +540,8 @@ def constrained_fit(
     sigma: float,
     eps: float,
     degree: int,
-    options: FitOptions | None = None,
     *,
+    target_error: float | None = None,
     lo: int = 1,
     rule_out: bool = False,
 ) -> FitResult:
@@ -583,7 +557,9 @@ def constrained_fit(
     which pins h near f there and pushes the fit into the tail, mirroring
     how such approximants are built.  Both solvers, the certificates and
     the reported error use the rows g's premise allows (see the module
-    docstring).
+    docstring).  The set must lie in the closed left half-plane.  ADMM
+    stops once the sup error is <= target_error, and converged then means
+    feasible and within it.
 
     With `rule_out` and a target_error, both solvers give up once a
     certificate proves the target out of reach: Lawson once its bound
@@ -597,7 +573,7 @@ def constrained_fit(
     default) both solvers run as far as they otherwise would and
     provenance has no "ruled_out".
     """
-    opts = options or FitOptions()
+    target_error = _target_error(target_error)
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma > 0):
         raise InvalidInputError(
             f"constrained fit needs finite eps > 0 and sigma > 0, got eps={eps!r}, sigma={sigma!r}"
@@ -607,17 +583,14 @@ def constrained_fit(
         raise InvalidInputError("degree must be at least the degree of f")
     if not 1 <= lo <= degree:
         raise InvalidInputError(f"first free index must lie in 1..{degree}, got {lo!r}")
-    waived = opts.allow_right_of_zero
-    if not waived and max_real_part(dset.spec) > 1e-12:
-        raise InvalidInputError(
-            "set must lie in the closed left half-plane (or pass allow_right_of_zero)"
-        )
+    if max_real_part(dset.spec) > 1e-12:
+        raise InvalidInputError("set must lie in the closed left half-plane")
     fpad = np.zeros(degree, dtype=complex)
     fpad[: f.degree] = f.coefficients
     u = _exp_basis(sigma, 1, degree)[lo - 1 :]
-    give_up = opts.target_error if rule_out else None
+    give_up = target_error if rule_out else None
 
-    def solve(points: np.ndarray, gvals: np.ndarray, opts: FitOptions) -> FitResult:
+    def solve(points: np.ndarray, gvals: np.ndarray) -> FitResult:
         with np.errstate(over="ignore"):  # overflow checked by the solver
             A_full = _exp_basis(points, 1, degree)
         dvals = gvals - A_full @ fpad  # target for the deviation d = h - f
@@ -626,14 +599,14 @@ def constrained_fit(
 
         # unconstrained shortcut; exact minimax_fit behavior when the ball
         # never binds
-        d, _, bound, iters, rank, _ = _lawson(A, dvals, opts, give_up=give_up)
+        d, _, bound, iters, rank, _ = _lawson(A, dvals, give_up=give_up)
         ruled_out = _rules_out(bound, rank, A.shape[1], give_up)
         route = "unconstrained"
         if float(np.sum(u * np.abs(d))) > eps:
             # once Lawson has ruled the target out, ADMM is only asked for a
             # feasible point: it gives up at its first check
             quit_at = -math.inf if ruled_out else give_up
-            d, _, cert, iters = _admm_ball(A, dvals, u, eps, opts.target_error, quit_at)
+            d, _, cert, iters = _admm_ball(A, dvals, u, eps, target_error, quit_at)
             ruled_out = ruled_out or (give_up is not None and bool(cert > give_up))
             bound, route = max(bound, cert), "lawson+admm"
         dfull = np.zeros(degree, dtype=complex)
@@ -641,14 +614,13 @@ def constrained_fit(
         constraint_value = seminorm_sigma(DirichletPolynomial(dfull), sigma)
         exact = float(np.abs(A_full @ (fpad + dfull) - gvals).max())
         feasible = constraint_value <= eps * (1 + 1e-12)
-        hit_target = opts.target_error is None or exact <= opts.target_error
+        hit_target = target_error is None or exact <= target_error
         provenance = {
             "method": "lawson-irls+seminorm-ball",
             "route": route,
             "rank": rank,
             "sigma": sigma,
             "eps": eps,
-            "geometry_waiver": waived,
             "rows": int(points.size),
             "support": "all" if lo == 1 else f"{degree - lo + 1} of {degree}",
         }
@@ -664,7 +636,7 @@ def constrained_fit(
             provenance=provenance,
         )
 
-    return _on_rows(dset, g, opts, solve)
+    return _on_rows(dset, g, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +648,11 @@ def convergence_study(
     dset: DiscretizedSet,
     g,
     degrees: Sequence[int],
-    options: FitOptions | None = None,
+    *,
+    target_error: float | None = None,
 ) -> list[tuple[int, float]]:
     """(N, minimax_error) rows over an ascending degree ladder, one
-    minimax_fit per N.
+    minimax_fit per N, each stopped at target_error.
 
     Nested bases make the true minimax errors non-increasing, but each
     fit searches only its design's rank-r range, which need not contain
@@ -687,13 +660,14 @@ def convergence_study(
     forward and whichever is better is reported at each N.
     """
     degrees = [integral(n, "degree") for n in degrees]
+    target_error = _target_error(target_error)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise InvalidInputError("degrees must be strictly ascending")
     rows: list[tuple[int, float]] = []
     carried: np.ndarray | None = None
     carried_err = math.inf
     for n in degrees:
-        res = minimax_fit(dset, g, n, options)
+        res = minimax_fit(dset, g, n, target_error=target_error)
         err, coeffs = res.minimax_error, res.polynomial.coefficients
         if carried is not None and carried_err < err:
             padded = np.zeros(n, dtype=complex)

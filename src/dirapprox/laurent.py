@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _wire
 from .errors import InvalidAnchorError, InvalidInputError, PoleError, integral
-from .fit import FitOptions, FitResult, _fit_samples, _target_values
+from .fit import _fit_samples, _target_values
 from .geometry import Contour, DiscretizedSet, quadrature_contours
 from .series import DirichletPolynomial, evaluate_many
 
@@ -358,7 +358,6 @@ def rational_dirichlet_fit(
     f,
     anchors,
     degrees,
-    options: FitOptions | None = None,
     *,
     residual_tol: float = 1e-8,
 ) -> tuple[RationalDirichletFunction, float]:
@@ -404,7 +403,7 @@ def rational_dirichlet_fit(
     for j, (z, deg) in enumerate(zip(pieces.anchors, degrees[1:])):
         w = 1.0 / (samples - z)
         yj = evaluate_piece(pieces.holes[j], samples)
-        fitj, design = _fit_samples(w, yj, deg, options)
+        fitj, design = _fit_samples(w, yj, deg)
         coeffs = fitj.polynomial.coefficients.copy()
         relocated += coeffs[0]
         coeffs[0] = 0.0
@@ -414,7 +413,7 @@ def rational_dirichlet_fit(
         del design
 
     y0 = pieces.f0(samples) + relocated
-    fit0, design = _fit_samples(samples, y0, degrees[0], options)
+    fit0, design = _fit_samples(samples, y0, degrees[0])
     total = (fit0.polynomial.coefficients * design).sum(axis=1)
     for values in part_values:
         total = total + values

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _wire
-from .errors import InvalidInputError, integral
+from .errors import IllConditionedError, InvalidInputError, integral
 
 __all__ = [
     "DirichletPolynomial",
@@ -205,7 +205,7 @@ def seminorm_sigma(p: DirichletPolynomial, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class SupNormPlan:
-    """Sampling plan for the half-plane sup norm.
+    """Sampling plan for the half-plane sup norm's edge sweep (lifts of 9+ variables).
 
     A Dirichlet polynomial is bounded and analytic on Re s >= sigma0, so
     by Phragmen-Lindelof its sup there equals its sup on the line
@@ -232,8 +232,8 @@ class SupNormPlan:
 class SupNormReport:
     """Bracket of sup |P| over {Re s >= sigma0}.
 
-    value: max of |P| at real points of the line Re s = sigma0, the edge
-    sweep's and the Kronecker witness's (a lower bound); upper_bound:
+    value: |P| at a real point of the line Re s = sigma0, the Kronecker
+    witness's or the edge sweep's (a lower bound); upper_bound:
     sum |a_n| n^{-sigma0} (an upper bound on the whole half plane).
     """
 
@@ -296,26 +296,30 @@ def sup_norm_report(
 ) -> SupNormReport:
     """Lower and upper bounds for sup |P| over {Re s >= sigma0}.
 
-    The value is the larger of the edge sweep and, when the lift of P has
-    at most PolydiscPlan().max_vars variables, |P(sigma0 + it)| at the
-    Kronecker witness t of the shifted polynomial's best torus point
-    (bohr.bohr_gap_report): both are values of |P| on the line, and the
-    witness is the larger once several primes take part.  The value is
+    The value is |P(sigma0 + it)| at the Kronecker witness t of the
+    shifted polynomial's best torus point (bohr.bohr_gap_report) when the
+    lift of P has at most 8 variables, and the plan's edge sweep
+    otherwise: both are values of |P| on the line, and where both apply
+    the witness matches the sweep to rounding or beats it.  The value is
     clamped to the upper bound.  The clamp only absorbs rounding: |P| on
     the line never exceeds sum |a_n| n^{-sigma0} in exact arithmetic, but
     where it reaches the bound (for a monomial, at every t) the computed
-    modulus can round above it.
+    modulus can round above it.  An upper bound that overflows is refused
+    before any sampling.
     """
     plan = plan or SupNormPlan()
     if not math.isfinite(sigma0):
         raise InvalidInputError("sigma0 must be finite")
-    upper = seminorm_sigma(p, sigma0)
-    value = _edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        upper = seminorm_sigma(p, sigma0)
+    if not math.isfinite(upper):
+        raise IllConditionedError(f"sum |a_n| n^-sigma0 overflows at sigma0 = {sigma0!r}")
     from . import bohr  # here, not at the top: bohr imports this module
 
-    damped = p.coefficients * _exp_basis(sigma0, 1, p.degree)
-    if bohr.PrimeTable.up_to(p.degree).count() <= bohr.PolydiscPlan().max_vars and np.isfinite(damped).all():
-        value = max(value, bohr.bohr_gap_report(DirichletPolynomial(damped)).halfplane_value)
+    if bohr.PrimeTable.up_to(p.degree).count() <= bohr._MAX_VARS:  # the shift is finite, as upper is
+        value = bohr.bohr_gap_report(shift_by_delta(p, sigma0)).halfplane_value
+    else:
+        value = _edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
     return SupNormReport(value=min(value, upper), upper_bound=upper)
 
 

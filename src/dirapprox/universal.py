@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _wire
 from .errors import InvalidInputError, integral
-from .fit import FitOptions, TargetFunction, _target_values, constrained_fit
+from .fit import TargetFunction, _target_values, constrained_fit
 from .geometry import CompactSetSpec, SampleDensity, discretize, rectangle
 from .series import DirichletPolynomial, _log_range, evaluate_many, seminorm_sigma
 
@@ -54,9 +54,18 @@ _VERIFY_NOTE = (
 
 def compact_rectangle(m: int) -> CompactSetSpec:
     """K_m = [-m, 0] x [-m, m] as a set spec."""
+    m = integral(m, "compact index")
     if m < 1:
         raise InvalidInputError("compact index must be a positive integer")
     return rectangle(complex(-m, -m), complex(0, m))
+
+
+def _positive(raw, what: str) -> float:
+    """raw as a float, for a finite positive number that is not a bool."""
+    x = _wire.number(raw, what)
+    if not (math.isfinite(x) and x > 0):
+        raise InvalidInputError(f"{what} must be positive and finite, got {raw!r}")
+    return x
 
 
 def _label_for(target) -> str:
@@ -90,11 +99,10 @@ class FamilyEntry:
     label: str = ""
 
     def __post_init__(self):
-        if int(self.compact_index) != self.compact_index or self.compact_index < 1:
+        object.__setattr__(self, "compact_index", integral(self.compact_index, "compact index"))
+        if self.compact_index < 1:
             raise InvalidInputError("compact index must be a positive integer")
-        object.__setattr__(self, "compact_index", int(self.compact_index))
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidInputError("entry tolerance must be positive and finite")
+        object.__setattr__(self, "tol", _positive(self.tol, "entry tolerance"))
         if isinstance(self.target, TargetFunction) and self.target.kind == "sampled":
             raise InvalidInputError(
                 "family targets must be evaluable on fresh grids; "
@@ -137,10 +145,9 @@ class UniversalOptions:
     block_steps: tuple[int, ...] = _BLOCK_STEPS
 
     def __post_init__(self):
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidInputError("sigma override must be positive and finite")
-        if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
-            raise InvalidInputError("budget override must be positive and finite")
+        for name in ("sigma", "budget"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _positive(getattr(self, name), f"{name} override"))
         steps = tuple(integral(s, "block_steps") for s in self.block_steps)
         if not steps or any(s < 1 for s in steps) or any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("block_steps must be strictly increasing positive integers")
@@ -283,12 +290,11 @@ def build_universal(
         # an empty prefix is the zero polynomial at n=1, and the free block
         # starts at lo = 1, so stage 1 may still use n=1
         prefix = DirichletPolynomial(coeffs if prev else np.zeros(1, dtype=complex))
-        fit_opts = FitOptions(target_error=entry.tol)
         best = None
         for step in opts.block_steps:
             result = constrained_fit(
-                dset, entry.target, prefix, sigma, budget, prev + step, fit_opts, lo=prev + 1,
-                rule_out=step != opts.block_steps[-1],
+                dset, entry.target, prefix, sigma, budget, prev + step, target_error=entry.tol,
+                lo=prev + 1, rule_out=step != opts.block_steps[-1],
             )
             if best is None or result.converged or result.minimax_error < best.minimax_error:
                 best = result

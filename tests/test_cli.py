@@ -110,6 +110,14 @@ class TestPolynomialCommands:
         p = DirichletPolynomial.from_pairs([[1, 0], [0.5, -0.25], [0, 1]])
         assert rep["upper_bound"] == seminorm_sigma(p, 0.25)
 
+    def test_supnorm_upper_bound_overflow_exits_3(self, tmp_path, capsys):
+        coeffs = [[n, 0.5] for n in range(1, 23)]  # 22^300 overflows
+        src = write(tmp_path / "p.json", {"coefficients": coeffs})
+        assert main(["supnorm", "--input", src, "--sigma", "-300"]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure:" in captured.err and "sigma0 = -300.0" in captured.err
+        assert captured.out == ""
+
     def test_supnorm_rejects_unknown_plan_keys(self, tmp_path, capsys):
         src = write(tmp_path / "p.json", {**TWO_POW, "plan": {"sigma_steps": 10}})
         assert main(["supnorm", "--input", src]) == 2
@@ -177,7 +185,7 @@ class TestBohr:
         assert main(["bohr-check", "--input", src, "--seed", "7"]) == 0
 
     def test_gap_check_reruns_byte_identically_and_the_seed_only_moves_the_torus(self, tmp_path):
-        from dirapprox.bohr import PolydiscPlan, bohr_gap_report
+        from dirapprox.bohr import bohr_gap_report
 
         def run(coeffs, seed, name):
             src = write(tmp_path / f"{name}.in.json", {"coefficients": coeffs})
@@ -193,7 +201,7 @@ class TestBohr:
                 rep = json.loads(run(coeffs, seed, f"s{seed}"))
                 assert set(rep) == {"halfplane_value", "polydisc_value", "relative_gap", "tolerance",
                                     "within_tolerance", "witness_t"}
-                want = bohr_gap_report(p, polydisc_plan=PolydiscPlan(seed=seed))
+                want = bohr_gap_report(p, seed=seed)
                 assert (rep["polydisc_value"], rep["halfplane_value"], rep["witness_t"]) == (
                     want.polydisc_value, want.halfplane_value, want.witness_t)
 
@@ -765,7 +773,7 @@ PUBLIC_NAMES = (
     "estimate_abscissas", "evaluate", "evaluate_many", "seminorm_sigma", "shift_by_delta",
     "LiftedPolynomial", "bohr_gap_report", "lift", "unlift",
     "SampleDensity", "annulus", "disc", "discretize", "jordan_polygon", "rectangle",
-    "translate", "union_of_disjoint", "FitOptions", "FitResult", "TargetFunction",
+    "translate", "union_of_disjoint", "FitResult", "TargetFunction",
     "constrained_fit", "convergence_study", "minimax_fit", "LaurentPieces",
     "RationalDirichletFunction", "laurent_decompose", "rational_dirichlet_fit", "FamilyEntry",
     "TargetFamily", "UniversalOptions", "UniversalSchedule", "build_universal",

@@ -8,12 +8,10 @@ from dirapprox import fit, geometry
 from dirapprox.cli import main as cli_main
 from dirapprox.errors import IllConditionedError, InvalidInputError
 from dirapprox.fit import (
-    FitOptions,
     TargetFunction,
     constrained_fit,
     convergence_study,
     minimax_fit,
-    minimax_fit_samples,
     project_weighted_l1,
 )
 from dirapprox.geometry import (
@@ -145,10 +143,10 @@ def test_overflowing_design_raises_ill_conditioned():
 
 def test_target_error_stops_lawson_and_sets_converged():
     plain = minimax_fit(DISC, TargetFunction.exp(), 5)
-    loose = minimax_fit(DISC, TargetFunction.exp(), 5, FitOptions(target_error=1e-2))
+    loose = minimax_fit(DISC, TargetFunction.exp(), 5, target_error=1e-2)
     assert loose.converged and loose.minimax_error <= 1e-2
     assert loose.iterations < plain.iterations
-    tight = minimax_fit(DISC, TargetFunction.exp(), 5, FitOptions(target_error=1e-12))
+    tight = minimax_fit(DISC, TargetFunction.exp(), 5, target_error=1e-12)
     assert not tight.converged
     assert tight.minimax_error == plain.minimax_error
 
@@ -163,7 +161,7 @@ def test_constant_fit_on_a_circle_meets_its_known_minimax():
         theta = 2 * np.pi * (np.arange(m) + jitter) / m
         theta += 0.8 * np.sin(theta)
         values = (0.5 - 2j) + rho * np.exp(1j * theta)
-        r = minimax_fit_samples(-1 + 0.1 * np.exp(1j * theta), values, 1)
+        r = fit._fit_samples(-1 + 0.1 * np.exp(1j * theta), values, 1)[0]
         assert r.lower_bound <= rho <= r.minimax_error <= 1.01 * r.lower_bound
         assert r.converged and r.iterations > 0
 
@@ -188,7 +186,7 @@ def test_converged_and_exit_code_survive_row_permutations(tmp_path, monkeypatch)
         fits, codes = [], []
         for order, border in zip(orders, boundary_orders):
             permuted = DiscretizedSet(DISC_DEFAULT.spec, DISC_DEFAULT.interior_samples, bnd[border])
-            fits.append(minimax_fit_samples(pts[order], np.exp(pts[order]), n))
+            fits.append(fit._fit_samples(pts[order], np.exp(pts[order]), n)[0])
             fits.append(minimax_fit(permuted, TargetFunction.exp(), n))
             patches = [(DiscretizedSet, "all_samples", lambda self, o=order: pts[o]),
                        (geometry, "discretize", lambda spec, density=None, d=permuted: d)]
@@ -206,7 +204,7 @@ def test_lawson_restores_the_design_and_reports_its_coefficients_error():
     pts, y = DISC.all_samples(), np.exp(DISC.all_samples())
     A = _exp_basis(pts, 1, 30)
     before = A.copy()
-    c, err, bound, *_ = fit._lawson(A, y, FitOptions())
+    c, err, bound, *_ = fit._lawson(A, y)
     assert np.array_equal(A.view(np.float64), before.view(np.float64))
     assert err == float(np.abs(y - A @ c).max())
     assert 0 < bound <= err <= 1.01 * bound
@@ -261,11 +259,11 @@ def test_named_target_errors_are_their_all_sample_errors():
             r = minimax_fit(dset, TargetFunction.exp(), n)
             assert r.minimax_error == _error_on_every_sample(r, np.exp(pts), pts)
     # K_1's universal rungs for the targets 1 and s, on and off the ball
-    pts, opts = K1.all_samples(), FitOptions(target_error=0.1)
+    pts = K1.all_samples()
     for target in (TargetFunction.const(1), TargetFunction.identity()):
         for eps in (0.25, 10.0):
             for n in (2, 6):
-                r = constrained_fit(K1, target, poly(0), 0.5, eps, n, opts, lo=2)
+                r = constrained_fit(K1, target, poly(0), 0.5, eps, n, target_error=0.1, lo=2)
                 assert r.provenance["rows"] == K1.boundary_samples.size
                 assert r.minimax_error == _error_on_every_sample(r, target.values_on(pts), pts)
 
@@ -280,7 +278,7 @@ def test_sampled_targets_are_solved_on_every_sample(dset, make, degrees):
     target = make(dset)
     for n in degrees:
         r = minimax_fit(dset, target, n)
-        every = minimax_fit_samples(pts, target.values, n)
+        every = fit._fit_samples(pts, target.values, n)[0]
         assert r.provenance["premise"] == "sampled" and r.provenance["rows"] == pts.size
         assert r.polynomial.coefficients.tobytes() == every.polynomial.coefficients.tobytes()
         assert (r.minimax_error, r.lower_bound, r.converged, r.iterations) == (
@@ -294,7 +292,7 @@ def test_a_callable_that_fails_the_check_gets_the_all_row_solve():
     # the bump fits the boundary to rounding level and is 1 off inside
     pts = DISC_DEFAULT.all_samples()
     r = minimax_fit(DISC_DEFAULT, _bump, 10)
-    every = minimax_fit_samples(pts, _bump(pts), 10)
+    every = fit._fit_samples(pts, _bump(pts), 10)[0]
     assert r.provenance["premise"] == "check failed" and r.provenance["rows"] == pts.size
     assert r.polynomial.coefficients.tobytes() == every.polynomial.coefficients.tobytes()
     assert r.minimax_error == every.minimax_error == pytest.approx(0.50199, abs=1e-5)
@@ -326,24 +324,27 @@ def test_bound_holds_for_perturbed_coefficients_on_every_sample(target):
 
 def test_bare_clouds_solve_on_all_rows_in_one_round():
     pts = DISC.all_samples()
-    r = minimax_fit_samples(pts, np.exp(pts), 12)
+    r = fit._fit_samples(pts, np.exp(pts), 12)[0]
     assert r.provenance["rows"] == pts.size and "premise" not in r.provenance
     # a bare cloud is a sampled target on a set
     s = minimax_fit(DISC, TargetFunction.sampled(np.exp(pts)), 12)
     assert s.polynomial.coefficients.tobytes() == r.polynomial.coefficients.tobytes()
 
 
-def test_max_iterations_caps_the_reweightings_of_both_rounds():
-    # the boundary solve and the refit after a failed check share the cap
+def test_max_iterations_caps_the_reweightings_of_both_rounds(monkeypatch):
+    # the boundary solve and the refit after a failed check each get the
+    # cap, and iterations sums both
     pts = DISC_DEFAULT.all_samples()
     bumped = lambda s: np.exp(s) + _bump(s)
     first = minimax_fit(DISC_DEFAULT, bumped, 10)
-    every = minimax_fit_samples(pts, bumped(pts), 10)
+    every = fit._fit_samples(pts, bumped(pts), 10)[0]
     spent = first.iterations - every.iterations
     assert first.provenance["premise"] == "check failed" and spent > 0
-    for cap in range(spent + 4):
-        r = minimax_fit(DISC_DEFAULT, bumped, 10, FitOptions(max_iterations=cap))
-        assert r.iterations <= cap and r.provenance["premise"] == "check failed"
+    for cap in range(max(spent, every.iterations) + 2):
+        monkeypatch.setattr(fit, "_REWEIGHTINGS", cap)
+        r = minimax_fit(DISC_DEFAULT, bumped, 10)
+        assert r.iterations == min(spent, cap) + min(every.iterations, cap)
+        assert r.provenance["premise"] == "check failed"
         assert r.minimax_error == _error_on_every_sample(r, bumped(pts), pts)
         assert 0 <= r.lower_bound <= r.minimax_error
 
@@ -636,28 +637,20 @@ def test_target_equal_to_f_gives_f_back():
     assert con.converged
 
 
-def test_binding_constraint_is_respected_exactly():
+def test_binding_constraint_is_respected_exactly(monkeypatch):
+    monkeypatch.setattr(fit, "_REWEIGHTINGS", 30)
     f = poly(0, 1)
-    r = constrained_fit(
-        BOX, TargetFunction.const(1), f, 1.0, 0.5, 60, FitOptions(max_iterations=30)
-    )
+    r = constrained_fit(BOX, TargetFunction.const(1), f, 1.0, 0.5, 60)
     h_minus_f = r.polynomial.coefficients.copy()
     h_minus_f[1] -= 1
     assert seminorm_sigma(DirichletPolynomial(h_minus_f), 1.0) <= 0.5 * (1 + 1e-12)
     assert r.constraint_value <= 0.5 * (1 + 1e-12)
 
 
-def test_infeasible_at_degree_reports_unconverged():
+def test_infeasible_at_degree_reports_unconverged(monkeypatch):
     # degree 1 cannot express the oscillation of the target at all
-    r = constrained_fit(
-        BOX,
-        TargetFunction.const(1),
-        poly(0, 1),
-        1.0,
-        0.5,
-        2,
-        FitOptions(target_error=0.1, max_iterations=20),
-    )
+    monkeypatch.setattr(fit, "_REWEIGHTINGS", 20)
+    r = constrained_fit(BOX, TargetFunction.const(1), poly(0, 1), 1.0, 0.5, 2, target_error=0.1)
     assert not r.converged
     assert r.minimax_error > 0.1
 
@@ -681,11 +674,11 @@ def test_ball_route_bound_holds_across_the_ball():
 def test_target_error_stops_the_ball_route():
     args = (BOX, TargetFunction.const(1), poly(0), 0.5, 0.25, 6)
     plain = constrained_fit(*args, lo=2)
-    loose = constrained_fit(*args, FitOptions(target_error=0.7), lo=2)
+    loose = constrained_fit(*args, target_error=0.7, lo=2)
     assert loose.provenance["route"] == "lawson+admm"
     assert loose.converged and loose.minimax_error <= 0.7
     assert loose.iterations < plain.iterations
-    tight = constrained_fit(*args, FitOptions(target_error=0.1), lo=2)
+    tight = constrained_fit(*args, target_error=0.1, lo=2)
     assert not tight.converged and tight.lower_bound > 0.1
 
 
@@ -693,9 +686,7 @@ def test_flat_stage_is_certified_out_of_reach():
     # the universal stage "one" of the flat family (0, 1, s) at N = 3: the
     # constant 1 on K_1 from n = 2, 3 under sum |a_n| n^{-1/2} <= 0.25
     k1 = discretize(rectangle(-1 - 1j, 1j), SampleDensity())
-    r = constrained_fit(
-        k1, TargetFunction.const(1), poly(0), 0.5, 0.25, 3, FitOptions(target_error=0.1), lo=2
-    )
+    r = constrained_fit(k1, TargetFunction.const(1), poly(0), 0.5, 0.25, 3, target_error=0.1, lo=2)
     assert r.provenance["route"] == "lawson+admm" and not r.converged
     assert r.lower_bound >= 0.7
 
@@ -710,13 +701,12 @@ def test_flat_stage_is_certified_out_of_reach():
     ],
 )
 def test_ruled_out_fit_is_feasible_and_its_bound_holds_across_the_ball(target, eps, degree, route):
-    opts = FitOptions(target_error=0.1)
-    r = constrained_fit(K1, target, poly(0), 0.5, eps, degree, opts, lo=2, rule_out=True)
+    r = constrained_fit(K1, target, poly(0), 0.5, eps, degree, target_error=0.1, lo=2, rule_out=True)
     assert r.provenance["route"] == route and r.provenance["ruled_out"] is True
     assert r.constraint_value <= eps * (1 + 1e-12) and not r.converged
     assert r.lower_bound > 0.1
     # it stopped early: the same fit without the rule runs on
-    full = constrained_fit(K1, target, poly(0), 0.5, eps, degree, opts, lo=2)
+    full = constrained_fit(K1, target, poly(0), 0.5, eps, degree, target_error=0.1, lo=2)
     assert r.iterations < full.iterations and not full.converged
     A, u = _exp_basis(K1.all_samples(), 2, degree), _exp_basis(0.5, 2, degree)
     g = target.values_on(K1.all_samples())
@@ -730,11 +720,10 @@ def test_ruled_out_fit_is_feasible_and_its_bound_holds_across_the_ball(target, e
 def test_a_lawson_rule_out_stops_admm_at_its_first_check():
     # test_05's stage "one" at N = 2: Lawson rules the target out at full
     # rank, so ADMM is asked only for a feasible point
-    opts = FitOptions(target_error=0.1)
     args = (K1, TargetFunction.const(1), poly(0), 0.5)
-    lawson = constrained_fit(*args, 1e6, 2, opts, lo=2, rule_out=True)
+    lawson = constrained_fit(*args, 1e6, 2, target_error=0.1, lo=2, rule_out=True)
     assert lawson.provenance["route"] == "unconstrained" and lawson.provenance["ruled_out"]
-    r = constrained_fit(*args, 0.25, 2, opts, lo=2, rule_out=True)
+    r = constrained_fit(*args, 0.25, 2, target_error=0.1, lo=2, rule_out=True)
     assert r.provenance["route"] == "lawson+admm" and r.provenance["ruled_out"]
     assert r.iterations <= fit._CHECK_EVERY
     assert r.constraint_value <= 0.25 * (1 + 1e-12) and not r.converged
@@ -750,7 +739,7 @@ def test_rule_out_needs_a_target_and_is_recorded_only_when_asked():
     assert asked.provenance.pop("ruled_out") is False
     assert json.dumps(asked.to_json_dict()) == json.dumps(plain.to_json_dict())
     # a reachable target is never ruled out
-    loose = constrained_fit(*args, FitOptions(target_error=0.5), lo=2, rule_out=True)
+    loose = constrained_fit(*args, target_error=0.5, lo=2, rule_out=True)
     assert loose.converged and loose.provenance["ruled_out"] is False
 
 
@@ -761,8 +750,8 @@ def test_lawson_bound_below_full_rank_never_rules_out():
     A = _exp_basis(pts, 1, 4)
     A[:, 3] = A[:, 2]
     y = np.ones(pts.size, dtype=complex)
-    plain = fit._lawson(A.copy(), y, FitOptions())
-    given = fit._lawson(A.copy(), y, FitOptions(), give_up=0.0)
+    plain = fit._lawson(A.copy(), y)
+    given = fit._lawson(A.copy(), y, give_up=0.0)
     assert plain[4] == 3 and plain[2] > 0.0
     assert [np.asarray(a).tobytes() for a in plain] == [np.asarray(a).tobytes() for a in given]
     assert not fit._rules_out(given[2], given[4], A.shape[1], 0.0)
@@ -782,19 +771,11 @@ def test_free_block_leaves_f_below_lo():
 
 
 def test_geometry_guard_and_waiver():
+    # the guard has no waiver, and provenance records none
     right = discretize(rectangle(0.5 - 1j, 1.5 + 1j), SampleDensity(0.2, 0.4))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="left half-plane"):
         constrained_fit(right, TargetFunction.const(1), poly(1), 1.0, 0.5, 4)
-    r = constrained_fit(
-        right,
-        TargetFunction.const(1),
-        poly(1),
-        1.0,
-        0.5,
-        4,
-        FitOptions(allow_right_of_zero=True),
-    )
-    assert r.provenance["geometry_waiver"] is True
+    assert "geometry_waiver" not in constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 4).provenance
 
 
 def test_invalid_parameters_rejected():
@@ -814,7 +795,7 @@ def test_invalid_parameters_rejected():
         with pytest.raises(InvalidInputError, match="degree"):
             minimax_fit(DISC, TargetFunction.exp(), bad)
         with pytest.raises(InvalidInputError, match="degree"):
-            minimax_fit_samples(DISC.all_samples(), np.exp(DISC.all_samples()), bad)
+            fit._fit_samples(DISC.all_samples(), np.exp(DISC.all_samples()), bad)[0]
     with pytest.raises(InvalidInputError, match="degree"):
         constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 3.5)
     with pytest.raises(InvalidInputError, match="lo"):
@@ -823,12 +804,18 @@ def test_invalid_parameters_rejected():
     assert constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 3.0, lo=2.0).polynomial.degree == 3
 
 
+# target_error is the one option of the fits; a number check rejects a
+# bool, a string or a complex value, where math.isfinite took True and raised
+# TypeError on the others
 @pytest.mark.parametrize("bad", [{"target_error": math.nan}, {"target_error": math.inf},
-                                 {"target_error": -1.0}, {"max_iterations": -1},
-                                 {"max_iterations": 2.5}, {"max_iterations": True}])
+                                 {"target_error": -1.0}, {"target_error": True},
+                                 {"target_error": "0.1"}, {"target_error": 0.1j}])
 def test_fit_options_rejects_bad_fields(bad):
     (field,) = bad
     with pytest.raises(InvalidInputError, match=field):
-        FitOptions(**bad)
-    assert FitOptions(target_error=0.0, max_iterations=0).max_iterations == 0
-    assert type(FitOptions(max_iterations=3.0).max_iterations) is int
+        minimax_fit(DISC, TargetFunction.exp(), 3, **bad)
+    with pytest.raises(InvalidInputError, match=field):
+        constrained_fit(BOX, TargetFunction.const(1), poly(1), 1.0, 0.5, 4, **bad)
+    with pytest.raises(InvalidInputError, match=field):
+        convergence_study(DISC, TargetFunction.exp(), [2, 3], **bad)
+    assert not minimax_fit(DISC, TargetFunction.exp(), 3, target_error=0).converged  # accepted, and not reached

@@ -349,7 +349,7 @@ def test_fit_error_accounting(ring):
     # plus the reconstruction residual; the piece fits are re-run here
     # (the solver is deterministic) to obtain their individual errors,
     # on the boundary samples the fit solves on
-    from dirapprox.fit import minimax_fit_samples
+    from dirapprox.fit import _fit_samples
 
     target = lambda s: np.exp(s) + np.exp(1 / s)
     pieces = laurent_decompose(ring, target, [0.0])
@@ -357,9 +357,9 @@ def test_fit_error_accounting(ring):
     assert not pieces.warning
     samples = ring.boundary_samples
 
-    hole_fit = minimax_fit_samples(1 / samples, evaluate_piece(pieces.holes[0], samples), 20)
+    hole_fit = _fit_samples(1 / samples, evaluate_piece(pieces.holes[0], samples), 20)[0]
     relocated = hole_fit.polynomial.coefficients[0]
-    outer_fit = minimax_fit_samples(samples, pieces.f0(samples) + relocated, 20)
+    outer_fit = _fit_samples(samples, pieces.f0(samples) + relocated, 20)[0]
     assert err <= outer_fit.minimax_error + hole_fit.minimax_error + pieces.residual + 1e-10
 
 

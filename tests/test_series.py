@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirapprox import series
-from dirapprox.errors import InvalidInputError
+from dirapprox.errors import IllConditionedError, InvalidInputError
 from dirapprox.series import (
     AbscissaReport,
     CoefficientRule,
@@ -360,15 +361,40 @@ def test_sup_norm_value_reaches_the_kronecker_witness(sigma0):
         assert rep.value >= witness > 1.1 * sweep
 
 
-def test_sup_norm_skips_the_witness_where_the_shifted_coefficients_overflow():
-    # k = 8 takes the witness, but 22^300 overflows: the shifted polynomial
-    # cannot be built, so the value is the sweep's alone, as it was
+def test_sup_norm_refuses_an_upper_bound_that_overflows(monkeypatch):
+    # 22^300 overflows: sum |a_n| n^{-sigma0} is not a double, and |P| on
+    # the line reaches it, so no bracket can be reported; the sampling
+    # would read 0.0 there
+    from dirapprox import bohr
+
+    def ran(*args, **kw):
+        raise AssertionError("the line or the torus was sampled")
+
+    monkeypatch.setattr(series, "_edge_sweep_max", ran)
+    monkeypatch.setattr(bohr, "bohr_gap_report", ran)
     p = DirichletPolynomial(np.arange(1.0, 23.0) + 0.5j)
-    with np.errstate(all="ignore"):
-        rep = sup_norm_report(p, -300.0, FAST_PLAN)
-        sweep = series._edge_sweep_max(p, -300.0, FAST_PLAN.height, FAST_PLAN.edge_points)
-    assert rep.upper_bound == math.inf
-    assert rep.value == min(sweep, rep.upper_bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError, match="sigma0 = -300.0"):
+            sup_norm_report(p, -300.0, FAST_PLAN)
+
+
+def test_sup_norm_witness_is_never_below_the_sweep():
+    # the value is the Kronecker witness alone up to 8 variables (N <= 22);
+    # the edge sweep it replaces stays the reference, on dense, sparse,
+    # positive-real and random-phase draws
+    rng = np.random.default_rng(20261020)
+    plan, eps = SupNormPlan(), 4 * np.finfo(float).eps
+    for n in range(1, 23):
+        dense = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sparse = dense * (rng.uniform(size=n) < 0.4)
+        sparse[-1] = 1.0
+        for c in (dense, sparse, rng.uniform(0.1, 1.0, n), np.exp(2j * np.pi * rng.uniform(size=n))):
+            p = DirichletPolynomial(c)
+            sigma0 = (-0.25, 0.0, 0.25, 0.5, 1.0)[n % 5]
+            rep = sup_norm_report(p, sigma0)
+            sweep = series._edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+            assert sweep <= rep.value * (1 + eps) and rep.value <= rep.upper_bound
 
 
 def test_nonconstant_polynomial_blows_up_on_negative_axis():

@@ -339,6 +339,13 @@ def test_family_entry_validation():
         FamilyEntry(TargetFunction.const(1.0), 1, 0.1, derivative_targets=(1, 2, 3))
     with pytest.raises(InvalidInputError):
         FamilyEntry(TargetFunction.sampled(np.ones(4)), 1, 0.1)
+    # True was read as K_1; a bool is not a tolerance either
+    for index in (True, 1.5):
+        with pytest.raises(InvalidInputError, match="compact index must be an integer"):
+            FamilyEntry(TargetFunction.const(1.0), index, 0.1)
+    with pytest.raises(InvalidInputError, match="entry tolerance must be a number"):
+        FamilyEntry(TargetFunction.const(1.0), 1, True)
+    assert FamilyEntry(TargetFunction.const(1.0), 2.0, 1).compact_index == 2
 
 
 def test_schedule_invariants_validated():
@@ -367,6 +374,9 @@ def test_options_validation():
         UniversalOptions(sigma=-1.0)
     with pytest.raises(InvalidInputError):
         UniversalOptions(budget=0.0)
+    for name in ("sigma", "budget"):
+        with pytest.raises(InvalidInputError, match=f"{name} override must be a number"):
+            UniversalOptions(**{name: True})
     with pytest.raises(InvalidInputError):
         UniversalOptions(block_steps=(5, 5))
     for steps in ((1.9, 2.2), (1, True)):
@@ -379,6 +389,9 @@ def test_compact_rectangle_shape():
     spec = compact_rectangle(2)
     with pytest.raises(InvalidInputError):
         compact_rectangle(0)
+    for bad in (1.5, True):  # not [-1.5, 0] x [-1.5, 1.5], not K_1
+        with pytest.raises(InvalidInputError, match="compact index must be an integer"):
+            compact_rectangle(bad)
     pts = __import__("dirapprox.geometry", fromlist=["discretize"]).discretize(spec).all_samples()
     assert pts.real.min() >= -2 - 1e-12 and pts.real.max() <= 1e-12
     assert abs(pts.imag).max() <= 2 + 1e-12
