@@ -402,6 +402,70 @@ class _PartialSums:
         twin.values = self.values.copy()
         return twin
 
+    def window(self, lo: int, hi: int) -> "_PartialSums":
+        """The same sums on the evenly spaced sub-grid sigma[lo:hi].
+
+        values and the cached run end are sliced; upto, last and em_from
+        are kept, so extend adds the same indices in the same way as on
+        the whole grid.
+        """
+        part = copy.copy(self)
+        part.sigma = self.sigma[lo:hi]
+        part.grid = (float(part.sigma[0]), self.grid[1], hi - lo)
+        part.values = self.values[lo:hi].copy()
+        if self.end is not None and self.end[2] is not None:
+            c, x, power, t = self.end
+            part.end = (c, x, power[lo:hi], t[lo:hi])
+        return part
+
+
+def _search(
+    sums: _PartialSums, err: np.ndarray, limit_vals: np.ndarray, tolerance: np.ndarray
+) -> tuple[int | None, float | None, int]:
+    """(n0, n0_error, searched_to) past the ladder's end, where sums stand
+    and err is their chordal error at each grid point.
+
+    A point within its tolerance stays within it as N grows (a_n >= 0), so
+    only the window [first, last] of the points that miss it decides n0:
+    geometric (x1.08) checkpoints up to _SEARCH_CAP extend and measure that
+    window alone, and the bisection of the first qualifying bracket runs
+    on it too.  The whole grid is then extended once to the window's n0,
+    takes the window's values there and is measured once; should rounding
+    make a point outside the window miss, the window widens to the points
+    that miss and the search goes on from n0.
+    """
+    searched_to = sums.upto
+    miss = np.flatnonzero(~(err <= tolerance))
+    while True:
+        lo, hi = int(miss[0]), int(miss[-1]) + 1
+        window = sums.window(lo, hi)
+
+        def qualifies(part: _PartialSums) -> bool:
+            return bool(np.all(chi_many(part.values, limit_vals[lo:hi]) <= tolerance[lo:hi]))
+
+        found = None
+        while found is None and window.upto < _SEARCH_CAP:
+            below = window.copy()
+            window.extend(min(_SEARCH_CAP, max(window.upto + 1, int(window.upto * 1.08))))
+            searched_to = window.upto
+            if qualifies(window):
+                found = window
+                while found.upto - below.upto > 1:
+                    trial = below.copy()
+                    trial.extend((below.upto + found.upto) // 2)
+                    if qualifies(trial):
+                        found = trial
+                    else:
+                        below = trial
+        if found is None:
+            return None, None, searched_to
+        sums.extend(found.upto)
+        sums.values[lo:hi] = found.values
+        err = chi_many(sums.values, limit_vals)
+        miss = np.flatnonzero(~(err <= tolerance))
+        if miss.size == 0:
+            return found.upto, float(err.max(initial=0.0)), searched_to
+
 
 def chordal_convergence_check(
     rule: Callable,
@@ -429,7 +493,15 @@ def chordal_convergence_check(
     chordal error is non-increasing in N and a searched n0 is the smallest
     qualifying index: n0 qualifies on the grid and n0 - 1 does not, hence
     (up to rounding) no smaller index meets the target on the whole
-    interval either.  N qualifies when every grid point is within its own
+    interval either.  For the same reason a point that qualifies at the
+    ladder's end stays qualified, so the checkpoints and the bisection
+    extend and measure only the window of grid points that miss there
+    (_search): for zeta on [-5, 5] at 0.1, 16 of 40,001 points.  The whole
+    grid is extended and measured once more, at n0, and n0_error is its
+    sup.  Indices past the ladder summed in closed form give the window
+    the whole grid's bits; through GEMM blocks the window may round apart
+    from the whole grid in the last bits, as BLAS rounds a block product
+    by its row count.  N qualifies when every grid point is within its own
     tolerance: target_eps, or _BAND_FACTOR * target_eps at the finite
     points of an optional band (the limit is steepest there).  The
     reported error column is always the plain sup.
@@ -447,11 +519,6 @@ def chordal_convergence_check(
     if not all(math.isfinite(x) and x > 0 for x in (grid_per_unit, grid_tol)):
         raise InvalidInputError("grid parameters must be finite and positive")
     _coefficient_block(rule, 1, 64)  # spot-validate the rule up front
-
-    def measure(sums: _PartialSums) -> tuple[float, bool]:
-        """Sup of chi(S_N, limit) over the grid, and whether N qualifies."""
-        err = chi_many(sums.values, limit_vals)
-        return float(err.max(initial=0.0)), bool(np.all(err <= tolerance))
 
     density = float(grid_per_unit)
     prev_errors: list[float] | None = None
@@ -471,7 +538,8 @@ def chordal_convergence_check(
         column: list[tuple[float, bool]] = []
         for n in ladder:
             sums.extend(n)
-            column.append(measure(sums))
+            err = chi_many(sums.values, limit_vals)
+            column.append((float(err.max(initial=0.0)), bool(np.all(err <= tolerance))))
         errors = [sup for sup, _ in column]
         if prev_errors is not None:
             if max(abs(a - b) for a, b in zip(errors, prev_errors)) < grid_tol:
@@ -489,28 +557,8 @@ def chordal_convergence_check(
             n0, n0_error, n0_source = n, sup, "ladder"
             break
     if n0 is None:
-        # geometric checkpoints past the ladder, then a bisection of the
-        # first qualifying bracket (below.upto, n0]; a_n >= 0 makes every
-        # region sup non-increasing in N
-        n_prev = ladder[-1]
-        while n_prev < _SEARCH_CAP:
-            n_next = min(_SEARCH_CAP, max(n_prev + 1, int(n_prev * 1.08)))
-            below = sums.copy()
-            sums.extend(n_next)
-            searched_to = n_next
-            sup, ok = measure(sums)
-            if ok:
-                n0, n0_error, n0_source = n_next, sup, "search"
-                while n0 - below.upto > 1:
-                    trial = below.copy()
-                    trial.extend((below.upto + n0) // 2)
-                    trial_sup, trial_ok = measure(trial)
-                    if trial_ok:
-                        n0, n0_error = trial.upto, trial_sup
-                    else:
-                        below = trial
-                break
-            n_prev = n_next
+        n0, n0_error, searched_to = _search(sums, err, limit_vals, tolerance)
+        n0_source = None if n0 is None else "search"
 
     band_report = None
     if band is not None:

@@ -184,18 +184,40 @@ def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
     return out.reshape(pts.shape)
 
 
+def _weighted(coefficients: np.ndarray, sigma: float) -> np.ndarray:
+    """a_n n^{-sigma} for n = 1..N; pass |a_n| for |a_n| n^{-sigma}.
+
+    The plain product wherever n^{-sigma} is finite.  Where it overflows
+    (sigma < -700 / log N), a term is (a_n / |a_n|) exp(log|a_n| - sigma log n)
+    instead, and 0 at a_n = 0, so a tiny coefficient tames its factor
+    rather than making inf or 0 * inf = nan.  A scalar test picks the
+    overflow path, so a call at an ordinary sigma pays for no errstate.
+    """
+    n = coefficients.size
+    if -sigma * math.log(n) < 700.0:
+        return coefficients * _exp_basis(sigma, 1, n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        factor = _exp_basis(sigma, 1, n)
+        out = coefficients * factor
+        huge = np.isinf(factor)
+        a = coefficients[huge]
+        mag = np.abs(a)
+        out[huge] = np.exp(np.log(mag) - sigma * _log_range(1, n)[huge]) * (a / np.where(mag > 0, mag, 1.0))
+    return out
+
+
 def shift_by_delta(p: DirichletPolynomial, delta: float) -> DirichletPolynomial:
     """Polynomial of s -> P(s + delta); coefficient map a_n -> a_n n^{-delta}."""
     if not math.isfinite(delta):
         raise InvalidInputError("shift delta must be finite")
-    return DirichletPolynomial(p.coefficients * _exp_basis(delta, 1, p.degree))
+    return DirichletPolynomial(_weighted(p.coefficients, delta))
 
 
 def seminorm_sigma(p: DirichletPolynomial, sigma: float) -> float:
     """Weighted coefficient norm sum |a_n| n^{-sigma}."""
     if not math.isfinite(sigma):
         raise InvalidInputError("sigma must be finite")
-    return float((np.abs(p.coefficients) * _exp_basis(sigma, 1, p.degree)).sum())
+    return float(_weighted(np.abs(p.coefficients), sigma).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +274,7 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     which are neighbours on one peak), and the best candidates are
     polished by vectorized parabolic refinement.
     """
-    damped = p.coefficients * _exp_basis(sigma0, 1, p.degree)
+    damped = _weighted(p.coefficients, sigma0)
     dt = height / max(1, m - 1)
 
     block_len = 131_072
@@ -370,7 +392,9 @@ class CoefficientRule:
         if self.kind == "all-ones":
             return np.ones(count, dtype=complex)
         if self.kind == "alternating":
-            return ((-1.0) ** np.arange(1, count + 1)).astype(complex)
+            out = np.ones(count, dtype=complex)
+            out[::2] = -1.0  # (-1)^n at odd n
+            return out
         return np.fromiter((self.fn(k) for k in range(1, count + 1)), complex, count)
 
 
@@ -433,10 +457,11 @@ def estimate_abscissas(rule: CoefficientRule, truncation: int) -> AbscissaReport
     if truncation < 100:
         raise InvalidInputError("abscissa estimation needs truncation >= 100")
     coeffs = rule.coefficients(truncation)
-    if rule.finitely_supported or not np.any(np.abs(coeffs) > 0):
+    mags = None if rule.finitely_supported else np.abs(coeffs)
+    if mags is None or not np.any(mags > 0):
         return AbscissaReport(-math.inf, -math.inf, (-math.inf, -math.inf), truncation)
     partial = np.cumsum(coeffs)
-    partial_abs = np.cumsum(np.abs(coeffs))
+    partial_abs = np.cumsum(mags)
 
     ends = []
     m = truncation

@@ -696,6 +696,172 @@ class TestSearchPastTheLadder:
 
 
 # ---------------------------------------------------------------------------
+# the search on the window of points that miss at the ladder's end
+# ---------------------------------------------------------------------------
+
+
+def full_grid_search(sums, err, limit_vals, tolerance):
+    """The search past the ladder with every pass on the whole grid: the
+    windowed search's reference, (n0, n0_error, searched_to)."""
+
+    def measure(part):
+        e = chordal.chi_many(part.values, limit_vals)
+        return float(e.max(initial=0.0)), bool(np.all(e <= tolerance))
+
+    n0 = n0_error = None
+    n_prev = searched_to = sums.upto
+    while n_prev < chordal._SEARCH_CAP:
+        n_next = min(chordal._SEARCH_CAP, max(n_prev + 1, int(n_prev * 1.08)))
+        below = sums.copy()
+        sums.extend(n_next)
+        searched_to = n_next
+        sup, ok = measure(sums)
+        if ok:
+            n0, n0_error = n_next, sup
+            while n0 - below.upto > 1:
+                trial = below.copy()
+                trial.extend((below.upto + n0) // 2)
+                trial_sup, trial_ok = measure(trial)
+                if trial_ok:
+                    n0, n0_error = trial.upto, trial_sup
+                else:
+                    below = trial
+            break
+        n_prev = n_next
+    return n0, n0_error, searched_to
+
+
+def _tail_limit(s):
+    """Limit of sum a_n n^-s with a_n = 1/n below 300 and 2.5 from 300 on."""
+    ns = np.arange(1.0, 300.0)
+    head = np.exp(-np.outer(s, np.log(ns)))
+    return head @ (1.0 / ns) + 2.5 * (zeta_values(s) - head.sum(axis=1))
+
+
+_ZETA = (lambda ns: np.ones_like(ns), 1.0, zeta_values)
+_BENCH_LADDER = (10, 100, 1000, 10_000)
+# (rule, abscissa, limit), interval, ladder, eps, density, band; every index
+# past these ladders is summed in closed form
+_WINDOW_CASES = {
+    "zeta 0.1": (_ZETA, (-5.0, 5.0), _BENCH_LADDER, 0.1, 2000.0, (1.0, 1.05)),
+    "zeta 0.07": (_ZETA, (-5.0, 5.0), _BENCH_LADDER, 0.07, 2000.0, (1.0, 1.05)),
+    "zeta 0.05 to the cap": (_ZETA, (-5.0, 5.0), _BENCH_LADDER, 0.05, 2000.0, (1.0, 1.05)),
+    "zeta [-60, 2]": (_ZETA, (-60.0, 2.0), (10, 150), 0.15, 50.0, (1.0, 1.05)),
+    "zeta [0.999, 1.001]": (_ZETA, (0.999, 1.001), (10, 100), 0.1, 1e6, (1.0, 1.05)),
+    "zeta [-120, 0]": (_ZETA, (-120.0, 0.0), (10, 300), 1e-3, 20.0, (1.0, 1.05)),
+    # the band's qualified points split the misses in two: [0.725, 1] and [1.05, 1.18]
+    "zeta two clusters": (_ZETA, (-2.0, 2.0), (10, 100), 0.1, 100.0, (1.0, 1.05)),
+    "constant tail": ((lambda ns: np.where(ns < 300, 1.0 / ns, 2.5), 1.0, _tail_limit),
+                      (-3.0, 3.0), (10, 300), 0.05, 100.0, None),
+}
+
+
+def _run_case(case):
+    (rule, abscissa, limit), interval, ladder, eps, density, band = case
+    return chordal_convergence_check(rule, abscissa, limit, interval, ladder, eps,
+                                     grid_per_unit=density, band=band)
+
+
+class TestWindowSearch:
+    @pytest.mark.parametrize("name", list(_WINDOW_CASES))
+    def test_reports_match_the_full_grid_search_byte_for_byte(self, name, monkeypatch):
+        got = _run_case(_WINDOW_CASES[name])
+        assert got.n0_source == ("search" if got.n0 is not None else None)
+        monkeypatch.setattr(chordal, "_search", full_grid_search)
+        want = _run_case(_WINDOW_CASES[name])
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        if name == "zeta 0.1":
+            assert got.n0 == 11_762 and got.searched_to == 12_597
+        if name == "zeta 0.05 to the cap":
+            assert got.n0 is None and got.searched_to == chordal._SEARCH_CAP
+
+    def test_rules_through_the_gemm_blocks_agree_to_rounding(self, monkeypatch):
+        # 1/sqrt(n) has no equal neighbours: the window's GEMM blocks have
+        # fewer rows than the whole grid's, so BLAS may round them apart
+        def check():
+            return chordal_convergence_check(lambda ns: ns**-0.5, 0.5, lambda s: zeta_values(s + 0.5),
+                                             (1.0, 2.0), (10, 100), 0.01, grid_per_unit=200.0)
+
+        got = check()
+        monkeypatch.setattr(chordal, "_search", full_grid_search)
+        want = check()
+        assert (got.n0, got.searched_to, got.n0_source) == (want.n0, want.searched_to, "search")
+        assert got.n0_error == pytest.approx(want.n0_error, rel=1e-13, abs=0)
+
+    def test_a_miss_outside_the_window_continues_the_search(self, monkeypatch):
+        # rounding that made a point outside the window miss at the window's
+        # n0: that n0 is not reported, the window widens and the search goes on
+        real_search, real_chi = chordal._search, chordal.chi_many
+        state = {"searching": False, "tampered": 0}
+
+        def search(*args):
+            state["searching"] = True
+            return real_search(*args)
+
+        def chi(a, b, **kw):
+            err = real_chi(a, b, **kw)
+            if state["searching"] and err.size == 801 and not state["tampered"]:
+                state["tampered"] += 1
+                err[0] = 1.0  # sigma = -2, far from the misses near the pole
+            return err
+
+        case = _WINDOW_CASES["zeta two clusters"]
+        want = _run_case(case)
+        monkeypatch.setattr(chordal, "_search", search)
+        monkeypatch.setattr(chordal, "chi_many", chi)
+        got = _run_case(case)
+        assert state["tampered"] == 1
+        assert got.grid_points == 801 and got.n0_source == "search"
+        assert got.n0 == want.n0 + 1  # the point's own window qualifies at once
+        assert got.searched_to > want.searched_to
+        assert got.n0_error <= 0.1
+
+    def test_only_the_final_pass_past_the_ladder_covers_the_whole_grid(self, monkeypatch):
+        # work, not wall time: the benchmark's zeta check measures the whole
+        # grid once per ladder entry and grid, and once more at n0; every
+        # extension past the ladder but the last is on the window
+        full_measures, extends, window = [], [], []
+        real_chi, real_extend, real_search = chordal.chi_many, chordal._PartialSums.extend, chordal._search
+
+        def chi(a, b, **kw):
+            full_measures.append(np.size(a) == 40_001)
+            return real_chi(a, b, **kw)
+
+        def extend(self, n_target):
+            extends.append((self.values.size, self.upto))
+            return real_extend(self, n_target)
+
+        def search(sums, err, limit_vals, tolerance):
+            miss = np.flatnonzero(~(err <= tolerance))
+            window.append(int(miss[-1] - miss[0] + 1))
+            return real_search(sums, err, limit_vals, tolerance)
+
+        monkeypatch.setattr(chordal, "chi_many", chi)
+        monkeypatch.setattr(chordal._PartialSums, "extend", extend)
+        monkeypatch.setattr(chordal, "_search", search)
+        report = zeta_chordal_convergence_check((-5.0, 5.0), _BENCH_LADDER, 0.1)
+        assert report.n0 == 11_762 and report.grid_points == 40_001
+        grids = round(math.log2(report.grid_per_unit / 2000.0)) + 1
+        assert sum(full_measures) <= len(_BENCH_LADDER) * grids + 1
+        assert window == [16]  # the misses in [0.996, 1.0]
+        past = [size for size, upto in extends if upto >= _BENCH_LADDER[-1]]
+        assert past[-1] == 40_001
+        assert len(past) > 10 and max(past[:-1]) <= window[0]
+
+    def test_window_extends_like_the_whole_grid(self):
+        # a window's sums are the whole grid's, sliced, after the same
+        # extensions, including a run continued from the cached end
+        grid, sums = _partial_sums((-5.0, 5.0), 2001, (10, 100))
+        part = sums.window(990, 1010)
+        assert part.upto == sums.upto and part.em_from == sums.em_from
+        for n in (3000, 3001, 50_000):
+            sums.extend(n)
+            part.extend(n)
+            assert part.values.tobytes() == sums.values[990:1010].tobytes()
+        assert part.end[2].tobytes() == sums.end[2][990:1010].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # closed-form sums over runs of equal coefficients
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +118,19 @@ class TestPolynomialCommands:
         captured = capsys.readouterr()
         assert "numerical failure:" in captured.err and "sigma0 = -300.0" in captured.err
         assert captured.out == ""
+
+    def test_supnorm_where_zero_coefficients_meet_overflowing_factors(self, tmp_path):
+        # a_1 = 1, a_22 = 1e-300: n^300 overflows at the zeros between, yet
+        # the bracket is finite, 1 + 1e-300 * 22^300 = 5.33e102
+        coeffs = [[1, 0]] + [[0, 0]] * 20 + [[1e-300, 0]]
+        src = write(tmp_path / "p.json", {"coefficients": coeffs})
+        out = tmp_path / "sup.json"
+        assert main(["supnorm", "--input", src, "--sigma", "-300", "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        with mpmath.workdps(40):
+            want = float(1 + mpmath.mpf(1e-300) * mpmath.mpf(22) ** 300)
+        assert rep["upper_bound"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert rep["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_supnorm_rejects_unknown_plan_keys(self, tmp_path, capsys):
         src = write(tmp_path / "p.json", {**TWO_POW, "plan": {"sigma_steps": 10}})

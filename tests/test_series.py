@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -377,6 +378,50 @@ def test_sup_norm_refuses_an_upper_bound_that_overflows(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError, match="sigma0 = -300.0"):
             sup_norm_report(p, -300.0, FAST_PLAN)
+
+
+def _sparse_overflow_case(a22=1e-300):
+    """a_1 = 1 and a_22 = a22 with zeros between: n^300 overflows from n = 11 on."""
+    a = np.zeros(22, dtype=complex)
+    a[0], a[21] = 1.0, a22
+    return DirichletPolynomial(a)
+
+
+def test_tiny_coefficients_tame_factors_that_overflow():
+    # 0 * inf at n = 11..21 made the seminorm nan and the shift invalid;
+    # the true values are finite: 1 + 1e-300 * 22^300 = 5.33e102
+    p = _sparse_overflow_case()
+    with mpmath.workdps(40):
+        want = float(1 + mpmath.mpf(1e-300) * mpmath.mpf(22) ** 300)
+    tol = 4 * np.finfo(float).eps * (1.0 + 300.0 * math.log(22.0))  # the exponent's rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = seminorm_sigma(p, -300.0)
+        shifted = shift_by_delta(p, -300.0).coefficients
+        rep = sup_norm_report(p, -300.0)
+    assert norm == pytest.approx(want, rel=tol, abs=0)
+    assert shifted[0] == 1.0 and not shifted[1:21].any()
+    assert shifted[21] == pytest.approx(want - 1.0, rel=tol, abs=0)
+    # |1 + c 22^{-it}| reaches 1 + c where 22^{-it} = 1
+    assert rep.upper_bound == norm and rep.value == pytest.approx(want, rel=tol, abs=0)
+    phase = 0.6 + 0.8j
+    turned = shift_by_delta(_sparse_overflow_case(1e-300 * phase), -300.0).coefficients[21]
+    assert turned == pytest.approx((want - 1.0) * phase, rel=tol, abs=0)
+
+
+def test_weighted_terms_keep_their_bits_where_every_factor_is_finite():
+    # the overflow path takes the plain product wherever n^{-sigma} is
+    # finite, so the scalar test that picks it moves no bits
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(40) * 1e-250 + 1j * rng.standard_normal(40) * 1e-250
+    for sigma in (-150.0, -190.0, -193.0):  # past -700 / log 40 = -189.8; 40^193 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = _exp_basis(sigma, 1, 40)
+            product = c * factor
+        finite = np.isfinite(factor)
+        weighted = series._weighted(c, sigma)
+        assert weighted[finite].tobytes() == product[finite].tobytes()
+        assert np.isfinite(weighted).all() and finite.sum() == (40 if sigma > -193.0 else 39)
 
 
 def test_sup_norm_witness_is_never_below_the_sweep():
