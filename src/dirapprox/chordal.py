@@ -321,7 +321,11 @@ class _PartialSums:
     GEMM sums exactly.  A run's end is kept in `end`: extending the same
     run pays for one new endpoint, and copy() carries it along.  A zero
     run adds nothing, and a run whose sum overflows adds inf, as the GEMM
-    blocks saturate.
+    blocks saturate.  `known` holds the latest stretch [start, stop] of
+    equal coefficients c validated so far, shared by copies and windows:
+    a block inside it is filled with c rather than read from the rule
+    again, so the bisection's trials and the whole grid's catch-up past
+    the ladder (_search) read each index of a constant tail once.
     """
 
     def __init__(self, sigma: np.ndarray, dx: float, rule: Callable):
@@ -334,6 +338,7 @@ class _PartialSums:
         self.em_from = _em_from(float(sigma.min()))
         # the last closed-form run (c, x, x^{-sigma}, T(x)), ending at x
         self.end: tuple | None = None
+        self.known = [1, 0, None]  # a_n = c validated on [start, stop]; empty
 
     def _endpoint(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """x^{-sigma} and T(x) = x^{-sigma}/2 - correction(x), so that
@@ -366,17 +371,31 @@ class _PartialSums:
         self.values += total
         self.end = (c, n, end_power, end_t)
 
+    def _note(self, start: int, stop: int, c: float) -> None:
+        """Record a_n = c on [start, stop]: `known` grows where the two meet
+        and gives way to a stretch that ends later."""
+        known = self.known
+        if c == known[2] and known[0] <= start <= known[1] + 1:
+            known[1] = max(known[1], stop)
+        elif stop > known[1]:
+            known[:] = [start, stop, c]
+
     def extend(self, n_target: int) -> None:
         cached = self.end if self.end is not None and self.end[1] == self.upto else None
         run = cached  # open: its indices up to upto are not in values yet
         with np.errstate(over="ignore"):  # divergent region saturates gracefully
             while self.upto < n_target:
                 lo, hi = self.upto + 1, min(self.upto + _INDEX_CHUNK, n_target)
-                a = _coefficient_block(self.rule, lo, hi)
+                k_start, k_stop, k_c = self.known
+                if k_start <= lo and hi <= k_stop:
+                    a = np.full(hi - lo + 1, k_c)
+                else:
+                    a = _coefficient_block(self.rule, lo, hi)
                 j = 0  # leading entries that continue the open run
                 if run is not None:
                     same = a == run[0]
                     if same.all():
+                        self._note(lo, hi, run[0])
                         self.upto, self.last = hi, run[0]
                         continue
                     j = int(np.argmin(same))
@@ -385,7 +404,9 @@ class _PartialSums:
                     run = None
                 c = float(a[-1])
                 differ = np.flatnonzero(a[j:] != c)
-                r = max(lo + j + (int(differ[-1]) + 1 if differ.size else 0), self.em_from)
+                tail = lo + j + (int(differ[-1]) + 1 if differ.size else 0)  # a_n = c on [tail, hi]
+                self._note(tail, hi, c)
+                r = max(tail, self.em_from)
                 if r < hi or (r == hi and (a[r - lo - 1] if r > lo else self.last) == c):
                     run = self._open(c, r)
                     gemm_hi = r - 1
@@ -498,13 +519,16 @@ def chordal_convergence_check(
     extend and measure only the window of grid points that miss there
     (_search): for zeta on [-5, 5] at 0.1, 16 of 40,001 points.  The whole
     grid is extended and measured once more, at n0, and n0_error is its
-    sup.  Indices past the ladder summed in closed form give the window
-    the whole grid's bits; through GEMM blocks the window may round apart
-    from the whole grid in the last bits, as BLAS rounds a block product
-    by its row count.  N qualifies when every grid point is within its own
-    tolerance: target_eps, or _BAND_FACTOR * target_eps at the finite
-    points of an optional band (the limit is steepest there).  The
-    reported error column is always the plain sup.
+    sup; that catch-up, like the bisection's trials, fills the blocks
+    inside the stretch of equal coefficients the window has read
+    without reading the rule again.  Indices past the ladder summed in
+    closed form give the window the whole grid's bits; through GEMM
+    blocks it may round apart from the whole grid in the last bits, as
+    BLAS rounds a block product by its row count.  N qualifies when
+    every grid point is within its own tolerance: target_eps, or
+    _BAND_FACTOR * target_eps at the finite points of an optional band
+    (the limit is steepest there).  The reported error column is always
+    the plain sup.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

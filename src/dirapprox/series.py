@@ -184,6 +184,9 @@ def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
     return out.reshape(pts.shape)
 
 
+_SAFE_EXPONENT = 700.0  # n^{-sigma} is finite for every n <= N while -sigma log N < this
+
+
 def _weighted(coefficients: np.ndarray, sigma: float) -> np.ndarray:
     """a_n n^{-sigma} for n = 1..N; pass |a_n| for |a_n| n^{-sigma}.
 
@@ -194,7 +197,7 @@ def _weighted(coefficients: np.ndarray, sigma: float) -> np.ndarray:
     overflow path, so a call at an ordinary sigma pays for no errstate.
     """
     n = coefficients.size
-    if -sigma * math.log(n) < 700.0:
+    if -sigma * math.log(n) < _SAFE_EXPONENT:
         return coefficients * _exp_basis(sigma, 1, n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         factor = _exp_basis(sigma, 1, n)
@@ -276,6 +279,12 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     """
     damped = _weighted(p.coefficients, sigma0)
     dt = height / max(1, m - 1)
+    # the sweep takes a_n at real part sigma0, or, where n^{-sigma0} may
+    # overflow (0 * inf = nan at a zero a_n), the damped terms at real part 0
+    if -sigma0 * math.log(p.degree) >= _SAFE_EXPONENT:
+        coeffs, x0 = damped, 0.0
+    else:
+        coeffs, x0 = p.coefficients, sigma0
 
     block_len = 131_072
     cand_t: list[np.ndarray] = []
@@ -283,7 +292,7 @@ def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int
     per_block_keep = 8
     for lo in range(0, m, block_len):
         size = min(block_len, m - lo)
-        vals = np.abs(_grid_sums(p.coefficients, complex(sigma0, lo * dt), 1j * dt, size))
+        vals = np.abs(_grid_sums(coeffs, complex(x0, lo * dt), 1j * dt, size))
         peak = np.ones(size, dtype=bool)  # local maxima; each end has one neighbour
         peak[1:] = vals[1:] >= vals[:-1]
         peak[:-1] &= vals[:-1] >= vals[1:]

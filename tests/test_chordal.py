@@ -860,6 +860,51 @@ class TestWindowSearch:
             assert part.values.tobytes() == sums.values[990:1010].tobytes()
         assert part.end[2].tobytes() == sums.end[2][990:1010].tobytes()
 
+    @pytest.mark.parametrize("name", ["zeta 0.07", "constant tail"])
+    def test_each_index_past_the_ladder_is_read_from_the_rule_once(self, name):
+        # the bisection's trials and the whole grid's catch-up fill their
+        # blocks from the stretch of equal coefficients the window has read
+        (rule, abscissa, limit), *rest = _WINDOW_CASES[name]
+        reads = []
+
+        def counted(ns):
+            reads.append((int(ns[0]), int(ns[-1])))
+            return rule(ns)
+
+        report = _run_case(((counted, abscissa, limit), *rest))
+        assert report.n0_source == "search"
+        ladder_end = rest[1][-1]
+        times = np.zeros(report.searched_to + 2, dtype=int)
+        for lo, hi in reads:
+            if hi > ladder_end:
+                times[max(lo, ladder_end + 1)] += 1
+                times[hi + 1] -= 1
+        times = np.cumsum(times)[ladder_end + 1 : report.searched_to + 1]
+        assert times.min() == 1 and times.max() == 1
+
+    def test_a_known_stretch_keeps_the_bits_of_a_fresh_walk(self):
+        # a_n = 1 up to 7,000, then 2: a twin that fills its blocks from the
+        # stretch another walk has read sums them as a walk of its own,
+        # up to the change of value and past it
+        rule = lambda ns: np.where(ns <= 7000, 1.0, 2.0)  # noqa: E731
+        _, sums = _partial_sums((-5.0, 5.0), 2001, (10, 1000), rule)
+        twin, late = sums.copy(), sums.copy()
+        sums.extend(6500)
+        assert sums.known == [1, 6500, 1.0]
+        _, fresh = _partial_sums((-5.0, 5.0), 2001, (10, 1000), rule)
+        reads = []
+        twin.rule = lambda ns: (reads.append(ns.size), rule(ns))[1]
+        for n in (4000, 9000):
+            twin.extend(n)
+            fresh.extend(n)
+            assert twin.values.tobytes() == fresh.values.tobytes()
+        # the blocks [1001, 4000], [4001, 5024] and [5025, 6048] were filled
+        assert reads == [1024, 1024, 904]
+        assert sums.known == [7001, 9000, 2.0]  # shared by the copies
+        late.extend(9000)  # reads the blocks before the stretch again
+        _, direct = _partial_sums((-5.0, 5.0), 2001, (10, 1000, 9000), rule)
+        assert late.values.tobytes() == direct.values.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # closed-form sums over runs of equal coefficients

@@ -132,6 +132,18 @@ class TestPolynomialCommands:
         assert rep["upper_bound"] == pytest.approx(want, rel=1e-12, abs=0)
         assert rep["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_supnorm_edge_sweep_where_zero_coefficients_meet_overflowing_factors(self, tmp_path):
+        # N = 30 lifts to 10 variables, so the edge sweep gives the value
+        coeffs = [[1, 0]] + [[0, 0]] * 28 + [[1e-300, 0]]
+        src = write(tmp_path / "p.json", {"coefficients": coeffs, "plan": {"edge_points": 20000}})
+        out = tmp_path / "sup.json"
+        assert main(["supnorm", "--input", src, "--sigma", "-210", "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        with mpmath.workdps(40):
+            want = float(1 + mpmath.mpf(1e-300) * mpmath.mpf(30) ** 210)
+        assert rep["upper_bound"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert rep["value"] == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_supnorm_rejects_unknown_plan_keys(self, tmp_path, capsys):
         src = write(tmp_path / "p.json", {**TWO_POW, "plan": {"sigma_steps": 10}})
         assert main(["supnorm", "--input", src]) == 2

@@ -409,6 +409,22 @@ def test_tiny_coefficients_tame_factors_that_overflow():
     assert turned == pytest.approx((want - 1.0) * phase, rel=tol, abs=0)
 
 
+def test_edge_sweep_where_zero_coefficients_meet_overflowing_factors():
+    # past the 8-variable witness (N = 30 has 10 primes) the edge sweep
+    # decides the value; sweeping the raw a_n at real part -210 made
+    # 0 * inf = nan at the zeros, and the value read 0.0
+    a = np.zeros(30, dtype=complex)
+    a[0], a[29] = 1.0, 1e-300
+    with mpmath.workdps(40):
+        want = float(1 + mpmath.mpf(1e-300) * mpmath.mpf(30) ** 210)
+    tol = 4 * np.finfo(float).eps * (1.0 + 210.0 * math.log(30.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sup_norm_report(DirichletPolynomial(a), -210.0, FAST_PLAN)
+    assert rep.upper_bound == pytest.approx(want, rel=tol, abs=0)
+    assert rep.value == pytest.approx(want, rel=tol, abs=0)
+
+
 def test_weighted_terms_keep_their_bits_where_every_factor_is_finite():
     # the overflow path takes the plain product wherever n^{-sigma} is
     # finite, so the scalar test that picks it moves no bits
