@@ -213,6 +213,18 @@ class LiftedPolynomial:
                 clean[idx] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _from_clean(cls, terms: dict[MultiIndex, complex], variable_count: int) -> "LiftedPolynomial":
+        """A LiftedPolynomial over terms that are already clean, without __post_init__.
+
+        The caller guarantees what __post_init__ establishes: MultiIndex keys
+        of at most variable_count entries and nonzero complex values.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "terms", terms)
+        object.__setattr__(q, "variable_count", variable_count)
+        return q
+
     def __eq__(self, other):
         if not isinstance(other, LiftedPolynomial):
             return NotImplemented
@@ -240,13 +252,14 @@ class LiftedPolynomial:
 
 def lift(p: DirichletPolynomial) -> LiftedPolynomial:
     """Monomial dictionary image of p; k = number of primes <= degree."""
-    table = PrimeTable.up_to(max(p.degree, 1))
+    table = PrimeTable.up_to(p.degree)
     nz = np.flatnonzero(p.coefficients)
     terms = {
         factorize_to_multiindex(n, table): c
         for n, c in zip((nz + 1).tolist(), p.coefficients[nz].tolist())
     }
-    return LiftedPolynomial(terms, table.count())
+    # nonzero complex values, MultiIndex keys over the first k primes
+    return LiftedPolynomial._from_clean(terms, table.count())
 
 
 def unlift(q: LiftedPolynomial) -> DirichletPolynomial:

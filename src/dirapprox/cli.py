@@ -15,6 +15,7 @@ imports numpy (this module loads none), and a variable already set wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -439,6 +440,7 @@ def _cmd_convergence_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building its 15 subparsers costs ~3 ms a call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirapprox",
@@ -464,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=tol[0], help=tol[1])
         if density:
             p.add_argument("--density", type=float, help="boundary sample spacing")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler.__name__)  # resolved at dispatch: see main
         return p
 
     add("eval", _cmd_eval, "evaluate a polynomial at points from the input JSON")
@@ -504,7 +506,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_thread_cap()
-        return args.handler(args)
+        # by name, so the cached parser holds no handler and a patched one is what runs
+        return globals()[args.handler](args)
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4

@@ -67,17 +67,18 @@ class DirichletPolynomial:
 
     def trimmed(self) -> np.ndarray:
         """Coefficients with trailing zeros removed (at least a_1 kept)."""
-        nz = np.nonzero(self.coefficients)[0]
-        end = int(nz[-1]) + 1 if nz.size else 1
-        return np.asarray(self.coefficients[:end])
+        nz = self.coefficients.nonzero()[0]  # the method skips np.nonzero's dispatch
+        return self.coefficients[: int(nz[-1]) + 1 if nz.size else 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletPolynomial):
             return NotImplemented
-        return np.array_equal(self.trimmed(), other.trimmed())
+        a, b = self.trimmed(), other.trimmed()
+        return a.size == b.size and bool((a == b).all())
 
     def __hash__(self):
-        return hash(self.trimmed().tobytes())
+        # + 0.0 turns each -0.0 into 0.0, which compares equal to it
+        return hash((self.trimmed() + 0.0).tobytes())
 
     def __call__(self, s: complex) -> complex:
         return evaluate(self, s)
@@ -128,10 +129,17 @@ def _log_range(lo: int, hi: int) -> np.ndarray:
 def _exp_basis(x, lo: int, hi: int) -> np.ndarray:
     """exp(-x log n) for n = lo..hi, shape x.shape + (hi - lo + 1,).
 
-    Real for real x, complex for complex x.  No errstate guard, which
-    would add ~40% to small calls: callers that can overflow set their own.
+    Real for real x, complex for complex x.  A float or complex scalar x
+    (Python or NumPy) takes one product, log n * -x, with no 0-d array and
+    no outer product: a single sigma or s is most small calls, and the
+    IEEE product commutes, so the bits are those of the outer product that
+    arrays (designs, grids) take.  No errstate guard, which would add ~40%
+    to small calls: callers that can overflow set their own.
     """
-    t = np.multiply.outer(-np.asarray(x), _log_range(lo, hi))
+    if isinstance(x, (float, complex)):
+        t = _log_range(lo, hi) * -x
+    else:
+        t = np.multiply.outer(-np.asarray(x), _log_range(lo, hi))
     return np.exp(t, out=t)
 
 
@@ -164,7 +172,7 @@ def _grid_sums(c: np.ndarray, x0, dx, m: int, lo: int = 1) -> np.ndarray:
 def evaluate(p: DirichletPolynomial, s: complex) -> complex:
     """P(s) = sum_n a_n exp(-s log n)."""
     s = _require_finite_point(s)
-    return complex((p.coefficients * _exp_basis(s, 1, p.degree)).sum())
+    return complex(np.add.reduce(p.coefficients * _exp_basis(s, 1, p.degree)))
 
 
 def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
@@ -173,14 +181,15 @@ def evaluate_many(p: DirichletPolynomial, points: np.ndarray) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InvalidInputError("evaluation points must be finite")
     flat = pts.ravel()
-    # exp(-s log n) laid out points x indices; chunk to bound memory
+    # exp(-s log n) laid out points x indices, in blocks of at most 2e6
+    # entries.  Row-wise pairwise sums rather than a matvec, and a_n * e_n
+    # in the scalar evaluate()'s operand order (FMA rounds a*e and e*a
+    # differently), so each point gets bit-identical arithmetic
+    step = max(1, 2_000_000 // p.degree)
     out = np.zeros(flat.shape, dtype=complex)
-    step = max(1, 2_000_000 // max(1, p.degree))
     for lo in range(0, flat.size, step):
-        # row-wise pairwise sum rather than a matvec, and a_n * e_n in the
-        # scalar evaluate()'s operand order (FMA rounds a*e and e*a
-        # differently), so each point gets bit-identical arithmetic
-        out[lo : lo + step] = (p.coefficients * _exp_basis(flat[lo : lo + step], 1, p.degree)).sum(axis=1)
+        terms = p.coefficients * _exp_basis(flat[lo : lo + step], 1, p.degree)
+        out[lo : lo + step] = np.add.reduce(terms, axis=1)
     return out.reshape(pts.shape)
 
 
@@ -220,7 +229,7 @@ def seminorm_sigma(p: DirichletPolynomial, sigma: float) -> float:
     """Weighted coefficient norm sum |a_n| n^{-sigma}."""
     if not math.isfinite(sigma):
         raise InvalidInputError("sigma must be finite")
-    return float(_weighted(np.abs(p.coefficients), sigma).sum())
+    return float(np.add.reduce(_weighted(np.abs(p.coefficients), sigma)))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,74 @@ def test_lift_unlift_identity_on_lifted_side():
         assert lift(unlift(q)) == q
 
 
+def _lift_reference(p):
+    """lift's earlier body: every n through factorize_to_multiindex, every term through __post_init__."""
+    table = PrimeTable.up_to(max(p.degree, 1))
+    nz = np.flatnonzero(p.coefficients)
+    terms = {
+        factorize_to_multiindex(n, table): c
+        for n, c in zip((nz + 1).tolist(), p.coefficients[nz].tolist())
+    }
+    return LiftedPolynomial(terms, table.count())
+
+
+def _same_lift(got, want):
+    return (
+        got.variable_count == want.variable_count
+        and list(got.terms) == list(want.terms)  # same keys in the same order
+        and all(type(c) is complex for c in got.terms.values())
+        and np.array(list(got.terms.values()), dtype=complex).tobytes()
+        == np.array(list(want.terms.values()), dtype=complex).tobytes()
+    )
+
+
+def _lift_cases():
+    rng = np.random.default_rng(31)
+    cases = [poly(3 - 1j), poly(0), poly(complex(-0.0, 0.0), 0, 1), poly(1 - 0j, 0, complex(-0.0, 2), -0.5, 0, complex(3, -0.0))]
+    for _ in range(200):
+        n = int(rng.integers(1, 61))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c[rng.random(n) < 0.4] = 0
+        cases.append(DirichletPolynomial(c))
+    sparse = np.zeros(70_001, dtype=complex)  # n beyond the factor memo
+    sparse[[0, 65_535, 65_537, 70_000]] = 1.0, -2j, 0.5, 3.0
+    cases.append(DirichletPolynomial(sparse))
+    return cases
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_lift_keeps_the_terms_of_its_reference(memo, monkeypatch):
+    if memo == "cold":
+        monkeypatch.setattr(bohr, "_INDEX_OF", {})
+        monkeypatch.setattr(bohr, "_N_OF", {})
+    for p in _lift_cases():
+        got = lift(p)
+        assert _same_lift(got, _lift_reference(p)), p.degree
+        assert got == LiftedPolynomial(dict(got.terms), got.variable_count)
+
+
+def test_lift_never_runs_post_init(monkeypatch):
+    def refused(self):
+        raise AssertionError("lift re-validated its own terms")
+
+    monkeypatch.setattr(LiftedPolynomial, "__post_init__", refused)
+    for p in _lift_cases()[:20]:
+        q = lift(p)
+        assert q.variable_count == PrimeTable.up_to(p.degree).count()
+    with pytest.raises(AssertionError):  # the public constructor still runs it
+        LiftedPolynomial({MultiIndex((1,)): 1}, 1)
+
+
+def test_public_constructor_keeps_every_check():
+    q = LiftedPolynomial({(1, 0): 2, MultiIndex((0, 1)): 0, (): 1.5}, 2)
+    assert q.terms == {MultiIndex((1,)): 2, MultiIndex(()): 1.5}
+    assert all(type(k) is MultiIndex for k in q.terms) and all(type(c) is complex for c in q.terms.values())
+    with pytest.raises(InvalidInputError, match="exceeds variable count"):
+        LiftedPolynomial({(0, 0, 1): 1}, 2)
+    with pytest.raises(InvalidInputError):
+        LiftedPolynomial({(-1,): 1}, 1)
+
+
 def test_multiplicativity_of_lift():
     rng = np.random.default_rng(7)
     for _ in range(20):

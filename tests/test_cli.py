@@ -1,5 +1,7 @@
 """Command-line front-end: artifacts, exit codes, determinism."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -808,6 +810,7 @@ PUBLIC_NAMES = (
     "zeta_chordal_convergence_check", "__version__",
 )
 SUBMODULES = ("bohr", "chordal", "fit", "geometry", "laurent", "series", "universal")
+EXPORTED = [n for n in PUBLIC_NAMES if n not in ("errors", "__version__")]  # the submodules' names
 
 
 def child_prints(code, tmp_path, env_changes=None) -> str:
@@ -893,9 +896,101 @@ class TestImportCost:
 
     def test_names_follow_patched_submodule_attributes(self, monkeypatch):
         # nothing is cached in the package namespace, so a patch is seen there
+        for name in EXPORTED:
+            home = importlib.import_module(dirapprox._HOME[name])
+            original = getattr(home, name)
+            monkeypatch.setattr(home, name, ("patched", name))
+            assert getattr(dirapprox, name) == ("patched", name)
+            monkeypatch.undo()
+            assert getattr(dirapprox, name) is original
+
+
+class TestPackageNamespace:
+    """Exported names are descriptors on the package's class, read through on every access."""
+
+    def test_every_name_is_its_submodule_object(self):
+        assert dirapprox.errors is sys.modules["dirapprox.errors"] and isinstance(dirapprox.__version__, str)
+        for name in EXPORTED:
+            obj = getattr(dirapprox, name)
+            assert obj is getattr(sys.modules[dirapprox._HOME[name]], name), name
+            assert name not in vars(dirapprox), name  # nothing cached in the namespace
+
+    def test_setattr_shadows_and_delattr_unshadows(self):
         import dirapprox.bohr as bohr_mod
 
-        monkeypatch.setattr(bohr_mod, "lift", "patched")
-        assert dirapprox.lift == "patched"
-        monkeypatch.undo()
-        assert dirapprox.lift is bohr_mod.lift
+        try:
+            dirapprox.lift = "shadow"
+            assert dirapprox.lift == "shadow" and bohr_mod.lift != "shadow"
+        finally:
+            del dirapprox.lift
+        assert dirapprox.lift is bohr_mod.lift and "lift" not in vars(dirapprox)
+        with pytest.raises(AttributeError):
+            del dirapprox.lift  # nothing left to unshadow
+
+    def test_dir_and_all_are_unchanged(self, tmp_path):
+        code = "import dirapprox\nprint(dir(dirapprox))\nprint(dirapprox.__all__)\n"
+        listed, exported = map(ast.literal_eval, child_prints(code, tmp_path).split("\n"))
+        assert exported == ["errors", *EXPORTED, "__version__"]
+        # the package's own module-level names, the public ones and the submodules
+        own = {"_EXPORTS", "_HOME", "importlib", "sys"}
+        public = (own | set(PUBLIC_NAMES) | set(SUBMODULES)) - {"__version__"}
+        assert [n for n in listed if not n.startswith("__")] == sorted(public)
+        assert "__version__" in listed and "__getattr__" in listed
+
+    def test_package_getattr_sees_no_exported_name(self, monkeypatch):
+        seen = []
+        fallback = vars(dirapprox)["__getattr__"]
+
+        def counting(name):
+            seen.append(name)
+            return fallback(name)
+
+        monkeypatch.setattr(dirapprox, "__getattr__", counting)
+        for name in EXPORTED:
+            getattr(dirapprox, name)
+        assert seen == []
+        assert isinstance(dirapprox.__version__, str) and seen == ["__version__"]  # the wrapper is live
+
+
+class TestParserReuse:
+    """The parser is built once per process; every main call parses afresh with it."""
+
+    def test_one_parser_per_process(self):
+        from dirapprox.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_calls_give_the_same_output_and_exit_code(self, tmp_path, capsys):
+        good = write(tmp_path / "p.json", {**TWO_POW, "points": [[1, 0], [0.5, 2]]})
+        bad = write(tmp_path / "bad.json", {"coefficients": [[1, 0]]})  # no points: exit 2
+        runs = [
+            (["eval", "--input", good], 0),
+            (["seminorm", "--input", good, "--sigma", "0.5"], 0),
+            (["eval", "--input", bad], 2),
+            (["eval", "--input", good, "--bogus"], "argparse"),
+            (["no-such-command"], "argparse"),
+            (["seminorm", "--input", good], "argparse"),  # --sigma is required
+        ]
+        first = []
+        for _ in range(3):
+            outcomes = []
+            for argv, want in runs:
+                if want == "argparse":
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    code = exc.value.code
+                    assert code == 2, argv
+                else:
+                    code = main(argv)
+                    assert code == want, argv
+                out, err = capsys.readouterr()
+                outcomes.append((code, out, err))
+            first = first or outcomes
+            assert outcomes == first
+
+    def test_help_still_works(self, capsys):
+        for argv in (["--help"], ["eval", "--help"], ["--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage: dirapprox" in capsys.readouterr().out

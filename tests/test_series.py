@@ -570,6 +570,186 @@ def test_trailing_zeros_do_not_affect_equality():
     assert poly(1, 2, 0, 0) != poly(1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        ((1, 2, 0, 0), (1, 2), True),
+        ((1, 2), (1, 2, 0, 0, 0), True),
+        ((3,), (3, 0, 0), True),  # a_1 only
+        ((0,), (0, 0, 0), True),  # the zero polynomial keeps a_1
+        ((0,), (1,), False),
+        ((1, 2), (1, 2, 3), False),  # different lengths after trimming
+        ((1, 2, 3), (1, 2), False),
+        ((1, 2j), (1, -2j), False),
+        ((1, 0, 1), (1, complex(-0.0, -0.0), 1, -0.0), True),  # signed zeros compare equal
+    ],
+)
+def test_equality_and_hash(a, b, equal):
+    p, q = poly(*a), poly(*b)
+    assert (p == q) is equal and (q == p) is equal and (p != q) is not equal
+    if equal:
+        assert hash(p) == hash(q)
+    assert p.__eq__(a) is NotImplemented
+
+
+# --- small calls against the bodies they replaced ------------------------------
+#
+# The scalar basis takes one product log n * -x, evaluate and seminorm_sigma
+# reduce with np.add.reduce, and evaluate_many returns a single block as it
+# comes.  None of it may move a bit: the references below are the earlier
+# bodies, every x through an outer product with a 0-d or n-d array.
+
+
+def _exp_basis_reference(x, lo, hi):
+    t = np.multiply.outer(-np.asarray(x), _log_range(lo, hi))
+    return np.exp(t, out=t)
+
+
+def _evaluate_reference(p, s):
+    s = complex(s)
+    return complex((p.coefficients * _exp_basis_reference(s, 1, p.degree)).sum())
+
+
+def _evaluate_many_reference(p, points):
+    pts = np.asarray(points, dtype=complex)
+    flat = pts.ravel()
+    out = np.zeros(flat.shape, dtype=complex)
+    step = max(1, 2_000_000 // max(1, p.degree))
+    for lo in range(0, flat.size, step):
+        out[lo : lo + step] = (p.coefficients * _exp_basis_reference(flat[lo : lo + step], 1, p.degree)).sum(axis=1)
+    return out.reshape(pts.shape)
+
+
+def _weighted_reference(coefficients, sigma):
+    n = coefficients.size
+    if -sigma * math.log(n) < series._SAFE_EXPONENT:
+        return coefficients * _exp_basis_reference(sigma, 1, n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        factor = _exp_basis_reference(sigma, 1, n)
+        out = coefficients * factor
+        huge = np.isinf(factor)
+        a = coefficients[huge]
+        mag = np.abs(a)
+        out[huge] = np.exp(np.log(mag) - sigma * _log_range(1, n)[huge]) * (a / np.where(mag > 0, mag, 1.0))
+    return out
+
+
+def _shift_reference(p, delta):
+    return DirichletPolynomial(_weighted_reference(p.coefficients, delta))
+
+
+def _seminorm_reference(p, sigma):
+    return float(_weighted_reference(np.abs(p.coefficients), sigma).sum())
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+SIGNED_ZEROS = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), complex(1.5, -0.0),
+                complex(-0.0, 2.5), -0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [2, -3, 0.7, -1.25, np.float64(0.3), np.float32(-0.6), 0.3 - 2.0j, np.complex128(-1.5 + 40j),
+     np.complex64(0.5 - 1j), *SIGNED_ZEROS, np.float64(-0.0), np.array(0.4), np.array([0.5, -0.25]),
+     np.array([[0.5 + 1j, -2j], [3.0, complex(-0.0, -0.0)]]), np.zeros(0)],
+)
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 37), (4, 60), (2, 300)])
+def test_exp_basis_keeps_the_bits_of_the_outer_product(x, lo, hi):
+    got, want = _exp_basis(x, lo, hi), _exp_basis_reference(x, lo, hi)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _random_polys(rng, count, top=60):
+    for _ in range(count):
+        n = int(rng.integers(1, top + 1))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c[rng.random(n) < 0.3] = 0
+        yield DirichletPolynomial(c)
+
+
+def test_small_calls_keep_their_bits_on_random_inputs():
+    rng = np.random.default_rng(2024)
+    for p in _random_polys(rng, 300):
+        s = complex(rng.normal(0, 2), rng.normal(0, 30))
+        sigma, delta = float(rng.normal(0, 2)), float(rng.normal(0, 2))
+        pts = rng.normal(0, 2, 16) + 1j * rng.normal(0, 30, 16)
+        assert _bits(evaluate(p, s)) == _bits(_evaluate_reference(p, s))
+        assert _bits(evaluate_many(p, pts)) == _bits(_evaluate_many_reference(p, pts))
+        assert _bits(seminorm_sigma(p, sigma)) == _bits(_seminorm_reference(p, sigma))
+        assert shift_by_delta(p, delta).coefficients.tobytes() == _shift_reference(p, delta).coefficients.tobytes()
+
+
+@pytest.mark.parametrize("value", [2, -1, 0, 0.5, np.float64(-0.75), np.float64(3.0), -0.0])
+@pytest.mark.parametrize("coeffs", [(1.5 - 2j,), (1, -0.5, 0.25j, 0, 2.0)])  # N = 1 and N = 5
+def test_small_calls_keep_their_bits_on_scalar_kinds(value, coeffs):
+    p = poly(*coeffs)
+    assert _bits(evaluate(p, value)) == _bits(_evaluate_reference(p, value))
+    assert _bits(seminorm_sigma(p, value)) == _bits(_seminorm_reference(p, value))
+    assert shift_by_delta(p, value).coefficients.tobytes() == _shift_reference(p, value).coefficients.tobytes()
+
+
+@pytest.mark.parametrize("s", [*SIGNED_ZEROS, 0.25 + 3j, np.complex128(-2 - 7j)])
+@pytest.mark.parametrize("coeffs", [(1.5 - 2j,), (1, -0.5, 0.25j, 0, 2.0, -1j)])
+def test_evaluate_keeps_its_bits_at_signed_zeros(s, coeffs):
+    p = poly(*coeffs)
+    assert _bits(evaluate(p, s)) == _bits(_evaluate_reference(p, s))
+    assert _bits(evaluate_many(p, np.array([s]))) == _bits(_evaluate_many_reference(p, np.array([s])))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.complex128(0.5 - 2j), np.array(1.5 + 0j), 0.25, np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)),
+     np.array([[0.5, -1j], [2 + 3j, complex(-0.0, -0.0)]])],
+)
+def test_evaluate_many_keeps_its_bits_on_0d_and_empty_points(points):
+    p = poly(1, -0.5, 0.25j, 0, 2.0)
+    got, want = evaluate_many(p, points), _evaluate_many_reference(p, points)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_chunked_evaluate_many_keeps_its_bits():
+    # 2,500 points x N = 2,000 is 5e6 entries: blocks of 1,000, 1,000 and 500 points
+    rng = np.random.default_rng(5)
+    p = DirichletPolynomial(rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+    pts = (rng.uniform(0.5, 3, 2500) + 1j * rng.uniform(-20, 20, 2500)).reshape(50, 50)
+    assert evaluate_many(p, pts).tobytes() == _evaluate_many_reference(p, pts).tobytes()
+
+
+def test_single_block_evaluate_many_builds_one_basis(monkeypatch):
+    calls = []
+
+    def counting(x, lo, hi):
+        calls.append(np.shape(x))
+        return _exp_basis(x, lo, hi)
+
+    monkeypatch.setattr(series, "_exp_basis", counting)
+    p = poly(1, 2, 3)
+    evaluate_many(p, np.ones((4, 5)))
+    assert calls == [(20,)]
+    calls.clear()
+    big = DirichletPolynomial(np.ones(2000))
+    evaluate_many(big, np.ones(2500))  # 2,000,000 // 2,000 = 1,000 points a block
+    assert calls == [(1000,), (1000,), (500,)]
+
+
+@pytest.mark.parametrize("sigma", [-300, -300.0, np.float64(-300.0), -250.0, -320.0])
+def test_overflow_path_keeps_its_bits(sigma):
+    # a_1 = 1, a_22 = 1e-300, zeros between: 22^300 overflows, the weighted
+    # path tames it with the tiny coefficient
+    for p in (_sparse_overflow_case(), _sparse_overflow_case(1e-300 * (0.6 + 0.8j))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = seminorm_sigma(p, sigma)
+            shifted = shift_by_delta(p, sigma).coefficients
+        assert _bits(norm) == _bits(_seminorm_reference(p, sigma))
+        assert shifted.tobytes() == _shift_reference(p, sigma).coefficients.tobytes()
+
+
 def test_coefficients_are_read_only():
     p = poly(1, 2)
     with pytest.raises(ValueError):
