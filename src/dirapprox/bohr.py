@@ -332,7 +332,7 @@ def evaluate_lifted(q: LiftedPolynomial, z: Iterable[complex]) -> complex:
 _SAMPLES = 8192  # random torus points drawn by one estimate
 _POLISH_STARTS = 16  # best samples polished to a local maximum
 _POLISH_STEPS = 50  # Newton-ascent trials per torus polish
-_MAX_VARS = 8  # torus estimates refuse lifts with more variables
+_MAX_VARS = 80  # torus estimates refuse lifts with more variables, a cost cap
 
 
 def _torus_values(E: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -415,16 +415,17 @@ def polydisc_sup_estimate(q: LiftedPolynomial, seed: int = 0) -> float:
     vectors from default_rng(seed), whose 16 best are polished to a local
     maximum by damped-Newton ascent in the angles.  The seed moves the
     estimate at every k; for k <= 3 the polished maxima agree to
-    rounding.  Every value returned is |q| at a point of the torus.  A
-    lift of more than 8 variables is refused.
+    rounding.  Every value returned is |q| at a point of the torus, a
+    lower bound.  A lift of more than 80 variables is refused before any
+    sampling: one call at 80 variables (N = 418) takes 0.5-1.0 s of CPU.
     """
     return _polydisc_best(q, seed)[0]
 
 
-def _polydisc_best(q: LiftedPolynomial, seed: int) -> tuple[float, np.ndarray]:
+def _polydisc_best(q: LiftedPolynomial, seed: int, max_vars: int = _MAX_VARS) -> tuple[float, np.ndarray]:
     """polydisc_sup_estimate's value and the torus angles where |q| takes it.
 
-    The seed and the variable cap are checked before any sampling.
+    The seed and the variable cap max_vars are checked before any sampling.
     """
     seed = integral(seed, "seed")
     if seed < 0:
@@ -435,8 +436,8 @@ def _polydisc_best(q: LiftedPolynomial, seed: int) -> tuple[float, np.ndarray]:
     E, c = q.exponent_matrix()
     if k == 0 or np.all(E == 0):
         return float(abs(np.sum(c))), np.zeros(k)
-    if k > _MAX_VARS:
-        raise ResourceLimitError(f"{k} variables exceeds the torus estimate's cap of {_MAX_VARS}")
+    if k > max_vars:
+        raise ResourceLimitError(f"{k} variables exceeds the cap of {max_vars}")
 
     thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(_SAMPLES, k))
     vals = _torus_values(E, c, thetas)
@@ -457,6 +458,10 @@ _WITNESS_T_DIGITS = 40  # significant digits of the reported t
 _WITNESS_PENALTY = 10**-26  # weight of m_a in the closest-vector problem; |t| grows like its inverse
 _WITNESS_SCALE = 2**128  # the lattice is this scaling of its real basis, rounded to integers
 _PENALTY_ENTRY = int(_WITNESS_PENALTY * _WITNESS_SCALE)  # the scaled penalty, first entry of the lattice's first row
+# bohr_gap_report refuses lifts with more variables: from 9 on, the witness's
+# gap grows (up to 4e-6 at k = 9, 1e-2 to 4e-2 at k = 25) and a cold LLL
+# takes 3 s at k = 25
+_WITNESS_MAX_VARS = 8
 _LN_MEMO_SIZE = 1024  # log n kept at _WITNESS_DIGITS digits, least recently used dropped first
 _LATTICE_MEMO_CAP = 64  # reduced witness lattices kept, one per prime set (about 11 kB at 8 primes), oldest dropped first
 _LATTICES: dict[tuple[int, ...], tuple] = {}
@@ -689,13 +694,13 @@ def bohr_gap_report(
     point of the line Re s = 0.  Both are lower bounds, so the gap
     measures how well the witness reproduces the torus point, not the
     identity itself; tolerance is a knob (default 2%).  The tolerance,
-    the seed of the torus draw and the variable cap are checked before
-    any sampling.
+    the seed of the torus draw and the witness's cap of 8 variables are
+    checked before any sampling.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {tolerance!r}")
     q = lift(p)
-    pd, theta = _polydisc_best(q, seed)
+    pd, theta = _polydisc_best(q, seed, _WITNESS_MAX_VARS)
     hp, t = _kronecker_witness(p.coefficients, PrimeTable.up_to(max(p.degree, 1)).primes, theta)
     scale = max(hp, pd, 1e-300)
     return BohrGapReport(hp, pd, abs(hp - pd) / scale, tolerance, t)

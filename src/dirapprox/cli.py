@@ -223,12 +223,13 @@ def _cmd_seminorm(args) -> int:
 def _cmd_supnorm(args) -> int:
     import dataclasses
 
-    from .series import SupNormPlan, sup_norm_report
+    from .series import sup_norm_report
 
     d = _read_json(args.input)
     p = _poly_from(d)
-    plan = _wire.read_fields(SupNormPlan, d["plan"], "supnorm plan") if "plan" in d else None
-    report = sup_norm_report(p, float(args.sigma), plan)
+    if "plan" in d:  # refused, not ignored like other extra keys: the sweep it configured is gone
+        raise InvalidInputError("supnorm input: the 'plan' key is no longer read; remove it")
+    report = sup_norm_report(p, float(args.sigma))
     artifact = dataclasses.asdict(report)
     artifact["sigma0"] = float(args.sigma)
     _emit(args, artifact, f"sup estimate {_g17(report.value)} (upper bound {_g17(report.upper_bound)})")
@@ -475,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("seminorm", _cmd_seminorm, "weighted coefficient norm at --sigma",
         sigma=(True, "seminorm weight exponent", None))
     add("supnorm", _cmd_supnorm,
-        "sup estimate on Re s = sigma (lower bound) and Σ|a_n| n^{-σ} (upper bound)",
+        "lower bound on sup |P| over Re s >= sigma, and Σ|a_n| n^{-σ} (upper bound)",
         sigma=(False, "half-plane edge Re s = sigma", 0.0))
     add("abscissa", _cmd_abscissa, "convergence/absolute abscissa estimates for a coefficient rule")
     add("bohr-lift", _cmd_bohr_lift, "polynomial as a multi-variable polynomial over prime powers")

@@ -8,7 +8,7 @@ bound, not a minimality claim (trailing zeros are allowed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "DirichletPolynomial",
     "CoefficientRule",
     "AbscissaReport",
-    "SupNormPlan",
     "SupNormReport",
     "evaluate",
     "evaluate_many",
@@ -238,116 +237,39 @@ def seminorm_sigma(p: DirichletPolynomial, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class SupNormPlan:
-    """Sampling plan for the half-plane sup norm's edge sweep (lifts of 9+ variables).
-
-    A Dirichlet polynomial is bounded and analytic on Re s >= sigma0, so
-    by Phragmen-Lindelof its sup there equals its sup on the line
-    Re s = sigma0, where the modulus of every basis term is largest.
-    The line is sampled in double precision at edge_points equispaced
-    heights t in [0, height].  Samples can miss the top of a peak, so two
-    close peaks may be ranked in the wrong order: the highest local
-    maxima, not the highest samples, are polished by parabolic
-    refinement.
-    """
-
-    height: float = 2.0 * math.pi / math.log(2.0) * 16.0
-    edge_points: int = 200_000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.height) and self.height > 0):
-            raise InvalidInputError(f"sup-norm plan height must be finite and positive, got {self.height!r}")
-        object.__setattr__(self, "edge_points", integral(self.edge_points, "edge_points"))
-        if self.edge_points < 1:
-            raise InvalidInputError(f"sup-norm plan needs edge_points >= 1, got {self.edge_points!r}")
-
-
-@dataclass(frozen=True)
 class SupNormReport:
     """Bracket of sup |P| over {Re s >= sigma0}.
 
-    value: |P| at a real point of the line Re s = sigma0, the Kronecker
-    witness's or the edge sweep's (a lower bound); upper_bound:
-    sum |a_n| n^{-sigma0} (an upper bound on the whole half plane).
+    value: a lower bound, |P| at a real point of the line Re s = sigma0
+    (the Kronecker witness) when the lift of P has at most 8 variables,
+    else |Q| at a torus point, Q the lift of a_n n^{-sigma0};
+    upper_bound: sum |a_n| n^{-sigma0}, an upper bound on the whole half
+    plane.
     """
 
     value: float
     upper_bound: float
 
 
-def _edge_sweep_max(p: DirichletPolynomial, sigma0: float, height: float, m: int) -> float:
-    """Max of |P| along Re s = sigma0, t in [0, height].
-
-    Each block of 131,072 samples of the uniform t grid is one
-    _grid_sums product in complex128, accurate to a few |t log n| ulps.
-    The sampling error is larger: a peak's top can fall between two
-    samples, which can rank two close peaks in the wrong order.  So
-    each block keeps its highest local maxima (not its highest samples,
-    which are neighbours on one peak), and the best candidates are
-    polished by vectorized parabolic refinement.
-    """
-    damped = _weighted(p.coefficients, sigma0)
-    dt = height / max(1, m - 1)
-    # the sweep takes a_n at real part sigma0, or, where n^{-sigma0} may
-    # overflow (0 * inf = nan at a zero a_n), the damped terms at real part 0
-    if -sigma0 * math.log(p.degree) >= _SAFE_EXPONENT:
-        coeffs, x0 = damped, 0.0
-    else:
-        coeffs, x0 = p.coefficients, sigma0
-
-    block_len = 131_072
-    cand_t: list[np.ndarray] = []
-    cand_v: list[np.ndarray] = []
-    per_block_keep = 8
-    for lo in range(0, m, block_len):
-        size = min(block_len, m - lo)
-        vals = np.abs(_grid_sums(coeffs, complex(x0, lo * dt), 1j * dt, size))
-        peak = np.ones(size, dtype=bool)  # local maxima; each end has one neighbour
-        peak[1:] = vals[1:] >= vals[:-1]
-        peak[:-1] &= vals[:-1] >= vals[1:]
-        peaks = np.flatnonzero(peak)
-        keep = min(per_block_keep, peaks.size)
-        idx = peaks[np.argpartition(vals[peaks], -keep)[-keep:]]
-        cand_t.append((lo + idx) * dt)
-        cand_v.append(vals[idx])
-
-    ts = np.concatenate(cand_t)
-    vs = np.concatenate(cand_v)
-    order = np.argsort(vs)[-256:]
-    ts = ts[order]
-
-    def amp(tvec: np.ndarray) -> np.ndarray:
-        return np.abs(_exp_basis(1j * tvec, 1, p.degree) @ damped)
-
-    # vectorized parabolic refinement of all candidates at once
-    h = np.full(ts.shape, dt)
-    t = ts.copy()
-    for _ in range(30):
-        fm, f0, fp = amp(t - h), amp(t), amp(t + h)
-        denom = fm - 2.0 * f0 + fp
-        shift = np.where(denom < -1e-300, 0.5 * h * (fm - fp) / np.minimum(denom, -1e-300), 0.0)
-        t = t + np.clip(shift, -h, h)
-        h *= 0.5
-    return float(amp(t).max(initial=0.0))
-
-
-def sup_norm_report(
-    p: DirichletPolynomial, sigma0: float, plan: SupNormPlan | None = None
-) -> SupNormReport:
+def sup_norm_report(p: DirichletPolynomial, sigma0: float) -> SupNormReport:
     """Lower and upper bounds for sup |P| over {Re s >= sigma0}.
 
-    The value is |P(sigma0 + it)| at the Kronecker witness t of the
-    shifted polynomial's best torus point (bohr.bohr_gap_report) when the
-    lift of P has at most 8 variables, and the plan's edge sweep
-    otherwise: both are values of |P| on the line, and where both apply
-    the witness matches the sweep to rounding or beats it.  The value is
-    clamped to the upper bound.  The clamp only absorbs rounding: |P| on
-    the line never exceeds sum |a_n| n^{-sigma0} in exact arithmetic, but
-    where it reaches the bound (for a monomial, at every t) the computed
-    modulus can round above it.  An upper bound that overflows is refused
-    before any sampling.
+    By Bohr's theorem the sup equals the sup of |Q| over the torus, Q the
+    lift of the shifted coefficients a_n n^{-sigma0}: by Kronecker's
+    theorem the prime phases (p^{-it}) come arbitrarily close to every
+    torus point as t runs over the reals.  So |Q| at any torus point is a
+    lower bound, whether or not a real t is named for it.  When the lift
+    has at most 8 variables (N <= 22), the value is |P(sigma0 + it)| at
+    the Kronecker witness t of the best torus point
+    (bohr.bohr_gap_report).  From 9 to 80 variables (N <= 418) it is |Q|
+    at the best torus point itself (bohr.polydisc_sup_estimate, seed 0);
+    a lift of more variables is refused with ResourceLimitError before
+    any sampling.  The value is clamped to the upper bound.  The clamp
+    only absorbs rounding: |P| never exceeds sum |a_n| n^{-sigma0} in
+    exact arithmetic, but where it reaches the bound (for a monomial, at
+    every t) the computed modulus can round above it.  An upper bound
+    that overflows is refused before any sampling.
     """
-    plan = plan or SupNormPlan()
     if not math.isfinite(sigma0):
         raise InvalidInputError("sigma0 must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
@@ -356,10 +278,11 @@ def sup_norm_report(
         raise IllConditionedError(f"sum |a_n| n^-sigma0 overflows at sigma0 = {sigma0!r}")
     from . import bohr  # here, not at the top: bohr imports this module
 
-    if bohr.PrimeTable.up_to(p.degree).count() <= bohr._MAX_VARS:  # the shift is finite, as upper is
-        value = bohr.bohr_gap_report(shift_by_delta(p, sigma0)).halfplane_value
+    shifted = shift_by_delta(p, sigma0)  # finite, as upper is
+    if bohr.PrimeTable.up_to(p.degree).count() <= bohr._WITNESS_MAX_VARS:
+        value = bohr.bohr_gap_report(shifted).halfplane_value
     else:
-        value = _edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+        value = bohr.polydisc_sup_estimate(bohr.lift(shifted))
     return SupNormReport(value=min(value, upper), upper_bound=upper)
 
 

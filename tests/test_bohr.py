@@ -549,11 +549,16 @@ def test_gap_report_checks_the_variable_cap_before_any_sampling(monkeypatch):
         bohr_gap_report(DirichletPolynomial(np.ones(23, dtype=complex)))  # nine primes <= 23
 
 
-def test_polydisc_variable_cap():
-    p = DirichletPolynomial(np.ones(23, dtype=complex))  # nine primes <= 23
-    with pytest.raises(ResourceLimitError):
-        polydisc_sup_estimate(lift(p))
-    assert polydisc_sup_estimate(lift(DirichletPolynomial(np.ones(22, dtype=complex)))) > 0  # eight primes
+def test_polydisc_variable_cap(monkeypatch):
+    # the cap is a cost cap: past the witness's 8 variables the torus
+    # estimate still runs, and one prime past the cap it refuses before
+    # any sampling
+    assert polydisc_sup_estimate(lift(DirichletPolynomial(np.ones(23, dtype=complex)))) == pytest.approx(
+        23.0, rel=1e-14)  # nine primes <= 23
+    n = PrimeTable.up_to(1000).primes[bohr._MAX_VARS]  # the first N with one prime too many
+    forbid_sampling(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=f"{bohr._MAX_VARS + 1} variables"):
+        polydisc_sup_estimate(lift(DirichletPolynomial(np.ones(n, dtype=complex))))
 
 
 def test_norm_identity_small_cases():

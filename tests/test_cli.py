@@ -100,7 +100,7 @@ class TestPolynomialCommands:
     def test_supnorm_rerun_is_byte_identical(self, tmp_path):
         src = write(
             tmp_path / "p.json",
-            {"coefficients": [[1, 0], [0.5, -0.25], [0, 1]], "plan": {"edge_points": 20000}},
+            {"coefficients": [[1, 0], [0.5, -0.25], [0, 1]]},
         )
         outs = []
         for name in ("a.json", "b.json"):
@@ -135,9 +135,9 @@ class TestPolynomialCommands:
         assert rep["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_supnorm_edge_sweep_where_zero_coefficients_meet_overflowing_factors(self, tmp_path):
-        # N = 30 lifts to 10 variables, so the edge sweep gives the value
+        # N = 30 lifts to 10 variables, so a torus point gives the value
         coeffs = [[1, 0]] + [[0, 0]] * 28 + [[1e-300, 0]]
-        src = write(tmp_path / "p.json", {"coefficients": coeffs, "plan": {"edge_points": 20000}})
+        src = write(tmp_path / "p.json", {"coefficients": coeffs})
         out = tmp_path / "sup.json"
         assert main(["supnorm", "--input", src, "--sigma", "-210", "--output", str(out)]) == 0
         rep = json.loads(out.read_text())
@@ -146,12 +146,25 @@ class TestPolynomialCommands:
         assert rep["upper_bound"] == pytest.approx(want, rel=1e-12, abs=0)
         assert rep["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_supnorm_rejects_unknown_plan_keys(self, tmp_path, capsys):
-        src = write(tmp_path / "p.json", {**TWO_POW, "plan": {"sigma_steps": 10}})
+    # other extra keys are ignored, but an input that still sets the removed
+    # edge sweep's plan would silently mean something else
+    @pytest.mark.parametrize("plan", [{"edge_points": 20000}, {"sigma_steps": 10}, {"height": "tall"}, [20000], {}])
+    def test_supnorm_rejects_the_plan_key(self, tmp_path, capsys, monkeypatch, plan):
+        forbid_torus_sampling(monkeypatch)
+        src = write(tmp_path / "p.json", {**TWO_POW, "plan": plan})
         assert main(["supnorm", "--input", src]) == 2
         captured = capsys.readouterr()
-        assert "sigma_steps" in captured.err
+        assert "'plan'" in captured.err
         assert captured.out == ""
+
+    def test_supnorm_past_the_cost_cap_exits_4_before_any_sampling(self, tmp_path, capsys, monkeypatch):
+        from dirapprox import bohr
+
+        forbid_torus_sampling(monkeypatch)
+        n = bohr.PrimeTable.up_to(1000).primes[bohr._MAX_VARS]  # the first N with one prime too many
+        src = write(tmp_path / "p.json", {"coefficients": [[1, 0]] * n})
+        assert main(["supnorm", "--input", src]) == 4
+        assert "resource limit:" in capsys.readouterr().err
 
 
 class TestAbscissa:
@@ -625,8 +638,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, doc", [
         (["eval"], [[1, 0]]),
-        (["supnorm"], {**TWO_POW, "plan": {"height": "tall"}}),
-        (["supnorm"], {**TWO_POW, "plan": [20000]}),
+        (["supnorm"], {"coefficients": [[1, 0, 0]]}),
+        (["supnorm"], {"coefficients": {"re": 1, "im": 0}}),
         (["convergence-study"], {**DISC_EXP, "degrees": ["five"]}),
         (["universal-build"], {"family": [{**UNIVERSAL_FAMILY["family"][0], "compact_index": "one"}]}),
         (["universal-build"], {"family": [3]}),

@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirapprox import series
-from dirapprox.errors import IllConditionedError, InvalidInputError
+from dirapprox.errors import IllConditionedError, InvalidInputError, ResourceLimitError
 from dirapprox.series import (
     AbscissaReport,
     CoefficientRule,
     DirichletPolynomial,
-    SupNormPlan,
     _exp_basis,
     _grid_sums,
     _log_range,
@@ -240,29 +239,76 @@ def test_grid_sums_overflow_only_where_the_sum_does():
     assert np.abs(np.log(got[finite]) - ref[finite]).max() <= 1e-12
 
 
-FAST_PLAN = SupNormPlan(edge_points=20_000)
+SWEEP_HEIGHT = 2.0 * math.pi / math.log(2.0) * 16.0  # t <= 145, where the edge sweep looked
+
+
+def edge_sweep_max(p, sigma0, height=SWEEP_HEIGHT, m=200_000):
+    """Max of |P| sampled along Re s = sigma0, t in [0, height]: the edge
+    sweep that gave sup_norm_report's value past 8 lift variables, kept as
+    a reference.  Every value it reads is |P| on the line, a lower bound.
+
+    Each block of 131,072 samples of the uniform t grid is one _grid_sums
+    product; each block keeps its highest local maxima, and the best
+    candidates are polished by vectorized parabolic refinement.
+    """
+    damped = series._weighted(p.coefficients, sigma0)
+    dt = height / max(1, m - 1)
+    # where n^{-sigma0} may overflow (0 * inf = nan at a zero a_n), sweep
+    # the damped terms at real part 0
+    if -sigma0 * math.log(p.degree) >= series._SAFE_EXPONENT:
+        coeffs, x0 = damped, 0.0
+    else:
+        coeffs, x0 = p.coefficients, sigma0
+
+    block_len, per_block_keep = 131_072, 8
+    cand_t, cand_v = [], []
+    for lo in range(0, m, block_len):
+        size = min(block_len, m - lo)
+        vals = np.abs(_grid_sums(coeffs, complex(x0, lo * dt), 1j * dt, size))
+        peak = np.ones(size, dtype=bool)  # local maxima; each end has one neighbour
+        peak[1:] = vals[1:] >= vals[:-1]
+        peak[:-1] &= vals[:-1] >= vals[1:]
+        peaks = np.flatnonzero(peak)
+        keep = min(per_block_keep, peaks.size)
+        idx = peaks[np.argpartition(vals[peaks], -keep)[-keep:]]
+        cand_t.append((lo + idx) * dt)
+        cand_v.append(vals[idx])
+    ts = np.concatenate(cand_t)[np.argsort(np.concatenate(cand_v))[-256:]]
+
+    def amp(tvec):
+        return np.abs(_exp_basis(1j * tvec, 1, p.degree) @ damped)
+
+    h = np.full(ts.shape, dt)
+    t = ts.copy()
+    for _ in range(30):
+        fm, f0, fp = amp(t - h), amp(t), amp(t + h)
+        denom = fm - 2.0 * f0 + fp
+        shift = np.where(denom < -1e-300, 0.5 * h * (fm - fp) / np.minimum(denom, -1e-300), 0.0)
+        t = t + np.clip(shift, -h, h)
+        h *= 0.5
+    return float(amp(t).max(initial=0.0))
 
 
 def test_sup_norm_constant():
-    assert sup_norm_report(poly(2 - 2j), 0.0, FAST_PLAN).value == pytest.approx(
+    assert sup_norm_report(poly(2 - 2j), 0.0).value == pytest.approx(
         abs(2 - 2j), abs=1e-9
     )
 
 
 def test_sup_norm_single_frequency():
-    v = sup_norm_report(poly(0, 1), 0.0, FAST_PLAN).value
+    v = sup_norm_report(poly(0, 1), 0.0).value
     assert 1 - 1e-3 < v <= 1 + 1e-12
 
 
 def test_sup_norm_two_terms():
-    v = sup_norm_report(poly(1, 1), 0.0, FAST_PLAN).value
+    v = sup_norm_report(poly(1, 1), 0.0).value
     assert 2 - 1e-2 < v <= 2 + 1e-12
 
 
 def test_sup_norm_is_lower_bound_of_seminorm_bound():
     rng = np.random.default_rng(3)
     p = DirichletPolynomial(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    rep = sup_norm_report(p, 0.5, FAST_PLAN)
+    rep = sup_norm_report(p, 0.5)
     assert rep.value <= seminorm_sigma(p, 0.5) + 1e-12
     assert rep.upper_bound >= rep.value
     assert rep.upper_bound == seminorm_sigma(p, 0.5)
@@ -270,42 +316,28 @@ def test_sup_norm_is_lower_bound_of_seminorm_bound():
 
 @pytest.mark.parametrize("sigma0", [-0.5, 0.0, 0.7])
 def test_sup_norm_value_never_exceeds_the_upper_bound_on_monomials(sigma0):
-    # |c n^{-s}| = |c| n^{-sigma0} at every point of the line: the sweep
-    # ties everywhere and must still report a bracket
+    # |c n^{-s}| = |c| n^{-sigma0} at every point of the line: the value
+    # ties the bound everywhere and must still report a bracket
     for n in range(1, 13):
         c = np.zeros(n, dtype=complex)
         c[-1] = (0.6 - 1.3j) * n
-        rep = sup_norm_report(DirichletPolynomial(c), sigma0, FAST_PLAN)
+        rep = sup_norm_report(DirichletPolynomial(c), sigma0)
         assert rep.upper_bound * (1 - 1e-12) <= rep.value <= rep.upper_bound, n
-
-
-def test_sup_norm_empty_plan_rejected():
-    for bad in (
-        {"edge_points": 0},
-        {"edge_points": -5},
-        {"edge_points": 2.5},
-        {"edge_points": True},
-        {"height": 0.0},
-        {"height": -1.0},
-        {"height": math.inf},
-        {"height": math.nan},
-    ):
-        with pytest.raises(InvalidInputError):
-            SupNormPlan(**bad)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sup_norm_value_dominates_a_2d_grid(seed):
     # the half-plane sup is the sup on the line Re s = sigma0
     # (Phragmen-Lindelof), so a brute-force grid over the box
-    # [sigma0, sigma0 + 2] x [0, height] must not beat the line sweep
+    # [sigma0, sigma0 + 2] x [0, height] must not beat the value, |P| at the
+    # witness (N <= 22) or |Q| at a torus point (N = 23, 24)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
     p = DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     sigma0 = (-0.25, 0.0, 0.5, 1.0)[seed]
-    value = sup_norm_report(p, sigma0, FAST_PLAN).value
+    value = sup_norm_report(p, sigma0).value
     sigmas = np.linspace(sigma0, sigma0 + 2.0, 41)
-    ts = np.linspace(0.0, FAST_PLAN.height, 4001)
+    ts = np.linspace(0.0, SWEEP_HEIGHT, 4001)
     grid = np.abs(evaluate_many(p, sigmas[:, None] + 1j * ts[None, :]))
     assert value >= grid.max() * (1 - 1e-9)
 
@@ -316,18 +348,18 @@ def test_sup_norm_upper_bound_holds_off_the_swept_window(seed):
     n = int(rng.integers(2, 25))
     p = DirichletPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     sigma0 = (-0.25, 0.0, 0.5, 1.0)[seed]
-    rep = sup_norm_report(p, sigma0, FAST_PLAN)
+    rep = sup_norm_report(p, sigma0)
     assert rep.upper_bound == seminorm_sigma(p, sigma0)
     depth = rng.exponential(1.0, 500)
-    t = rng.uniform(FAST_PLAN.height, 1e6, 500) * rng.choice([-1.0, 1.0], 500)
+    t = rng.uniform(SWEEP_HEIGHT, 1e6, 500) * rng.choice([-1.0, 1.0], 500)
     moduli = np.abs(evaluate_many(p, sigma0 + depth + 1j * t))
     assert np.all(moduli <= rep.upper_bound * (1 + 1e-12))
 
 
 def test_sup_norm_finds_the_higher_of_two_close_peaks():
-    # the line's two top peaks, at t ~ 27.83 and t ~ 52.51, differ by
-    # 1.4e-4 relative, which a single-precision sweep swaps; both
-    # must reach the full-precision polish
+    # the line's two top peaks for t <= 145, at t ~ 27.83 and t ~ 52.51,
+    # differ by 1.4e-4 relative, which a single-precision sweep swapped; at
+    # 10 variables the value is |Q| at a torus point, 48.33, above both
     rng = np.random.default_rng(20261018)
     for _ in range(49):
         n = int(rng.integers(1, 41))
@@ -353,10 +385,9 @@ def test_sup_norm_value_reaches_the_kronecker_witness(sigma0):
         if n == 18:
             draws.append(DirichletPolynomial(c))
     assert len(draws) == 2
-    plan = SupNormPlan()
     for p in draws:
         rep = sup_norm_report(p, sigma0)
-        sweep = series._edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+        sweep = edge_sweep_max(p, sigma0)
         witness = bohr_gap_report(shift_by_delta(p, sigma0)).halfplane_value
         assert sweep <= rep.value <= rep.upper_bound
         assert rep.value >= witness > 1.1 * sweep
@@ -371,13 +402,13 @@ def test_sup_norm_refuses_an_upper_bound_that_overflows(monkeypatch):
     def ran(*args, **kw):
         raise AssertionError("the line or the torus was sampled")
 
-    monkeypatch.setattr(series, "_edge_sweep_max", ran)
+    monkeypatch.setattr(bohr, "_polydisc_best", ran)
     monkeypatch.setattr(bohr, "bohr_gap_report", ran)
     p = DirichletPolynomial(np.arange(1.0, 23.0) + 0.5j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedError, match="sigma0 = -300.0"):
-            sup_norm_report(p, -300.0, FAST_PLAN)
+            sup_norm_report(p, -300.0)
 
 
 def _sparse_overflow_case(a22=1e-300):
@@ -410,8 +441,8 @@ def test_tiny_coefficients_tame_factors_that_overflow():
 
 
 def test_edge_sweep_where_zero_coefficients_meet_overflowing_factors():
-    # past the 8-variable witness (N = 30 has 10 primes) the edge sweep
-    # decides the value; sweeping the raw a_n at real part -210 made
+    # past the 8-variable witness (N = 30 has 10 primes) the torus decides
+    # the value; an edge sweep of the raw a_n at real part -210 made
     # 0 * inf = nan at the zeros, and the value read 0.0
     a = np.zeros(30, dtype=complex)
     a[0], a[29] = 1.0, 1e-300
@@ -420,7 +451,7 @@ def test_edge_sweep_where_zero_coefficients_meet_overflowing_factors():
     tol = 4 * np.finfo(float).eps * (1.0 + 210.0 * math.log(30.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = sup_norm_report(DirichletPolynomial(a), -210.0, FAST_PLAN)
+        rep = sup_norm_report(DirichletPolynomial(a), -210.0)
     assert rep.upper_bound == pytest.approx(want, rel=tol, abs=0)
     assert rep.value == pytest.approx(want, rel=tol, abs=0)
 
@@ -445,7 +476,7 @@ def test_sup_norm_witness_is_never_below_the_sweep():
     # the edge sweep it replaces stays the reference, on dense, sparse,
     # positive-real and random-phase draws
     rng = np.random.default_rng(20261020)
-    plan, eps = SupNormPlan(), 4 * np.finfo(float).eps
+    eps = 4 * np.finfo(float).eps
     for n in range(1, 23):
         dense = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sparse = dense * (rng.uniform(size=n) < 0.4)
@@ -454,8 +485,36 @@ def test_sup_norm_witness_is_never_below_the_sweep():
             p = DirichletPolynomial(c)
             sigma0 = (-0.25, 0.0, 0.25, 0.5, 1.0)[n % 5]
             rep = sup_norm_report(p, sigma0)
-            sweep = series._edge_sweep_max(p, sigma0, plan.height, plan.edge_points)
+            sweep = edge_sweep_max(p, sigma0)
             assert sweep <= rep.value * (1 + eps) and rep.value <= rep.upper_bound
+
+
+@pytest.mark.parametrize("n", [23, 40, 100])
+def test_sup_norm_torus_value_is_never_below_the_sweep(n):
+    # past 8 variables the value is |Q| at a torus point, a lower bound by
+    # Bohr's and Kronecker's theorems; the edge sweep it replaces read |P|
+    # on one segment of the line, which the torus must not fall below
+    rng = np.random.default_rng(20261022 + n)
+    eps = 4 * np.finfo(float).eps
+    gaussian = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    phases = [np.exp(2j * np.pi * rng.uniform(size=n)) / np.sqrt(np.arange(1, n + 1)) for _ in range(3)]
+    for i, c in enumerate(gaussian + phases):
+        p = DirichletPolynomial(c)
+        sigma0 = (0.0, -0.25, 0.5)[i % 3]
+        rep = sup_norm_report(p, sigma0)
+        assert edge_sweep_max(p, sigma0) <= rep.value * (1 + eps) and rep.value <= rep.upper_bound, i
+
+
+def test_sup_norm_refuses_a_lift_past_the_cost_cap_before_any_sampling(monkeypatch):
+    from dirapprox import bohr
+
+    def ran(*args, **kw):
+        raise AssertionError("the torus was sampled")
+
+    monkeypatch.setattr(bohr, "_torus_values", ran)
+    n = bohr.PrimeTable.up_to(1000).primes[bohr._MAX_VARS]  # the first N with one prime too many
+    with pytest.raises(ResourceLimitError, match=f"{bohr._MAX_VARS + 1} variables"):
+        sup_norm_report(DirichletPolynomial(np.ones(n, dtype=complex)), 0.0)
 
 
 def test_nonconstant_polynomial_blows_up_on_negative_axis():
